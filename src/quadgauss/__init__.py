@@ -37,7 +37,6 @@ from .exact import (
 from .expansion import (
     ExpansionReport,
     asymptotic_sum,
-    classical_sum,
     optimal_truncation,
     reduced_sum_pair,
     remainder_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "UnknownIdentifierError",
     "asymptotic_sum",
     "boundary_series",
-    "classical_sum",
     "cot_pi_reg",
     "direct_sum",
     "erfc_complex",

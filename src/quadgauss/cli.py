@@ -29,7 +29,7 @@ import json
 import sys
 import time
 
-from .core import direct_sum, normalize_params, split_nearest
+from .core import _phase_partial_sums, direct_sum, normalize_params, split_nearest
 from .errors import (
     DomainError,
     ExprError,
@@ -39,9 +39,9 @@ from .errors import (
     TruncationError,
 )
 from .exact import TailPolicy, exact_sum_detail
-from .expansion import asymptotic_sum, remainder_bound
+from .expansion import asymptotic_sum, reduced_sum_pair, remainder_bound
 from .exprs import eval_number_expr, parse_number_expr
-from .precision import CompensatedSum, PrecisionContext, mod2
+from .precision import PrecisionContext
 
 __all__ = ["main", "build_parser", "PRESETS", "TABLE1_ROWS", "TABLE2_ROWS"]
 
@@ -227,11 +227,7 @@ def _cmd_table(args, row_ns):
     ctx = PrecisionContext(args.digits)
     params, _ = _params_from(args, ctx)
     mp = ctx.mp
-    n_max = max(row_ns)
-    report = asymptotic_sum(params, n_max, ctx)  # oracle re-derived fresh below
-    oracle = direct_sum(params, ctx)
-    reference = (oracle - report.renorm_term - report.boundary_term
-                 - report.E_term)
+    report, reference = reduced_sum_pair(params, max(row_ns), ctx)
     split = split_nearest(params)
     fmt_real = _real_csv if args.format == "csv" else _real_out
     rows = []
@@ -270,16 +266,11 @@ def _cmd_curlicue(args):
     x = eval_number_expr(parse_number_expr(args.x), ctx)
     theta = eval_number_expr(parse_number_expr(args.theta), ctx)
     fmt_real = _real_csv if args.format == "csv" else _real_out
-    acc = CompensatedSum(mp)
     rows = [{"j": 0, "re": fmt_real(mp, 0, args.digits),
              "im": fmt_real(mp, 0, args.digits)}]
-    two_theta = 2 * theta
-    for j in range(1, args.N + 1):
-        acc.add(mp.expjpi(mod2(mp, x * (j * j) + two_theta * j)))
-        if j % args.stride == 0:
-            s = acc.total()
-            rows.append({"j": j, "re": fmt_real(mp, s.real, args.digits),
-                         "im": fmt_real(mp, s.imag, args.digits)})
+    for j, s in _phase_partial_sums(x, theta, args.N, mp, args.stride):
+        rows.append({"j": j, "re": fmt_real(mp, s.real, args.digits),
+                     "im": fmt_real(mp, s.imag, args.digits)})
     return rows
 
 

@@ -112,12 +112,13 @@ def phase_term(t, params: GaussParams, ctx: PrecisionContext | None = None):
     return mp.expjpi(mod2(mp, p))
 
 
-def phase_sum(x, theta, count: int, mp):
-    """sum_{j=1}^{count} exp(i pi (x j^2 + 2 theta j)) for arbitrary real x, theta.
+def _phase_partial_sums(x, theta, count: int, mp, stride: int):
+    """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
+    S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)).
 
-    Low-level compensated loop shared by the validated oracle, the
-    renormalization term (whose first argument -1/x is far outside
-    (0, 1)) and rational-case identity checks.  count = 0 gives 0.
+    The one phase loop: each phase is reduced mod 2 before evaluation and
+    accumulated in a compensated sum.  phase_sum takes the last partial
+    sum, the curlicue export every stride-th one.
     """
     acc = CompensatedSum(mp)
     two_theta = 2 * mp.mpf(theta)
@@ -125,7 +126,21 @@ def phase_sum(x, theta, count: int, mp):
     for j in range(1, count + 1):
         p = x * (j * j) + two_theta * j
         acc.add(mp.expjpi(mod2(mp, p)))
-    return acc.total()
+        if j % stride == 0:
+            yield j, acc.total()
+
+
+def phase_sum(x, theta, count: int, mp):
+    """sum_{j=1}^{count} exp(i pi (x j^2 + 2 theta j)) for arbitrary real x, theta.
+
+    The last partial sum of the phase loop, shared by the validated
+    oracle, the renormalization term (whose first argument -1/x is far
+    outside (0, 1)) and rational-case identity checks.  count = 0 gives 0.
+    """
+    total = mp.mpc(0)
+    for _, total in _phase_partial_sums(x, theta, count, mp, max(count, 1)):
+        pass
+    return total
 
 
 def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None,

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from .core import GaussParams, phase_term
 from .errors import DomainError, TruncationError
 from .precision import CompensatedSum, PrecisionContext, ensure_finite
-from .special import _digamma, _hzeta, erfc_kernel
+from .special import _hzeta, erfc_kernel
 
 __all__ = [
     "TailPolicy",
@@ -178,7 +178,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
     # analytic tail: r = 0 layer via digamma, r >= 1 via Hurwitz zeta
     xq = x / mp.pi
     tail = mp.expjpi(mp.mpf(1) / 4) * mp.sqrt(xq) / mp.sqrt(mp.pi) * (
-        _digamma(mp, k_stop + 1 + a) - _digamma(mp, k_stop + 1 - a))
+        mp.digamma(k_stop + 1 + a) - mp.digamma(k_stop + 1 - a))
     poch = mp.mpf(1)
     for r in range(1, orders):
         poch *= r - half

@@ -21,7 +21,10 @@ Hurwitz zeta values,
 smooth across integer xi, and the remainder carries the computable,
 N-independent bound
 
-    |R_n| <= ((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
+    |R_n| <= ((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)],
+
+whose hzeta_sum(n, theta) half drops at theta = 0, where the edge-0
+boundary series vanishes identically.
 
 E(theta) and E(frac) are always evaluated exactly through the kernel,
 never replaced by their large-t series: for frac = o(sqrt(x)) that series
@@ -34,8 +37,9 @@ at or past the optimum are honoured but flagged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from mpmath.ctx_mp import MPContext
 
 from .core import GaussParams, NearestSplit, direct_sum, phase_sum, phase_term, split_nearest
 from .errors import DomainError
@@ -48,7 +52,6 @@ __all__ = [
     "remainder_bound",
     "asymptotic_sum",
     "reduced_sum_pair",
-    "classical_sum",
     "optimal_truncation",
 ]
 
@@ -93,7 +96,8 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     """((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
 
     Strictly positive and independent of N: a function of (n, x, frac,
-    theta) only.
+    theta) only.  At theta = 0 the edge-0 boundary series vanishes
+    identically, so its hzeta_sum(n, theta) half is left out.
     """
     mp = ctx.mp
     if not isinstance(n, int) or n < 1:
@@ -103,8 +107,10 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     poch = mp.mpf(1)
     for r in range(n):
         poch *= r + half
-    return (poch / (2 * mp.pi) * (x / mp.pi) ** n
-            * (hzeta_sum(n, frac, ctx) + hzeta_sum(n, theta, ctx)))
+    zetas = hzeta_sum(n, frac, ctx)
+    if mp.mpf(theta) != 0:
+        zetas += hzeta_sum(n, theta, ctx)
+    return poch / (2 * mp.pi) * (x / mp.pi) ** n * zetas
 
 
 def _renorm_term(params: GaussParams, whole: int, mp):
@@ -122,12 +128,23 @@ def _renorm_term(params: GaussParams, whole: int, mp):
     return rot / mp.sqrt(x) * short
 
 
-def _assemble(params: GaussParams, n: int, ctx: PrecisionContext,
-              theta_bound: bool) -> ExpansionReport:
+def asymptotic_sum(params: GaussParams, n: int | None = None,
+                   ctx: PrecisionContext | None = None) -> ExpansionReport:
+    """Evaluate S_N by the certified expansion, truncated after n terms.
+
+    n defaults to min(10, optimal truncation index).  The report's
+    remainder_bound certifies |direct oracle - value| up to the oracle's
+    own O(N eps) noise; the bound stays true for any valid parameters but
+    is only *useful* in the small-x regime it was built for.
+    """
+    ctx = ctx or params.ctx
     mp = ctx.mp
+    split = split_nearest(params)
+    opt = optimal_truncation(params.x, split.frac)
+    if n is None:
+        n = min(10, opt)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
-    split = split_nearest(params)
     fN = phase_term(params.N, params, ctx)
     renorm = _renorm_term(params, split.whole, mp)
     boundary = (fN - 1) / 2
@@ -147,26 +164,16 @@ def _assemble(params: GaussParams, n: int, ctx: PrecisionContext,
         if r > 0:
             poch *= r - half
             scale *= xq * mp.mpc(0, -1)
-        c_r = (fN * hzeta_diff(r, split.frac, ctx)
-               - hzeta_diff(r, params.theta, ctx))
-        term = over_2pi_i * poch * scale * c_r
+        term = over_2pi_i * poch * scale * series_coeff(r, params, split, ctx)
         terms.append(term)
         series += term
 
-    if theta_bound:
-        bound = remainder_bound(n, params.x, split.frac, params.theta, ctx)
-    else:
-        poch_n = poch * (n - half)
-        bound = (poch_n / (2 * mp.pi) * xq ** n
-                 * hzeta_sum(n, split.frac, ctx))
-
-    opt = optimal_truncation(params.x, split.frac)
     value = renorm + boundary + e_term + series
     return ExpansionReport(
         value=ensure_finite(mp, value, "asymptotic_sum"),
         script_S=series,
         terms=tuple(terms),
-        remainder_bound=bound,
+        remainder_bound=remainder_bound(n, params.x, split.frac, params.theta, ctx),
         renorm_term=renorm,
         boundary_term=boundary,
         E_term=e_term,
@@ -176,51 +183,35 @@ def _assemble(params: GaussParams, n: int, ctx: PrecisionContext,
     )
 
 
-def asymptotic_sum(params: GaussParams, n: int | None = None,
-                   ctx: PrecisionContext | None = None) -> ExpansionReport:
-    """Evaluate S_N by the certified expansion, truncated after n terms.
-
-    n defaults to min(10, optimal truncation index).  The report's
-    remainder_bound certifies |direct oracle - value| up to the oracle's
-    own O(N eps) noise; the bound stays true for any valid parameters but
-    is only *useful* in the small-x regime it was built for.
-    """
-    ctx = ctx or params.ctx
-    if n is None:
-        n = min(10, optimal_truncation(params.x, split_nearest(params).frac))
-    return _assemble(params, n, ctx, theta_bound=True)
-
-
 def reduced_sum_pair(params: GaussParams, n: int, ctx: PrecisionContext | None = None):
-    """(series, oracle-side reference) for the reduced sum the series targets.
+    """(report, oracle-side reference) for the reduced sum the series targets.
 
     The reference subtracts renorm, boundary and kernel terms from the
-    direct oracle; |reference - series| is the empirical |R_n|.
+    direct oracle; |reference - report.script_S| is the empirical |R_n|,
+    and the partial sums of report.terms give it for every smaller n.
     """
     ctx = ctx or params.ctx
-    report = _assemble(params, n, ctx, theta_bound=True)
+    report = asymptotic_sum(params, n, ctx)
     oracle = direct_sum(params, ctx)
     reference = oracle - report.renorm_term - report.boundary_term - report.E_term
-    return report.script_S, reference
+    return report, reference
 
 
-def classical_sum(N: int, x, n: int, ctx: PrecisionContext) -> ExpansionReport:
-    """The theta = 0 specialization with its sharper remainder bound.
-
-    At theta = 0 the edge-0 boundary series vanishes identically, so the
-    bound drops the hzeta_sum(n, theta) contribution; the value equals
-    asymptotic_sum at theta = 0 term for term.
-    """
-    params = GaussParams(x, 0, N, ctx)
-    return _assemble(params, n, ctx, theta_bound=False)
+# Double precision with an unbounded exponent range; its precision is never
+# changed, so sharing it between calls is safe.
+_MP = MPContext()
 
 
 def optimal_truncation(x, frac) -> int:
-    """Index of the smallest series term, about pi (1 - |frac|)^2 / x."""
-    x = float(x)
+    """Index of the smallest series term, about pi (1 - |frac|)^2 / x.
+
+    Evaluated in mp arithmetic at double precision, whose exponent range
+    is unbounded, so every x the parameters accept gets a finite index.
+    """
+    x = _MP.mpf(x)
     if not (0 < x < 1):
         raise DomainError(f"optimal_truncation: x must lie in (0, 1), got {x}")
-    frac = abs(float(frac))
+    frac = abs(_MP.mpf(frac))
     if frac > 0.5:
         raise DomainError(f"optimal_truncation: |frac| must be <= 1/2, got {frac}")
-    return max(1, round(math.pi * (1 - frac) ** 2 / x))
+    return max(1, int(_MP.nint(_MP.pi * (1 - frac) ** 2 / x)))

@@ -64,11 +64,6 @@ def mod2(mp, p):
     return p - 2 * mp.floor(p / 2)
 
 
-def unit_phase(mp, p):
-    """exp(i*pi*p) with the phase reduced mod 2 before evaluation."""
-    return mp.expjpi(mod2(mp, p))
-
-
 def ensure_finite(mp, value, what: str):
     """Reject NaN/inf escaping a numeric kernel."""
     if hasattr(value, "imag"):

@@ -1,21 +1,21 @@
 """Extended-precision special functions on the quarter-turn rays.
 
-The evaluation engine needs four primitives, all implemented here with
-explicit error control rather than opaque black boxes:
+The evaluation engine needs four primitives.  Hand-rolled code is kept
+only where it buys a certified bound or freedom from phase round-off;
+everything else is mpmath's own:
 
-* ``erfc_complex`` -- complementary error function of a complex argument.
-  Branch plan (after reflecting Re z < 0 through erfc(z) = 2 - erfc(-z)):
-  Maclaurin series of erf for |z| <= 4, Laplace continued fraction for
-  |z| > 4 inside the sector |arg z| <= arccos(1/4), and the large-argument
-  divergent series in the near-imaginary wedge, falling back to the
-  (always convergent) Maclaurin series with guard digits when the series
-  floor is above target.  The intended workload has arg z = +-pi/4 or
-  +-3pi/4, where |exp(-z^2)| = 1 and no rescaling is ever needed.
+* ``erfc_complex`` -- complementary error function of a complex argument,
+  mpmath's ``erfc`` at the context's working precision behind a
+  finite-argument check.
 
 * ``erfc_kernel`` -- E(t) = exp(-pi i t^2/x) erfc(omega t sqrt(pi/x)) with
   omega = exp(-i pi/4): the boundary kernel of the continuum approximation
   to the quadratic exponential sum.  E(0) = 1 and
-  E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.
+  E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.  For
+  |z|^2 = pi t^2/x <= 16 it is the phase (reduced mod 2) times
+  ``erfc_complex``; beyond that the Laplace continued fraction or the
+  large-argument series of e^{z^2} erfc(z) evaluates it without ever
+  forming the oscillatory factor.
 
 * ``erfc_kernel_asym`` -- the large-t series of E with a certified tail
   bound: for t > 0 and n >= 1,
@@ -27,10 +27,11 @@ explicit error control rather than opaque black boxes:
   |arg z| <= pi/4 (DLMF 7.12(i)).
 
 * ``hurwitz_zeta_odd`` -- zeta(2r+1, a) by Euler--Maclaurin with a shifted
-  head of max(10, digits) terms and adaptive Bernoulli depth, plus the
-  regularized cotangent ``cot_pi_reg`` and the reflection sum/difference
-  pairs ``hzeta_sum`` / ``hzeta_diff`` that feed the expansion
-  coefficients and the remainder certificate.
+  head of max(10, digits) terms and adaptive Bernoulli depth (it keeps full
+  relative accuracy at the large shifted arguments of the exact route's
+  tail layers), plus the regularized cotangent ``cot_pi_reg`` and the
+  reflection sum/difference pairs ``hzeta_sum`` / ``hzeta_diff`` that feed
+  the expansion coefficients and the remainder certificate.
 
 All routines are pure functions of (arguments, context) and return values
 rounded to the context's working precision.
@@ -67,79 +68,20 @@ class BoundedValue:
 # complementary error function
 # ---------------------------------------------------------------------------
 
-# Maclaurin is used below this |z|^2 regardless of direction.
+# erfc_kernel calls erfc_complex up to this |z|^2 and the scaled fraction or
+# series beyond it.
 _SERIES_RADIUS2 = 16
 
-# Continued-fraction sector: Re z >= |z|/4, i.e. |arg z| <= arccos(1/4).
-_CF_COS2 = 0.0625
-
 _CF_DEPTH_CAP = 200_000
-_SERIES_TERM_CAP = 2_000_000
 
 
 def erfc_complex(z, ctx: PrecisionContext):
-    """erfc(z) for complex z, correct for |z| <= 1e4 in any direction.
-
-    Relative accuracy is 10*eps for |arg z| <= 3pi/4 (away from the
-    isolated complex zeros of erfc); only series/fraction depth caps can
-    fail, and they raise PrecisionError rather than degrade silently.
-    """
+    """erfc(z) for complex z: mpmath's erfc at the working precision."""
     mp = ctx.mp
     z = mp.mpc(z)
     if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
         raise DomainError("erfc_complex: argument must be finite")
-    if z == 0:
-        return mp.mpc(1)
-    if z.real < 0:
-        # erfc(z) = 2 - erfc(-z); the reflected argument has Re >= 0.
-        return mp.mpc(2) - erfc_complex(-z, ctx)
-    r2 = z.real * z.real + z.imag * z.imag
-    if r2 <= _SERIES_RADIUS2:
-        return ensure_finite(mp, _erfc_series(mp, z, r2), "erfc_complex")
-    if z.real * z.real >= r2 * mp.mpf(_CF_COS2):
-        return ensure_finite(mp, _erfc_cfrac(mp, z), "erfc_complex")
-    # Near-imaginary wedge: the continued fraction stalls as arg z -> pi/2.
-    # The divergent series bottoms out near exp(-|z|^2); take it when that
-    # floor is below target, else pay for the guarded Maclaurin series.
-    if r2 >= mp.ln(10) * (mp.dps + 8):
-        return ensure_finite(mp, _erfc_biglam(mp, z), "erfc_complex")
-    return ensure_finite(mp, _erfc_series(mp, z, r2), "erfc_complex")
-
-
-def _erfc_series(mp, z, r2):
-    """1 - erf(z) by the Maclaurin series of erf.
-
-    Terms peak near k = |z|^2 at magnitude ~ exp(|z|^2), so the working
-    precision is raised by 0.47*|z|^2 digits to absorb the cancellation.
-    """
-    guard = int(0.47 * float(r2)) + 10
-    with mp.extradps(guard):
-        zz = mp.mpc(z)
-        mz2 = -(zz * zz)
-        u = zz  # z^(2k+1) / k!
-        acc = zz
-        stop = mp.mpf(10) ** (-(mp.dps - 4))
-        k = 0
-        while True:
-            k += 1
-            u = u * mz2 / k
-            t = u / (2 * k + 1)
-            acc += t
-            # Past k ~ 2|z|^2 the term ratio is < 1/2, so the tail is
-            # bounded by the last term and the stop test is rigorous.
-            if k > 2 * float(r2) + 4 and abs(t) < stop * (abs(acc) + 1):
-                break
-            if k > _SERIES_TERM_CAP:
-                raise PrecisionError("erfc_complex: Maclaurin series cap hit")
-        res = 1 - 2 * acc / mp.sqrt(mp.pi)
-    return +res
-
-
-def _phase_guard(mp, z):
-    # exp(-z^2) oscillates with phase |2 Re z Im z|; reducing that angle
-    # costs its magnitude in digits.
-    p = abs(2 * z.real * z.imag)
-    return 0 if p < 10 else int(mp.log10(p)) + 2
+    return ensure_finite(mp, mp.erfc(z), "erfc_complex")
 
 
 def _scaled_cfrac(mp, z):
@@ -174,7 +116,7 @@ def _scaled_cfrac(mp, z):
                 break
             if k > _CF_DEPTH_CAP:
                 raise PrecisionError(
-                    "erfc_complex: continued fraction did not converge "
+                    "erfc_kernel: continued fraction did not converge "
                     f"within {_CF_DEPTH_CAP} levels"
                 )
         res = 1 / (f * mp.sqrt(mp.pi))
@@ -203,7 +145,7 @@ def _scaled_biglam(mp, z):
                 # series floor: first omitted term bounds the truncation
                 if prev < target:
                     break
-                raise PrecisionError("erfc_complex: asymptotic floor above target")
+                raise PrecisionError("erfc_kernel: asymptotic floor above target")
             acc += nxt
             term = nxt
             prev = mag
@@ -211,22 +153,6 @@ def _scaled_biglam(mp, z):
             if mag < target * abs(acc):
                 break
         res = acc / (zz * mp.sqrt(mp.pi))
-    return +res
-
-
-def _erfc_cfrac(mp, z):
-    guard = 10 + _phase_guard(mp, z)
-    with mp.extradps(guard):
-        zz = mp.mpc(z)
-        res = mp.exp(-(zz * zz)) * _scaled_cfrac(mp, zz)
-    return +res
-
-
-def _erfc_biglam(mp, z):
-    guard = 10 + _phase_guard(mp, z)
-    with mp.extradps(guard):
-        zz = mp.mpc(z)
-        res = mp.exp(-(zz * zz)) * _scaled_biglam(mp, zz)
     return +res
 
 
@@ -259,13 +185,10 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
                  - erfc_kernel(-t, x, ctx))
         return ensure_finite(mp, value, "erfc_kernel")
     r2 = mp.pi * t * t / x  # |z|^2
+    z = mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x))
     if r2 <= _SERIES_RADIUS2:
-        omega = mp.expjpi(mp.mpf(-1) / 4)
-        z = omega * (t * mp.sqrt(mp.pi / x))
         phase = mp.expjpi(-mod2(mp, t * t / x))
         return ensure_finite(mp, phase * erfc_complex(z, ctx), "erfc_kernel")
-    omega = mp.expjpi(mp.mpf(-1) / 4)
-    z = omega * (t * mp.sqrt(mp.pi / x))
     if r2 >= mp.ln(10) * (mp.dps + 8):
         return ensure_finite(mp, _scaled_biglam(mp, z), "erfc_kernel")
     return ensure_finite(mp, _scaled_cfrac(mp, z), "erfc_kernel")
@@ -306,7 +229,7 @@ def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta at odd integer arguments, digamma, regularized cotangent
+# Hurwitz zeta at odd integer arguments, regularized cotangent
 # ---------------------------------------------------------------------------
 
 
@@ -364,40 +287,6 @@ def _hzeta(mp, s: int, a, head: int):
             if converged:
                 break
             K *= 2
-        res = total
-    return +res
-
-
-def _digamma(mp, u):
-    """psi(u) for real u > 0, by upward shift plus the Bernoulli series.
-
-    The series floor is ~ exp(-2 pi u), so the shift target scales with the
-    working precision (u >= 0.4 * dps keeps the floor below the stop).
-    """
-    with mp.extradps(10):
-        u = mp.mpf(u)
-        lift = max(20, int(0.4 * mp.dps) + 2)
-        shift = mp.mpf(0)
-        while u < lift:
-            shift -= 1 / u
-            u += 1
-        uinv2 = 1 / (u * u)
-        total = shift + mp.ln(u) - 1 / (2 * u)
-        term = uinv2
-        stop = mp.mpf(10) ** (-(mp.dps - 2))
-        m = 1
-        prev = None
-        while True:
-            t = mp.bernoulli(2 * m) / (2 * m) * term
-            total -= t
-            at = abs(t)
-            if at < stop * (abs(total) + 1):
-                break
-            if prev is not None and at > prev:
-                raise PrecisionError("digamma: series floor above target")
-            prev = at
-            m += 1
-            term *= uinv2
         res = total
     return +res
 

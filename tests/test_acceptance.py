@@ -26,6 +26,7 @@ from quadgauss import (
     hzeta_diff,
     hzeta_sum,
     phase_sum,
+    reduced_sum_pair,
     remainder_bound,
     split_nearest,
 )
@@ -65,9 +66,7 @@ def _column_data(which, digits):
     """(n -> |R_n|, n -> bound) for a study column, oracle derived fresh."""
     ctx = PrecisionContext(digits)
     params = _col_params(ctx, which)
-    report = asymptotic_sum(params, 10, ctx)
-    oracle = direct_sum(params, ctx)
-    reference = oracle - report.renorm_term - report.boundary_term - report.E_term
+    report, reference = reduced_sum_pair(params, 10, ctx)
     split = split_nearest(params)
     errors, bounds = {}, {}
     series = ctx.mp.mpc(0)

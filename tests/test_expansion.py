@@ -9,10 +9,10 @@ from quadgauss import (
     GaussParams,
     PrecisionContext,
     asymptotic_sum,
-    classical_sum,
     cot_pi_reg,
     direct_sum,
     hurwitz_zeta_odd,
+    hzeta_sum,
     optimal_truncation,
     phase_term,
     reduced_sum_pair,
@@ -86,12 +86,13 @@ def test_remainder_bound_reference_values():
 
 
 def test_remainder_bound_symbolic_specialization():
-    # frac = theta = 0, n = 1:  (1/(4 pi)) (x/pi) 4 zeta(3) = x zeta(3)/pi^2
+    # frac = theta = 0, n = 1, where the theta half drops:
+    # (1/(4 pi)) (x/pi) 2 zeta(3) = x zeta(3)/(2 pi^2)
     ctx = CTX40
     mp = ctx.mp
     x = mp.mpf("0.004")
     got = remainder_bound(1, x, 0, 0, ctx)
-    want = x * hurwitz_zeta_odd(1, 1, ctx) / mp.pi ** 2
+    want = x * hurwitz_zeta_odd(1, 1, ctx) / (2 * mp.pi ** 2)
     assert abs(got - want) <= 10 * ctx.eps * want
 
 
@@ -130,10 +131,10 @@ def test_expansion_whole_zero_branch():
 
 def test_reduced_pair_reference_values():
     ctx = CTX50
-    exp_s, ref_s = reduced_sum_pair(_params(ctx, COL1), 6)
-    assert sig3(abs(ref_s - exp_s)) == sig3(COL1_ERRORS[6])
-    exp_s, ref_s = reduced_sum_pair(_params(ctx, COL2), 8)
-    assert sig3(abs(ref_s - exp_s)) == sig3(COL2_ERRORS[8])
+    rep, ref_s = reduced_sum_pair(_params(ctx, COL1), 6)
+    assert sig3(abs(ref_s - rep.script_S)) == sig3(COL1_ERRORS[6])
+    rep, ref_s = reduced_sum_pair(_params(ctx, COL2), 8)
+    assert sig3(abs(ref_s - rep.script_S)) == sig3(COL2_ERRORS[8])
 
 
 def test_reduced_pair_degenerate_series():
@@ -141,9 +142,8 @@ def test_reduced_pair_degenerate_series():
     # sits inside the remainder bound
     ctx = CTX40
     p = GaussParams("0.03125", 0, 512, ctx)
-    exp_s, ref_s = reduced_sum_pair(p, 4)
-    assert exp_s == 0
-    rep = asymptotic_sum(p, 4)
+    rep, ref_s = reduced_sum_pair(p, 4)
+    assert rep.script_S == 0
     assert abs(ref_s) <= rep.remainder_bound + 1e4 * ctx.eps * p.N
 
 
@@ -209,21 +209,30 @@ def test_reassembly_is_exact():
 
 
 def test_classical_equals_general_at_theta_zero():
+    # theta = 0 is the limit of nearby theta, except that the bound drops
+    # the hzeta_sum(n, theta) half of the edge-0 series
     ctx = CTX40
-    rep_c = classical_sum(6000, "0.0023", 5, ctx)
-    rep_g = asymptotic_sum(GaussParams("0.0023", 0, 6000, ctx), 5)
-    assert abs(rep_c.value - rep_g.value) <= 10 * ctx.eps * abs(rep_g.value)
-    # the theta = 0 bound drops the hzeta_sum(n, 0) contribution
-    assert rep_c.remainder_bound < rep_g.remainder_bound
+    mp = ctx.mp
+    p0 = GaussParams("0.0023", 0, 6000, ctx)
+    rep_0 = asymptotic_sum(p0, 5)
+    rep_t = asymptotic_sum(GaussParams("0.0023", "1e-50", 6000, ctx), 5)
+    assert abs(rep_0.value - rep_t.value) <= 10 * ctx.eps * abs(rep_t.value)
+    frac = split_nearest(p0).frac
+    poch = mp.rf(mp.mpf(1) / 2, 5)
+    frac_only = (poch / (2 * mp.pi) * (mp.mpf("0.0023") / mp.pi) ** 5
+                 * hzeta_sum(5, frac, ctx))
+    assert abs(rep_0.remainder_bound - frac_only) <= 10 * ctx.eps * frac_only
+    assert rep_0.remainder_bound < rep_t.remainder_bound
 
 
 def test_classical_bound_contains_on_resolved_column3():
     ctx = CTX50
     mp = ctx.mp
     x = 1 / (500 * mp.sqrt(mp.mpf(3)))
-    oracle = direct_sum(GaussParams(x, 0, 6000, ctx))
+    p = GaussParams(x, 0, 6000, ctx)
+    oracle = direct_sum(p)
     for n in range(1, 11):
-        rep = classical_sum(6000, x, n, ctx)
+        rep = asymptotic_sum(p, n, ctx)
         err = abs(oracle - rep.value)
         assert err <= rep.remainder_bound + 1e4 * ctx.eps * 6000, n
 
@@ -262,3 +271,14 @@ def test_optimal_truncation_values():
     assert optimal_truncation(x, split_nearest(p).frac) == 589
     assert optimal_truncation("0.01", 0) == round(3.141592653589793 / 0.01)
     assert optimal_truncation("0.01", "0.5") == round(3.141592653589793 / 0.04)
+
+
+def test_tiny_x_below_double_range():
+    # x under the double-precision range still gets a truncation index
+    ctx = PrecisionContext(30)
+    for xs in ("1e-320", "1e-400"):
+        p = GaussParams(xs, "0.25", 1, ctx)
+        rep = asymptotic_sum(p, 4)
+        assert not rep.beyond_optimal
+        err = abs(direct_sum(p) - rep.value)
+        assert err <= rep.remainder_bound + 1e4 * ctx.eps * p.N, xs
