@@ -1,7 +1,7 @@
 """Certified evaluation of generalized quadratic Gauss sums.
 
 S_N(x, theta) = sum_{j=1}^N exp(pi i x j^2 + 2 pi i j theta) evaluated
-three independent ways: a compensated direct oracle, an exact
+three independent ways: a direct-summation oracle, an exact
 erfc-series representation, and a small-x expansion whose truncation
 error carries a computable, N-independent bound.
 """
@@ -43,7 +43,7 @@ from .expansion import (
     series_coeff,
 )
 from .exprs import NumberExpr, eval_number_expr, format_expr, parse_number_expr
-from .precision import CompensatedSum, PrecisionContext
+from .precision import PrecisionContext
 from .special import (
     BoundedValue,
     cot_pi_reg,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySeries",
     "BoundedValue",
-    "CompensatedSum",
     "DomainError",
     "ExpansionReport",
     "ExprError",

@@ -2,14 +2,14 @@
 
 Subcommands
 -----------
-sum       direct compensated summation (the oracle)
+sum       direct term-by-term summation (the oracle)
 exact     erfc-series representation with tail certificates
 asym      certified small-x expansion
 table1    absolute error of the truncated expansion vs the oracle,
           n in {1,2,3,4,6,8,10}
 table2    empirical remainder |R_n| against its computable bound,
           n in {1,2,4,6,8,10}
-curlicue  partial-sum trajectory (the spiral patterns), CSV-friendly
+curlicue  partial-sum trajectory (the spiral patterns), <= 10^6 points
 bench     wall time of the oracle vs the expansion plus the certificate
 
 Parameters --x/--theta take exact expressions ("1/(250*sqrt(pi))"), so
@@ -29,7 +29,13 @@ import json
 import sys
 import time
 
-from .core import _phase_partial_sums, direct_sum, normalize_params, split_nearest
+from .core import (
+    DEFAULT_MAX_TERMS,
+    _phase_partial_sums,
+    direct_sum,
+    normalize_params,
+    split_nearest,
+)
 from .errors import (
     DomainError,
     ExprError,
@@ -63,6 +69,9 @@ DEFAULT_DIGITS = 30
 # |oracle - expansion| is certified only up to the oracle's own noise
 ORACLE_NOISE_FACTOR = 10**4
 
+# curlicue buffers every emitted point before writing any
+_MAX_POINTS = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -83,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None, help="truncation index")
         p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                        help="significant decimal digits of working precision")
-        p.add_argument("--tol", default=None, help="tail tolerance (exact command)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 
-    p = sub.add_parser("sum", help="direct compensated summation")
+    p = sub.add_parser("sum", help="direct term-by-term summation")
     add_common(p)
     p = sub.add_parser("exact", help="erfc-series representation")
     add_common(p)
+    p.add_argument("--tol", default=None, help="tail tolerance per boundary series")
     p = sub.add_parser("asym", help="certified small-x expansion")
     add_common(p, with_n=True)
     table_help = {
@@ -259,10 +268,12 @@ def _cmd_curlicue(args):
     _require(args, "x", "N")
     ctx = PrecisionContext(args.digits)
     mp = ctx.mp
-    if args.N > 10**8:
-        raise ResourceBudgetError(f"curlicue: N={args.N} exceeds the point budget")
     if args.stride < 1:
         raise UsageError("--stride must be >= 1")
+    if args.N > DEFAULT_MAX_TERMS or args.N // args.stride + 1 > _MAX_POINTS:
+        raise ResourceBudgetError(
+            f"curlicue: N={args.N} at stride {args.stride} exceeds the budget of "
+            f"{DEFAULT_MAX_TERMS} terms and {_MAX_POINTS} points")
     x = eval_number_expr(parse_number_expr(args.x), ctx)
     theta = eval_number_expr(parse_number_expr(args.theta), ctx)
     fmt_real = _real_csv if args.format == "csv" else _real_out

@@ -13,12 +13,14 @@ term-wise identities:
     S_N(x, theta + 1) = S_N(x, theta)
     S_N(-x, -theta)   = conj(S_N(x, theta))
 
-Whatever the route, the phase x t^2 + 2 theta t is computed at working
-precision and reduced mod 2 *before* the trigonometric evaluation: by
-N ~ 1e4 the raw phase reaches ~1e5 and unreduced evaluation would burn
-five digits.  The direct sum uses compensated accumulation so its error
-is O(N * eps) with a small constant, making it the ground truth every
-other evaluation path is tested against.
+Every phase x t^2 + 2 theta t goes straight to mpmath's ``expjpi``,
+which reduces it by the nearest half-integer on the exact binary
+mantissa, so a phase loses nothing to its size once it is formed.
+``phase_term`` forms it exactly.  The oracle loop rounds each phase
+(at most N^2 + N) and each partial sum (at most N) at the working
+precision, ``GUARD_DIGITS`` beyond ``digits``, so the direct sum's error
+stays within N * eps for every N the term budget admits.  That makes it
+the ground truth every other evaluation path is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceBudgetError
-from .precision import CompensatedSum, PrecisionContext, ensure_finite, mod2
+from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
     "GaussParams",
@@ -105,29 +107,28 @@ class NormalizationRecord:
 
 
 def phase_term(t, params: GaussParams, ctx: PrecisionContext | None = None):
-    """f(t) = exp(i pi (x t^2 + 2 theta t)), phase reduced mod 2 first."""
+    """f(t) = exp(i pi (x t^2 + 2 theta t)), phase formed exactly for any t."""
     mp = (ctx or params.ctx).mp
     t = mp.mpf(t)
-    p = params.x * (t * t) + (2 * params.theta) * t
-    return mp.expjpi(mod2(mp, p))
+    p = mp.fadd(mp.fmul(params.x, mp.fmul(t, t, exact=True), exact=True),
+                mp.fmul(2 * params.theta, t, exact=True), exact=True)
+    return mp.expjpi(p)
 
 
 def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
     S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)).
 
-    The one phase loop: each phase is reduced mod 2 before evaluation and
-    accumulated in a compensated sum.  phase_sum takes the last partial
-    sum, the curlicue export every stride-th one.
+    The one phase loop, in plain working-precision arithmetic.  phase_sum
+    takes the last partial sum, the curlicue export every stride-th one.
     """
-    acc = CompensatedSum(mp)
+    total = mp.mpc(0)
     two_theta = 2 * mp.mpf(theta)
     x = mp.mpf(x)
     for j in range(1, count + 1):
-        p = x * (j * j) + two_theta * j
-        acc.add(mp.expjpi(mod2(mp, p)))
+        total += mp.expjpi(x * (j * j) + two_theta * j)
         if j % stride == 0:
-            yield j, acc.total()
+            yield j, total
 
 
 def phase_sum(x, theta, count: int, mp):
@@ -145,7 +146,7 @@ def phase_sum(x, theta, count: int, mp):
 
 def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None,
                max_terms: int = DEFAULT_MAX_TERMS):
-    """S_N(x, theta) by compensated term-by-term summation.
+    """S_N(x, theta) by term-by-term summation.
 
     The ground-truth oracle: accumulated error <= N * C * eps for a small
     constant C.  Raises ResourceBudgetError when N exceeds ``max_terms``.

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .core import GaussParams, phase_term
 from .errors import DomainError, TruncationError
-from .precision import CompensatedSum, PrecisionContext, ensure_finite
+from .precision import PrecisionContext, ensure_finite
 from .special import _hzeta, erfc_kernel
 
 __all__ = [
@@ -139,8 +139,8 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
     """I_j for edge j in {0, N}: explicit pairs to k_stop, analytic tail above.
 
-    Pairs are combined before accumulation to exploit their cancellation;
-    accumulation is compensated.  Raises TruncationError when no k_stop
+    Pairs are combined before accumulation to exploit their cancellation
+    and summed exactly by ``fsum``.  Raises TruncationError when no k_stop
     within the policy cap can certify the tolerance.
     """
     ctx = ctx or params.ctx
@@ -171,9 +171,8 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
             break
         k_stop *= 2
 
-    acc = CompensatedSum(mp)
-    for k in range(1, k_stop + 1):
-        acc.add(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx))
+    pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
+                    for k in range(1, k_stop + 1))
 
     # analytic tail: r = 0 layer via digamma, r >= 1 via Hurwitz zeta
     xq = x / mp.pi
@@ -186,7 +185,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         rot = mp.expjpi(mp.mpf(2 * r + 1) / 4)  # i^(r+1/2)
         tail += (-1) ** r * poch / mp.sqrt(mp.pi) * xq ** (r + half) * rot * (zm - zp)
 
-    value = phase_term(edge, params, ctx) * pref * (acc.total() + tail)
+    value = phase_term(edge, params, ctx) * pref * (pairs + tail)
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
                           k_stop=k_stop, orders=orders,
                           tail_bound=leftover * pref)

@@ -43,7 +43,7 @@ from mpmath.ctx_mp import MPContext
 
 from .core import GaussParams, NearestSplit, direct_sum, phase_sum, phase_term, split_nearest
 from .errors import DomainError
-from .precision import PrecisionContext, ensure_finite, mod2
+from .precision import PrecisionContext, ensure_finite
 from .special import erfc_kernel, hzeta_diff, hzeta_sum
 
 __all__ = [
@@ -117,14 +117,15 @@ def _renorm_term(params: GaussParams, whole: int, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * S_M(-1/x, theta/x).
 
     The short sum runs over M = whole terms of exp(-pi i j^2/x
-    + 2 pi i j theta/x) with the phase reduced mod 2; M = 0 gives 0
-    exactly.
+    + 2 pi i j theta/x); M = 0 gives 0 exactly.  The rotation is two
+    factors: theta^2/x reaches ~1e11, and adding 1/4 to it before
+    ``expjpi`` reduces it would round digits away.
     """
     if whole == 0:
         return mp.mpc(0)
     x = params.x
     short = phase_sum(-1 / x, params.theta / x, whole, mp)
-    rot = mp.expjpi(mod2(mp, -params.theta * params.theta / x) + mp.mpf(1) / 4)
+    rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
     return rot / mp.sqrt(x) * short
 
 

@@ -12,7 +12,7 @@ everything else is mpmath's own:
   omega = exp(-i pi/4): the boundary kernel of the continuum approximation
   to the quadratic exponential sum.  E(0) = 1 and
   E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.  For
-  |z|^2 = pi t^2/x <= 16 it is the phase (reduced mod 2) times
+  |z|^2 = pi t^2/x <= 16 it is the phase factor times
   ``erfc_complex``; beyond that the Laplace continued fraction or the
   large-argument series of e^{z^2} erfc(z) evaluates it without ever
   forming the oscillatory factor.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
-from .precision import PrecisionContext, ensure_finite, mod2
+from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
     "BoundedValue",
@@ -169,7 +169,7 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
     and the scaled fraction/series evaluate it *without* the oscillatory
     factor -- no phase roundoff however large t^2/x grows.  Negative t goes
     through the reflection E(-t) = 2 exp(-pi i t^2/x) - E(t), whose leading
-    term carries the (genuine) oscillation with the phase reduced mod 2.
+    term carries the (genuine) oscillation, reduced exactly by ``expjpi``.
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -181,13 +181,13 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
     if t == 0:
         return mp.mpc(1)
     if t < 0:
-        value = (2 * mp.expjpi(-mod2(mp, t * t / x))
+        value = (2 * mp.expjpi(-(t * t / x))
                  - erfc_kernel(-t, x, ctx))
         return ensure_finite(mp, value, "erfc_kernel")
     r2 = mp.pi * t * t / x  # |z|^2
     z = mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x))
     if r2 <= _SERIES_RADIUS2:
-        phase = mp.expjpi(-mod2(mp, t * t / x))
+        phase = mp.expjpi(-(t * t / x))
         return ensure_finite(mp, phase * erfc_complex(z, ctx), "erfc_kernel")
     if r2 >= mp.ln(10) * (mp.dps + 8):
         return ensure_finite(mp, _scaled_biglam(mp, z), "erfc_kernel")

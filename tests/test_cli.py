@@ -178,6 +178,9 @@ def test_exit_codes(capsys):
     # usage: unknown identifier
     code, _, err = run_cli(capsys, "sum", "--x", "2*tau", "--N", "4")
     assert code == 2
+    # usage: --tol belongs to exact alone
+    code, _, _ = run_cli(capsys, "sum", "--x", "0.5", "--N", "4", "--tol", "1e-20")
+    assert code == 2
     # domain: x degenerates mod 2
     code, _, err = run_cli(capsys, "sum", "--x", "2", "--N", "4")
     assert code == 3 and "domain" in err
@@ -188,6 +191,11 @@ def test_exit_codes(capsys):
     # resource: oversized budget
     code, _, err = run_cli(capsys, "sum", "--x", "0.5", "--N", "200000001")
     assert code == 4
+    # resource: curlicue's term and point budgets, checked before any term
+    for n, stride in (("2000001", "1"), ("200000001", "1000")):
+        code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", n,
+                               "--stride", stride)
+        assert code == 4 and out == ""
     # help exits 0
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadgauss import (
     DomainError,
@@ -58,6 +60,19 @@ def test_term_large_phase_cross_precision():
             assert abs(low_val - v) <= lo.mp.mpf(10) ** (-(lo.digits + 5))
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(t=st.integers(min_value=0, max_value=10**18),
+       x=st.floats(min_value=2.0**-40, max_value=1.0, exclude_max=True),
+       theta=st.floats(min_value=-0.5, max_value=0.5))
+def test_phase_term_exact_phase_property(t, x, theta):
+    # the phase is formed exactly, so f(t) at digits 30 agrees with a
+    # digits-80 evaluation on the same binary x and theta for any t
+    lo, hi = PrecisionContext(30), PrecisionContext(80)
+    a = phase_term(t, GaussParams(x, theta, 1, lo))
+    b = phase_term(t, GaussParams(x, theta, 1, hi))
+    assert abs(hi.mp.mpc(a) - b) <= lo.eps
+
+
 def test_direct_sum_single_term():
     ctx = CTX30
     mp = ctx.mp
@@ -91,6 +106,16 @@ def test_oracle_stability_on_random_sets():
         a = direct_sum(GaussParams(xs, ts, n, lo))
         b = direct_sum(GaussParams(xs, ts, n, hi))
         assert abs(a - b) <= lo.mp.mpf(10) ** (-d + 2) * n
+    # partial sums grow like j at tiny x: the accumulated rounding must
+    # stay within 10 eps of a digits+30 run on the same binary x, not grow
+    # with N
+    ref = PrecisionContext(d + 30)
+    for k in (30, 40):
+        n = rng.randint(10**4, 2 * 10**4)
+        x = lo.mp.mpf(2) ** -k
+        a = direct_sum(GaussParams(x, 0, n, lo))
+        b = direct_sum(GaussParams(ref.mp.mpf(x), 0, n, ref))
+        assert abs(ref.mp.mpc(a) - b) <= 10 * lo.eps
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 5), (3, 8), (1, 50)])
