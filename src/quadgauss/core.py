@@ -163,13 +163,18 @@ def split_nearest(params: GaussParams) -> NearestSplit:
     """Split N*x + theta into nearest integer and signed fractional part.
 
     The whole part is >= 0 automatically (N*x + theta > -1/2), and
-    frac lands in (-1/2, 1/2] with ties resolved upward to 1/2.
+    frac lands in (-1/2, 1/2] with ties resolved upward to 1/2.  Both
+    come from the exact N*x + theta, so frac keeps every bit: it feeds
+    phases frac^2/x of size up to 1/(4x), which a frac rounded from
+    N*x + theta would throw off by up to ~N eps.  ``value`` is the exact
+    sum rounded once, so value == whole + frac at working precision.
     """
     mp = params.ctx.mp
-    value = mp.mpf(params.N) * params.x + params.theta
-    whole = int(mp.ceil(value - mp.mpf(1) / 2))
-    frac = value - whole
-    return NearestSplit(value=value, whole=whole, frac=frac)
+    exact = mp.fadd(mp.fmul(params.N, params.x, exact=True), params.theta,
+                    exact=True)
+    whole = int(mp.ceil(mp.fsub(exact, mp.mpf(1) / 2, exact=True)))
+    frac = mp.fsub(exact, whole, exact=True)
+    return NearestSplit(value=+exact, whole=whole, frac=frac)
 
 
 def normalize_params(x_raw, theta_raw, N: int, ctx: PrecisionContext):

@@ -117,16 +117,20 @@ def _renorm_term(params: GaussParams, whole: int, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * S_M(-1/x, theta/x).
 
     The short sum runs over M = whole terms of exp(-pi i j^2/x
-    + 2 pi i j theta/x); M = 0 gives 0 exactly.  The rotation is two
-    factors: theta^2/x reaches ~1e11, and adding 1/4 to it before
-    ``expjpi`` reduces it would round digits away.
+    + 2 pi i j theta/x); M = 0 gives 0 exactly.  Its phases reach M^2/x
+    (~N M at large N), so the sum and the rotation run with that many
+    extra bits and the result is rounded once.  The rotation is two
+    factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
+    round digits away.
     """
     if whole == 0:
         return mp.mpc(0)
     x = params.x
-    short = phase_sum(-1 / x, params.theta / x, whole, mp)
-    rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
-    return rot / mp.sqrt(x) * short
+    with mp.extraprec(max(0, mp.mag(whole * whole / x))):
+        short = phase_sum(-1 / x, params.theta / x, whole, mp)
+        rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
+        res = rot / mp.sqrt(x) * short
+    return +res
 
 
 def asymptotic_sum(params: GaussParams, n: int | None = None,

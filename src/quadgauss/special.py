@@ -12,10 +12,12 @@ everything else is mpmath's own:
   omega = exp(-i pi/4): the boundary kernel of the continuum approximation
   to the quadratic exponential sum.  E(0) = 1 and
   E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.  For
-  |z|^2 = pi t^2/x <= 16 it is the phase factor times
-  ``erfc_complex``; beyond that the Laplace continued fraction or the
-  large-argument series of e^{z^2} erfc(z) evaluates it without ever
-  forming the oscillatory factor.
+  t > 0, z^2 = -i pi t^2/x exactly, so E(t) = e^{z^2} erfc(z)
+  = U(1/2, 1/2, z^2)/sqrt(pi) (DLMF 13.6).  For |z|^2 <= 16 it is the
+  phase factor times ``erfc_complex``; beyond that one call to mpmath's
+  ``hyperu`` evaluates it from z^2 alone, without ever forming the
+  oscillatory factor, so no phase round-off enters however large t^2/x
+  grows.
 
 * ``erfc_kernel_asym`` -- the large-t series of E with a certified tail
   bound: for t > 0 and n >= 1,
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
@@ -68,11 +70,9 @@ class BoundedValue:
 # complementary error function
 # ---------------------------------------------------------------------------
 
-# erfc_kernel calls erfc_complex up to this |z|^2 and the scaled fraction or
-# series beyond it.
+# erfc_kernel multiplies the phase by erfc_complex up to this |z|^2, where
+# that is faster than mpmath's hyperu, and calls hyperu beyond it.
 _SERIES_RADIUS2 = 16
-
-_CF_DEPTH_CAP = 200_000
 
 
 def erfc_complex(z, ctx: PrecisionContext):
@@ -82,78 +82,6 @@ def erfc_complex(z, ctx: PrecisionContext):
     if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
         raise DomainError("erfc_complex: argument must be finite")
     return ensure_finite(mp, mp.erfc(z), "erfc_complex")
-
-
-def _scaled_cfrac(mp, z):
-    """sqrt(pi) e^{z^2} erfc(z) without the exponential: the Laplace fraction
-
-    e^{z^2} erfc(z) = pi^{-1/2}/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...)))),
-
-    evaluated by the modified Lentz scheme with depth grown adaptively
-    until two successive convergents agree to the working precision.
-    """
-    with mp.extradps(10):
-        zz = mp.mpc(z)
-        stop = mp.mpf(10) ** (-(mp.dps - 3))
-        tiny = mp.mpf(10) ** (-2 * mp.dps)
-        f = zz
-        c = zz
-        d = mp.mpc(0)
-        k = 0
-        while True:
-            k += 1
-            a = mp.mpf(k) / 2
-            d = zz + a * d
-            if d == 0:
-                d = tiny
-            c = zz + a / c
-            if c == 0:
-                c = tiny
-            d = 1 / d
-            delta = c * d
-            f = f * delta
-            if abs(delta - 1) < stop:
-                break
-            if k > _CF_DEPTH_CAP:
-                raise PrecisionError(
-                    "erfc_kernel: continued fraction did not converge "
-                    f"within {_CF_DEPTH_CAP} levels"
-                )
-        res = 1 / (f * mp.sqrt(mp.pi))
-    return +res
-
-
-def _scaled_biglam(mp, z):
-    """e^{z^2} erfc(z) ~ pi^{-1/2} sum (-1)^r (1/2)_r z^{-2r-1}, no exponential.
-
-    Truncated at the smallest term; callers only enter here when that
-    floor (~ exp(-|z|^2) relatively) sits far below the accuracy target.
-    """
-    target = mp.mpf(10) ** (-(mp.dps + 6))
-    with mp.extradps(10):
-        zz = mp.mpc(z)
-        w = 1 / (zz * zz)
-        half = mp.mpf(1) / 2
-        term = mp.mpc(1)
-        acc = mp.mpc(1)
-        prev = None
-        r = 0
-        while True:
-            nxt = term * (-w) * (r + half)
-            mag = abs(nxt)
-            if prev is not None and mag >= prev:
-                # series floor: first omitted term bounds the truncation
-                if prev < target:
-                    break
-                raise PrecisionError("erfc_kernel: asymptotic floor above target")
-            acc += nxt
-            term = nxt
-            prev = mag
-            r += 1
-            if mag < target * abs(acc):
-                break
-        res = acc / (zz * mp.sqrt(mp.pi))
-    return +res
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +94,38 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
 
     Defined for 0 < x < 1 and any real t.  For t > 0 the argument sits on
     the -pi/4 ray where z^2 = -i pi t^2/x exactly, so E(t) = e^{z^2} erfc(z)
-    and the scaled fraction/series evaluate it *without* the oscillatory
+    = U(1/2, 1/2, z^2)/sqrt(pi) (DLMF 13.6): beyond |z|^2 = 16 mpmath's
+    ``hyperu`` evaluates it from z^2 alone, *without* the oscillatory
     factor -- no phase roundoff however large t^2/x grows.  Negative t goes
     through the reflection E(-t) = 2 exp(-pi i t^2/x) - E(t), whose leading
-    term carries the (genuine) oscillation, reduced exactly by ``expjpi``.
+    term carries the (genuine) oscillation.  Its phase t^2/x is formed from
+    the unrounded t with as many extra bits as it has integer bits, so an
+    mpf t carrying more than the working precision (an exact fractional
+    part of N x + theta) keeps them all.
     """
     mp = ctx.mp
     x = mp.mpf(x)
     if not (0 < x < 1):
         raise DomainError(f"erfc_kernel: x must lie in (0, 1), got {x}")
-    t = mp.mpf(t)
+    t = mp.convert(t)  # an mpf argument keeps every bit
     if not mp.isfinite(t):
         raise DomainError("erfc_kernel: t must be finite")
     if t == 0:
         return mp.mpc(1)
     if t < 0:
-        value = (2 * mp.expjpi(-(t * t / x))
-                 - erfc_kernel(-t, x, ctx))
+        tt = mp.fmul(t, t, exact=True)
+        with mp.extraprec(max(0, mp.mag(tt / x))):
+            phase = mp.expjpi(-(tt / x))
+        value = 2 * phase - erfc_kernel(-t, x, ctx)
         return ensure_finite(mp, value, "erfc_kernel")
     r2 = mp.pi * t * t / x  # |z|^2
-    z = mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x))
     if r2 <= _SERIES_RADIUS2:
-        phase = mp.expjpi(-(t * t / x))
-        return ensure_finite(mp, phase * erfc_complex(z, ctx), "erfc_kernel")
-    if r2 >= mp.ln(10) * (mp.dps + 8):
-        return ensure_finite(mp, _scaled_biglam(mp, z), "erfc_kernel")
-    return ensure_finite(mp, _scaled_cfrac(mp, z), "erfc_kernel")
+        z = mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x))
+        value = mp.expjpi(-(t * t / x)) * erfc_complex(z, ctx)
+    else:
+        half = mp.mpf(1) / 2
+        value = mp.hyperu(half, half, mp.mpc(0, -r2)) / mp.sqrt(mp.pi)
+    return ensure_finite(mp, value, "erfc_kernel")
 
 
 def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
@@ -291,16 +225,12 @@ def _hzeta(mp, s: int, a, head: int):
     return +res
 
 
-# Switch radius between the closed form and the even-zeta series; at 0.1
-# the branches agree to well below eps for digits <= 50 (seam-tested).
-_COT_SERIES_RADIUS = 0.1
-
-
 def cot_pi_reg(lam, ctx: PrecisionContext):
     """pi*cot(pi*lam) - 1/lam on |lam| < 1, continuously extended to 0 at 0.
 
-    Near the removable singularity the even-zeta series
-    -sum_{m>=1} 2 zeta(2m) lam^(2m-1) is used; it is odd in lam.
+    The closed form loses about 2 log2(1/|lam|) bits to cancellation near
+    the removable singularity, so it runs with that many extra bits and is
+    then rounded; the result is odd in lam.
     """
     mp = ctx.mp
     lam = mp.mpf(lam)
@@ -308,27 +238,9 @@ def cot_pi_reg(lam, ctx: PrecisionContext):
         raise DomainError(f"cot_pi_reg: |lam| must be < 1, got {lam}")
     if lam == 0:
         return mp.mpf(0)
-    if abs(lam) < _COT_SERIES_RADIUS:
-        with mp.extradps(5):
-            lam2 = lam * lam
-            # zeta(2m) = (2 pi)^{2m} |B_{2m}| / (2 (2m)!)
-            twopi2 = (2 * mp.pi) ** 2
-            zfac = twopi2 / 4  # (2 pi)^{2m} / (2 (2m)!), m = 1
-            pw = lam  # lam^{2m-1}
-            total = mp.mpf(0)
-            stop = mp.mpf(10) ** (-(mp.dps - 2))
-            m = 1
-            while True:
-                t = 2 * zfac * abs(mp.bernoulli(2 * m)) * pw
-                total -= t
-                if abs(t) < stop * abs(total):
-                    break
-                m += 1
-                zfac *= twopi2 / ((2 * m - 1) * (2 * m))
-                pw *= lam2
-            res = total
-        return +res
-    return mp.pi * mp.cospi(lam) / mp.sinpi(lam) - 1 / lam
+    with mp.extraprec(max(0, -2 * mp.mag(lam)) + 10):
+        res = mp.pi * mp.cospi(lam) / mp.sinpi(lam) - 1 / lam
+    return +res
 
 
 def hzeta_diff(r: int, lam, ctx: PrecisionContext):

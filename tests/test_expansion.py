@@ -282,3 +282,24 @@ def test_tiny_x_below_double_range():
         assert not rep.beyond_optimal
         err = abs(direct_sum(p) - rep.value)
         assert err <= rep.remainder_bound + 1e4 * ctx.eps * p.N, xs
+
+
+@pytest.mark.parametrize("full_x", [False, True])
+@pytest.mark.parametrize("N", [10**12, 10**18])
+@pytest.mark.parametrize("c, theta", [(17.3, 0.3), (1500.7, 0.3),
+                                      (17.8, -0.45), (3.1, 0.4999)])
+def test_large_N_agrees_with_higher_digits(N, c, theta, full_x):
+    # the same binary (x, theta) at digits 30 and 80, with no N-scaled
+    # allowance: phases of size up to N M must keep their digits.  frac
+    # takes both signs and sits near 0 for (3.1, 0.4999).  x is c/N as a
+    # double, or c/N rounded at digits 30, whose full mantissa makes
+    # N x + theta longer than the working precision.
+    lo, hi = PrecisionContext(30), PrecisionContext(80)
+    x = lo.mp.mpf(c) / N if full_x else c / N
+    rep30 = asymptotic_sum(GaussParams(x, theta, N, lo), 8)
+    rep80 = asymptotic_sum(GaussParams(x, theta, N, hi), 8)
+    mp = hi.mp
+    diff = abs(mp.mpc(rep30.value) - rep80.value)
+    allow = (rep30.remainder_bound + rep80.remainder_bound
+             + 64 * lo.mp.eps * max(1, abs(rep80.value)))
+    assert diff <= allow

@@ -174,6 +174,20 @@ def test_kernel_self_consistency_via_series():
     assert abs(erfc_kernel(1, "0.01", ctx) - bv.value) <= bv.bound
 
 
+@pytest.mark.parametrize("ctx", [CTX30, CTX50], ids=["d30", "d50"])
+def test_kernel_against_quadrature_above_series_radius(ctx):
+    # |z|^2 = pi t^2/x past the series radius, where only hyperu runs,
+    # against the phase times an erfc quadrature independent of it
+    mp = ctx.mp
+    omega = mp.expjpi(mp.mpf(-1) / 4)
+    for x in ("0.9", "0.01", "1e-6"):
+        x = mp.mpf(x)
+        for r2 in ("16.5", "25", "50", "100", "140"):
+            t = mp.sqrt(mp.mpf(r2) * x / mp.pi)
+            ref = mp.expjpi(-(t * t / x)) * erfc_quadrature(omega * t * mp.sqrt(mp.pi / x), ctx)
+            assert abs(erfc_kernel(t, x, ctx) - ref) <= 10 * ctx.eps * abs(ref), (x, r2)
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
@@ -256,7 +270,8 @@ def test_cot_reg_values():
 
 
 def test_cot_reg_seam():
-    # closed form and series agree across the 0.1 switch radius
+    # around 0.1 the plain closed form loses little to cancellation, so
+    # the raised-precision one must agree with it
     for ctx in (CTX30, CTX50):
         mp = ctx.mp
         for lam in ("0.09999999", "0.1", "0.10000001"):
