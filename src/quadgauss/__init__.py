@@ -57,47 +57,31 @@ from .special import (
 
 __version__ = "0.1.0"
 
+# The advertised surface: parameters, context, the three routes and their
+# reports, the errors and the expression entry points.  The helper names
+# imported above stay importable from the package without being listed.
 __all__ = [
-    "BoundarySeries",
-    "BoundedValue",
-    "DomainError",
-    "ExpansionReport",
-    "ExprError",
-    "ExprSyntaxError",
     "GaussParams",
-    "NearestSplit",
-    "NormalizationRecord",
-    "NumberExpr",
     "PrecisionContext",
-    "PrecisionError",
-    "QuadGaussError",
-    "ResourceBudgetError",
-    "TailPolicy",
-    "TruncationError",
-    "UnknownIdentifierError",
-    "asymptotic_sum",
-    "boundary_series",
-    "cot_pi_reg",
+    "normalize_params",
     "direct_sum",
-    "erfc_complex",
-    "erfc_kernel",
-    "erfc_kernel_asym",
-    "eval_number_expr",
     "exact_sum",
     "exact_sum_detail",
-    "format_expr",
-    "hurwitz_zeta_odd",
-    "hzeta_diff",
-    "hzeta_sum",
-    "normalize_params",
-    "optimal_truncation",
+    "asymptotic_sum",
+    "ExpansionReport",
+    "BoundarySeries",
+    "TailPolicy",
+    "QuadGaussError",
+    "DomainError",
+    "PrecisionError",
+    "ResourceBudgetError",
+    "TruncationError",
+    "ExprError",
+    "ExprSyntaxError",
+    "UnknownIdentifierError",
+    "NumberExpr",
     "parse_number_expr",
-    "phase_integral",
-    "phase_sum",
-    "phase_term",
-    "reduced_sum_pair",
-    "remainder_bound",
-    "series_coeff",
-    "split_nearest",
+    "eval_number_expr",
+    "format_expr",
     "__version__",
 ]

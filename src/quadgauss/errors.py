@@ -4,9 +4,9 @@ Every failure mode maps onto one of four families so callers (and the
 CLI exit-code mapping) can discriminate without string matching:
 
 * DomainError          -- argument outside the documented domain
-* PrecisionError       -- requested accuracy unattainable at the
-                          configured internal series/continued-fraction
-                          depth (never silently degraded)
+* PrecisionError       -- a result came out non-finite or outside its
+                          certified accuracy at the working precision
+                          (never silently degraded)
 * ResourceBudgetError  -- the work required exceeds a configured budget
 * TruncationError      -- a series truncation cannot meet the requested
                           tolerance within its cap (reported, not silent)

@@ -5,16 +5,20 @@ nearest integer (M >= 0 holds automatically) and frac in (-1/2, 1/2].
 Then
 
     S_N(x, theta) = renorm + (f(N) - 1)/2
-                    + e^{i pi/4}/(2 sqrt(x)) { E(theta) - f(N) E(frac) }
+                    + e^{i pi/4}/(2 sqrt(x)) { K(theta) - f(N) K(frac) }
                     + 1/(2 pi i) sum_{r=0}^{n-1} (1/2)_r (x/(pi i))^r C_r
                     + R_n,
 
 where the renormalization term is the rotated-and-rescaled short sum
 
-    renorm = e^{-pi i theta^2/x + i pi/4} / sqrt(x) * S_M(-1/x, theta/x)
+    renorm = e^{-pi i theta^2/x + i pi/4} / sqrt(x)
+             * sum_{j=j0}^{j1} exp(-pi i j^2/x + 2 pi i j theta/x),
 
-(zero when M = 0), the coefficients are reflection differences of
-Hurwitz zeta values,
+    j0 = 0 if theta < 0 else 1,   j1 = M - 1 if frac < 0 else M
+
+(zero when the range is empty), K is the signed kernel K(t) = E(t) for
+t >= 0 and -E(-t) for t < 0, the coefficients are reflection differences
+of Hurwitz zeta values,
 
     C_r = f(N) * hzeta_diff(r, frac) - hzeta_diff(r, theta),
 
@@ -26,7 +30,12 @@ N-independent bound
 whose hzeta_sum(n, theta) half drops at theta = 0, where the edge-0
 boundary series vanishes identically.
 
-E(theta) and E(frac) are always evaluated exactly through the kernel,
+For a negative theta or frac the kernel would reflect,
+E(-t) = 2 e^{-pi i t^2/x} - E(t); the reflected unit phases are the
+j = 0 and j = M terms of the short sum, so they are summed there instead
+of cancelling each other after the 1/(2 sqrt(x)) prefactor, which would
+leave eps/sqrt(x) of round-off behind.
+K(theta) and K(frac) are always evaluated exactly through the kernel,
 never replaced by their large-t series: for frac = o(sqrt(x)) that series
 is invalid while the exact kernel stays uniformly accurate.
 
@@ -113,24 +122,41 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     return poch / (2 * mp.pi) * (x / mp.pi) ** n * zetas
 
 
-def _renorm_term(params: GaussParams, whole: int, mp):
-    """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * S_M(-1/x, theta/x).
+def _renorm_term(params: GaussParams, split: NearestSplit, mp):
+    """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
+    + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
+    else M.
 
-    The short sum runs over M = whole terms of exp(-pi i j^2/x
-    + 2 pi i j theta/x); M = 0 gives 0 exactly.  Its phases reach M^2/x
-    (~N M at large N), so the sum and the rotation run with that many
-    extra bits and the result is rounded once.  The rotation is two
-    factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
-    round digits away.
+    The j = 0 term is exactly 1; an empty range gives 0 exactly.  The
+    phases reach M^2/x (~N M at large N) and the rotation theta^2/x, so the
+    sum and the rotation run with that many extra bits and the result is
+    rounded once.  The rotation is two factors: adding 1/4 to theta^2/x
+    before ``expjpi`` reduces it would round digits away.
     """
-    if whole == 0:
+    first = 0 if params.theta < 0 else 1
+    last = split.whole - 1 if split.frac < 0 else split.whole
+    if last < first:
         return mp.mpc(0)
     x = params.x
-    with mp.extraprec(max(0, mp.mag(whole * whole / x))):
-        short = phase_sum(-1 / x, params.theta / x, whole, mp)
+    with mp.extraprec(max(0, mp.mag(max(1, split.whole) ** 2 / x))):
+        short = phase_sum(-1 / x, params.theta / x, last, mp)
+        if first == 0:
+            short += 1
         rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
         res = rot / mp.sqrt(x) * short
     return +res
+
+
+def _signed_kernel(t, x, ctx: PrecisionContext):
+    """K(t) = E(t) for t >= 0, -E(-t) for t < 0: E(t) less the reflected
+    unit phase 2 e^{-pi i t^2/x} that ``_renorm_term`` carries.
+
+    The negation is exact, so a t carrying more than the working precision
+    (the exact frac) keeps every bit.
+    """
+    if t < 0:
+        return -erfc_kernel(ctx.mp.fneg(t, exact=True), x, ctx)
+    return erfc_kernel(t, x, ctx)
 
 
 def asymptotic_sum(params: GaussParams, n: int | None = None,
@@ -151,12 +177,12 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
     fN = phase_term(params.N, params, ctx)
-    renorm = _renorm_term(params, split.whole, mp)
+    renorm = _renorm_term(params, split, mp)
     boundary = (fN - 1) / 2
     rot = mp.expjpi(mp.mpf(1) / 4)
     e_term = rot / (2 * mp.sqrt(params.x)) * (
-        erfc_kernel(params.theta, params.x, ctx)
-        - fN * erfc_kernel(split.frac, params.x, ctx))
+        _signed_kernel(params.theta, params.x, ctx)
+        - fN * _signed_kernel(split.frac, params.x, ctx))
 
     half = mp.mpf(1) / 2
     over_2pi_i = mp.mpc(0, -1) / (2 * mp.pi)  # 1/(2 pi i)

@@ -1,240 +1,126 @@
 """Exact-input mini-language for numeric parameters.
 
 Values like 1/(250*sqrt(pi)) must enter at full working precision, not as
-truncated decimals, so the CLI accepts a tiny expression grammar:
-
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | primary
-    primary := number | 'pi' | 'sqrt' '(' expr ')' | '(' expr ')'
-
-Whitespace is insignificant; binding is left-associative.  Decimal
-literals are exact scaled integers ("0.125" means exactly 1/8), and
-evaluation is bottom-up at context precision with correctly rounded
-arithmetic, so evaluating the same tree at digits d and d + 10 agrees to
-10^(2-d) relative.  Deliberately no variables and no functions beyond
-sqrt.
+truncated decimals, so the CLI accepts a restricted Python expression:
+decimal literals (digits and at most one '.'), ``pi``, ``sqrt(expr)``,
+unary minus, + - * / and parentheses, with Python's precedence and left
+associativity; whitespace, newlines included, is insignificant.  Python's
+parser reads the text and a whitelist walk refuses everything else
+(1e5, 0x10, 1_000, 2**3, +1, keywords, any other name or call form).
+The walk replaces each literal by a Name holding its source text, so
+"0.125" is exactly 1/8 and every literal is rounded once.  Evaluation is
+bottom-up at context precision with correctly rounded arithmetic, so
+evaluating the same tree at digits d and d + 10 agrees to 10^(2-d)
+relative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import ast
+import operator
+import re
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from .precision import PrecisionContext
 
-__all__ = [
-    "NumberExpr",
-    "parse_number_expr",
-    "eval_number_expr",
-    "format_expr",
-]
+__all__ = ["NumberExpr", "parse_number_expr", "eval_number_expr", "format_expr"]
+
+NumberExpr = ast.Expression
+
+_LITERAL = re.compile(r"\d+\.?\d*|\.\d+")
+_BINARY = {ast.Add: ("+", operator.add), ast.Sub: ("-", operator.sub),
+           ast.Mult: ("*", operator.mul), ast.Div: ("/", operator.truediv)}
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+def _guarded(walk, *args):
+    """walk(*args), reporting a tree too deep for Python's stack as a syntax error."""
+    try:
+        return walk(*args)
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", 0) from None
 
 
-@dataclass(frozen=True)
-class DecLit:
-    # value = mantissa / 10**scale, held exactly until evaluation
-    mantissa: int
-    scale: int
-
-
-@dataclass(frozen=True)
-class PiConst:
-    pass
-
-
-@dataclass(frozen=True)
-class SqrtCall:
-    arg: "NumberExpr"
-
-
-@dataclass(frozen=True)
-class Negate:
-    arg: "NumberExpr"
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # one of + - * /
-    left: "NumberExpr"
-    right: "NumberExpr"
-
-
-NumberExpr = Union[IntLit, DecLit, PiConst, SqrtCall, Negate, BinaryOp]
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                if src[j] == ".":
-                    seen_dot = True
-                j += 1
-            text = src[i:j]
-            if text == ".":
-                raise ExprSyntaxError("lone '.' is not a number", i)
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return self.advance()
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinaryOp(op, node, self.term())
+def _admit(node, src: str, lead: int):
+    """Check one subtree against the grammar; literals become Name(text)."""
+    offset = lead + node.col_offset
+    if isinstance(node, ast.Constant):
+        text = ast.get_source_segment(src, node)
+        if not _LITERAL.fullmatch(text):
+            raise ExprSyntaxError(f"not a decimal literal: {text!r}", offset)
+        return ast.copy_location(ast.Name(id=text, ctx=ast.Load()), node)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return node
+        if node.id != "sqrt":
+            raise UnknownIdentifierError(f"unknown identifier {node.id!r}", offset)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id not in ("pi", "sqrt"):
+            raise UnknownIdentifierError(f"unknown identifier {node.func.id!r}", offset)
+        if node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords:
+            node.args = [_admit(node.args[0], src, lead)]
+            return node
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node.operand = _admit(node.operand, src, lead)
         return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinaryOp(op, node, self.factor())
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        node.left = _admit(node.left, src, lead)
+        node.right = _admit(node.right, src, lead)
         return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Negate(self.factor())
-        return self.primary()
-
-    def primary(self):
-        kind, text, offset = self.peek()
-        if kind == "num":
-            self.advance()
-            if "." in text:
-                whole, _, fracpart = text.partition(".")
-                mantissa = int((whole or "0") + fracpart) if (whole or fracpart) else 0
-                return DecLit(mantissa=mantissa, scale=len(fracpart))
-            return IntLit(int(text))
-        if kind == "name":
-            self.advance()
-            if text == "pi":
-                return PiConst()
-            if text == "sqrt":
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return SqrtCall(inner)
-            raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
-        if kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ExprSyntaxError(f"expected a number, 'pi', 'sqrt' or '(', found {text!r}",
-                              offset)
+    text = ast.get_source_segment(src, node)
+    raise ExprSyntaxError(f"unsupported syntax {text!r}", offset)
 
 
 def parse_number_expr(src: str) -> NumberExpr:
     """Parse a number expression; errors carry the byte offset."""
     if not isinstance(src, str) or not src:
         raise ExprSyntaxError("empty expression", 0)
-    if not src.isascii():
-        raise ExprSyntaxError("expression must be ASCII", 0)
-    parser = _Parser(_tokenize(src))
-    node = parser.expr()
-    kind, text, offset = parser.peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"trailing input {text!r}", offset)
-    return node
+    # One line without leading blanks, so Python's offsets are ours - lead.
+    line = "".join(" " if ch.isspace() else ch for ch in src)
+    if not (src.isascii() and line.isprintable()):
+        raise ExprSyntaxError("expression must be printable ASCII", 0)
+    body = line.lstrip(" ")
+    lead = len(line) - len(body)
+    try:
+        tree = _guarded(ast.parse, body, "<expr>", "eval")
+    except SyntaxError as exc:
+        raise ExprSyntaxError(exc.msg, lead + (exc.offset or 1) - 1) from None
+    tree.body = _guarded(_admit, tree.body, body, lead)
+    return tree
 
 
-def eval_number_expr(expr: NumberExpr, ctx: PrecisionContext):
-    """Evaluate a parse tree to an mpf at context precision."""
-    mp = ctx.mp
-    if isinstance(expr, IntLit):
-        return mp.mpf(expr.value)
-    if isinstance(expr, DecLit):
-        return mp.mpf(expr.mantissa) / mp.mpf(10) ** expr.scale
-    if isinstance(expr, PiConst):
-        return +mp.pi
-    if isinstance(expr, SqrtCall):
-        arg = eval_number_expr(expr.arg, ctx)
+def _value(node, mp):
+    if isinstance(node, ast.Name):
+        # the leading "0": mpmath cannot read ".0" or ".00"
+        return +mp.pi if node.id == "pi" else mp.mpf("0" + node.id)
+    if isinstance(node, ast.Call):
+        arg = _value(node.args[0], mp)
         if arg < 0:
             raise DomainError(f"sqrt of negative value {mp.nstr(arg, 8)}")
         return mp.sqrt(arg)
-    if isinstance(expr, Negate):
-        return -eval_number_expr(expr.arg, ctx)
-    if isinstance(expr, BinaryOp):
-        left = eval_number_expr(expr.left, ctx)
-        right = eval_number_expr(expr.right, ctx)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                raise DomainError("division by zero in number expression")
-            return left / right
-        raise DomainError(f"unknown operator {expr.op!r}")
-    raise DomainError(f"not a number expression node: {expr!r}")
+    if isinstance(node, ast.UnaryOp):
+        return -_value(node.operand, mp)
+    left, right = _value(node.left, mp), _value(node.right, mp)
+    if isinstance(node.op, ast.Div) and right == 0:
+        raise DomainError("division by zero in number expression")
+    return _BINARY[type(node.op)][1](left, right)
+
+
+def eval_number_expr(expr: NumberExpr, ctx: PrecisionContext):
+    """Evaluate a tree from ``parse_number_expr`` to an mpf at context precision."""
+    return _guarded(_value, expr.body, ctx.mp)
+
+
+def _text(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Call):
+        return f"sqrt({_text(node.args[0])})"
+    if isinstance(node, ast.UnaryOp):
+        return f"(-{_text(node.operand)})"
+    return f"({_text(node.left)}{_BINARY[type(node.op)][0]}{_text(node.right)})"
 
 
 def format_expr(expr: NumberExpr) -> str:
-    """Canonical fully-parenthesized rendering; re-parses to an equal tree."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, DecLit):
-        digits = str(expr.mantissa).rjust(expr.scale + 1, "0")
-        cut = len(digits) - expr.scale
-        return f"{digits[:cut]}.{digits[cut:]}" if expr.scale else digits
-    if isinstance(expr, PiConst):
-        return "pi"
-    if isinstance(expr, SqrtCall):
-        return f"sqrt({format_expr(expr.arg)})"
-    if isinstance(expr, Negate):
-        return f"(-{format_expr(expr.arg)})"
-    if isinstance(expr, BinaryOp):
-        return f"({format_expr(expr.left)}{expr.op}{format_expr(expr.right)})"
-    raise DomainError(f"not a number expression node: {expr!r}")
+    """Canonical fully-parenthesized rendering; re-parses to an equal tree
+    while it nests at most 200 deep, Python's limit on open parentheses."""
+    return _guarded(_text, expr.body)

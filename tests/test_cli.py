@@ -178,6 +178,10 @@ def test_exit_codes(capsys):
     # usage: unknown identifier
     code, _, err = run_cli(capsys, "sum", "--x", "2*tau", "--N", "4")
     assert code == 2
+    # usage: nesting too deep for Python's parser or stack, no traceback
+    for x in ("(" * 300 + "1" + ")" * 300, "1" + "+1" * 20000, "-" * 5000 + "1"):
+        code, out, err = run_cli(capsys, "sum", "--x=" + x, "--N", "3")
+        assert code == 2 and out == "" and "offset" in err
     # usage: --tol belongs to exact alone
     code, _, _ = run_cli(capsys, "sum", "--x", "0.5", "--N", "4", "--tol", "1e-20")
     assert code == 2

@@ -218,3 +218,10 @@ def test_split_never_negative_whole():
     s = split_nearest(GaussParams("0.001", "-0.5", 1, ctx))
     assert s.whole == 0
     assert s.frac < 0
+
+
+def test_public_names_resolve():
+    import quadgauss
+
+    for name in quadgauss.__all__:
+        assert hasattr(quadgauss, name), name

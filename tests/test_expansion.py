@@ -303,3 +303,18 @@ def test_large_N_agrees_with_higher_digits(N, c, theta, full_x):
     allow = (rep30.remainder_bound + rep80.remainder_bound
              + 64 * lo.mp.eps * max(1, abs(rep80.value)))
     assert diff <= allow
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("theta", ["-0.25", "-0.5"])
+@pytest.mark.parametrize("xs", ["1e-25", "1e-40", "1e-400"])
+def test_negative_theta_at_tiny_x_agrees_with_direct_sum(xs, theta, N):
+    # a negative theta (and frac) reflects the kernel; its unit phases must
+    # not cancel after the 1/(2 sqrt(x)) prefactor, which would leave
+    # eps/sqrt(x) of round-off.  No N-scaled allowance.
+    ctx = PrecisionContext(30)
+    p = GaussParams(xs, theta, N, ctx)
+    rep = asymptotic_sum(p, 4)
+    S = direct_sum(p)
+    allow = rep.remainder_bound + 64 * ctx.mp.eps * max(1, abs(S))
+    assert abs(S - rep.value) <= allow

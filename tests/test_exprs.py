@@ -1,9 +1,12 @@
 """The exact-input expression language."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadgauss import (
     DomainError,
+    ExprError,
     ExprSyntaxError,
     PrecisionContext,
     UnknownIdentifierError,
@@ -105,3 +108,34 @@ def test_eval_domain_errors():
         _val("1/(2-2)")
     with pytest.raises(DomainError):
         _val("sqrt(1-2)")
+
+
+def test_refused_forms():
+    for src in ("1e5", "0x10", "1_000", "1j", "True", "2**3", "+0.5",
+                "sqrt(1,2)", "sqrt(x=1)", "(1)(2)", "pi()", "sqrt"):
+        with pytest.raises(ExprError):
+            parse_number_expr(src)
+
+
+def test_accepted_whitespace_and_literals():
+    assert _val(" 0.5") == CTX30.mp.mpf(1) / 2
+    assert _val("0.5\n") == CTX30.mp.mpf(1) / 2
+    assert _val("1 +\n 2") == 3
+    assert _val(".0") == 0 and _val("1.") == 1 and _val(".5") == CTX30.mp.mpf(1) / 2
+
+
+def test_long_decimal_round_trips_exactly():
+    src = "0.12345678901234567890123"
+    printed = format_expr(parse_number_expr(src))
+    assert printed == src
+    assert _val(printed) == CTX30.mp.mpf(src)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.text(alphabet="0123456789.+-*/() pisqrte_x", max_size=40))
+def test_parse_then_eval_raises_only_package_errors(src):
+    try:
+        value = eval_number_expr(parse_number_expr(src), CTX30)
+    except (ExprError, DomainError):
+        return
+    assert isinstance(value, type(CTX30.mp.mpf(0)))
