@@ -1,30 +1,29 @@
 """Command-line harness: evaluation, table reproduction, trajectories, bench.
 
-Subcommands
------------
 sum       direct term-by-term summation (the oracle)
 exact     erfc-series representation with tail certificates
 asym      certified small-x expansion
-table1    absolute error of the truncated expansion vs the oracle,
-          n in {1,2,3,4,6,8,10}
-table2    empirical remainder |R_n| against its computable bound,
-          n in {1,2,4,6,8,10}
+table1    absolute error of the truncated expansion vs the oracle per n
+table2    empirical remainder |R_n| against its computable bound per n
 curlicue  partial-sum trajectory (the spiral patterns), <= 10^6 points
 bench     wall time of the oracle vs the expansion plus the certificate
 
 Parameters --x/--theta take exact expressions ("1/(250*sqrt(pi))"), so
-irrational inputs enter at full working precision.  Output (JSON by
-default, CSV on request) is buffered and emitted only on success; reals
-are rendered as decimal strings once --digits exceeds 17 so consumers
-cannot truncate them.  Exit codes: 2 usage, 3 domain error, 4
-precision/resource error.
+irrational inputs enter at full working precision.  Each handler returns
+rows whose reals are raw mpf values, and ``_emit`` formats each real once:
+a JSON number at --digits <= 17, a decimal string beyond (so consumers
+cannot truncate it), scientific notation in CSV.  Output is written only
+on success.  Exit codes: 2 usage, 3 domain error, 4 precision/resource
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 import time
@@ -36,14 +35,8 @@ from .core import (
     normalize_params,
     split_nearest,
 )
-from .errors import (
-    DomainError,
-    ExprError,
-    PrecisionError,
-    QuadGaussError,
-    ResourceBudgetError,
-    TruncationError,
-)
+from .errors import (DomainError, ExprError, PrecisionError, QuadGaussError,
+                     ResourceBudgetError)
 from .exact import TailPolicy, exact_sum_detail
 from .expansion import asymptotic_sum, reduced_sum_pair, remainder_bound
 from .exprs import eval_number_expr, parse_number_expr
@@ -83,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified evaluation of generalized quadratic Gauss sums.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_params=True, with_n=False):
-        if need_params:
-            p.add_argument("--x", help="x as an exact expression, e.g. '1/(250*sqrt(pi))'")
-            p.add_argument("--theta", default="0", help="theta as an exact expression")
-            p.add_argument("--N", type=int, help="number of terms (positive integer)")
+    def add_common(p, with_n=False):
+        p.add_argument("--x", help="x as an exact expression, e.g. '1/(250*sqrt(pi))'")
+        p.add_argument("--theta", default="0", help="theta as an exact expression")
+        p.add_argument("--N", type=int, help="number of terms (positive integer)")
         if with_n:
             p.add_argument("--n", type=int, default=None, help="truncation index")
         p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
@@ -102,12 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default=None, help="tail tolerance per boundary series")
     p = sub.add_parser("asym", help="certified small-x expansion")
     add_common(p, with_n=True)
-    table_help = {
-        "table1": "absolute error of the truncated expansion per n",
-        "table2": "empirical remainder |R_n| against its computable bound",
-    }
-    for name in ("table1", "table2"):
-        p = sub.add_parser(name, help=table_help[name])
+    for name, text in (("table1", "absolute error of the truncated expansion per n"),
+                       ("table2", "empirical remainder |R_n| against its computable bound")):
+        p = sub.add_parser(name, help=text)
         add_common(p)
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p = sub.add_parser("curlicue", help="partial-sum trajectory export")
@@ -118,177 +107,112 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# formatting
-# ---------------------------------------------------------------------------
-
-
-def _real_out(mp, value, digits):
-    """JSON rendering of a real: number at digits <= 17, string beyond."""
-    if digits <= 17:
-        return float(mp.mpf(value))
-    return mp.nstr(mp.mpf(value), digits, strip_zeros=False)
-
-
-def _real_csv(mp, value, digits):
-    """CSV rendering: scientific notation, >= 17 significant digits."""
-    # the empty fixed-exponent window [1, 0) forces scientific form
-    return mp.nstr(mp.mpf(value), max(17, digits), min_fixed=1, max_fixed=0,
-                   show_zero_exponent=True, strip_zeros=False)
-
-
-def _emit(rows, fmt):
-    """Render a list of ordered dicts as a JSON document or RFC-4180 CSV."""
-    if fmt == "json":
-        doc = rows[0] if len(rows) == 1 else rows
-        return json.dumps(doc, indent=2) + "\n"
+def _emit(rows, args, mp):
+    """Render rows (dicts, any iterable) as one JSON document or RFC-4180
+    CSV, formatting each mpf once as the rows are consumed."""
+    if args.format == "csv":
+        # the empty fixed-exponent window [1, 0) forces scientific form
+        real = functools.partial(mp.nstr, n=max(17, args.digits), min_fixed=1,
+                                 max_fixed=0, show_zero_exponent=True, strip_zeros=False)
+    elif args.digits <= 17:
+        real = float
+    else:
+        real = functools.partial(mp.nstr, n=args.digits, strip_zeros=False)
+    out = [{k: real(mp.mpf(v)) if isinstance(v, mp.mpf) else v for k, v in row.items()}
+           for row in rows]
+    if args.format == "json":
+        return json.dumps(out[0] if len(out) == 1 else out, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(list(rows[0].keys()))
-    for row in rows:
-        writer.writerow(list(row.values()))
+    writer.writerow(out[0].keys())
+    writer.writerows(row.values() for row in out)
     return buf.getvalue()
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
+def _context(args):
+    """Apply a table preset and check for --x and --N, then build the one
+    working-precision context; usage errors win over a bad --digits."""
+    if getattr(args, "preset", None) is not None:
+        preset = PRESETS[args.preset]
+        args.x, args.theta, args.N = preset["x"], preset["theta"], preset["N"]
+    elif args.command in ("table1", "table2") and (args.x is None or args.N is None):
+        raise UsageError("table commands need --preset or explicit --x/--theta/--N")
+    for name in ("x", "N"):
+        if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for this command")
+    return PrecisionContext(args.digits)
+
+
+def _reals(args, ctx):
+    """(x, theta) as given, at full working precision."""
+    return tuple(eval_number_expr(parse_number_expr(src), ctx)
+                 for src in (args.x, args.theta))
 
 
 def _params_from(args, ctx):
-    _require(args, "x", "N")
-    x_raw = eval_number_expr(parse_number_expr(args.x), ctx)
-    theta_raw = eval_number_expr(parse_number_expr(args.theta), ctx)
-    params, record = normalize_params(x_raw, theta_raw, args.N, ctx)
-    return params, record
+    return normalize_params(*_reals(args, ctx), args.N, ctx)
 
 
-def _value_fields(args, ctx, method, value, n=None, bound=None, elapsed_ns=0):
-    mp = ctx.mp
-    row = {
-        "method": method,
-        "x": args.x,
-        "theta": args.theta,
-        "N": args.N,
-        "digits": args.digits,
-    }
-    if n is not None:
-        row["n"] = n
-    fmt_real = _real_csv if args.format == "csv" else _real_out
-    row["value_re"] = fmt_real(mp, value.real, args.digits)
-    row["value_im"] = fmt_real(mp, value.imag, args.digits)
-    if bound is not None:
-        row["bound"] = fmt_real(mp, bound, args.digits)
-    row["elapsed_ns"] = elapsed_ns
-    return row
+def _given(args):
+    return {"x": args.x, "theta": args.theta, "N": args.N, "digits": args.digits}
 
 
-def _cmd_sum(args):
-    ctx = PrecisionContext(args.digits)
+def _cmd_value(args, ctx):
+    """sum, exact or asym: one row with the value and, but for sum, its bound."""
     params, record = _params_from(args, ctx)
+    row = {"method": args.command, **_given(args)}
+    cert = {}
     t0 = time.perf_counter_ns()
-    value = record.unapply(direct_sum(params, ctx))
+    if args.command == "sum":
+        value = direct_sum(params, ctx)
+    elif args.command == "exact":
+        value, upper, lower = exact_sum_detail(params, TailPolicy(tol=args.tol), ctx)
+        cert["bound"] = upper.tail_bound + lower.tail_bound
+    else:
+        report = asymptotic_sum(params, args.n, ctx)
+        value, row["n"], cert["bound"] = report.value, report.n_used, report.remainder_bound
     elapsed = time.perf_counter_ns() - t0
-    return [_value_fields(args, ctx, "sum", value, elapsed_ns=elapsed)]
-
-
-def _cmd_exact(args):
-    ctx = PrecisionContext(args.digits)
-    params, record = _params_from(args, ctx)
-    policy = TailPolicy(tol=args.tol)
-    t0 = time.perf_counter_ns()
-    value, upper, lower = exact_sum_detail(params, policy, ctx)
-    elapsed = time.perf_counter_ns() - t0
-    value = record.unapply(value)
-    bound = upper.tail_bound + lower.tail_bound
-    return [_value_fields(args, ctx, "exact", value, bound=bound, elapsed_ns=elapsed)]
-
-
-def _cmd_asym(args):
-    ctx = PrecisionContext(args.digits)
-    params, record = _params_from(args, ctx)
-    t0 = time.perf_counter_ns()
-    report = asymptotic_sum(params, args.n, ctx)
-    elapsed = time.perf_counter_ns() - t0
-    if report.beyond_optimal:
+    if args.command == "asym" and report.beyond_optimal:
         print(f"quadgauss: warning: n={report.n_used} is at or past the "
               f"optimal truncation index {report.optimal_n}; the divergent "
               "series has stopped gaining accuracy", file=sys.stderr)
-    value = record.unapply(report.value)
-    return [_value_fields(args, ctx, "asym", value, n=report.n_used,
-                          bound=report.remainder_bound, elapsed_ns=elapsed)]
+    value = record.unapply(value)
+    return [{**row, "value_re": value.real, "value_im": value.imag, **cert,
+             "elapsed_ns": elapsed}]
 
 
-def _cmd_table(args, row_ns):
-    if args.preset is not None:
-        preset = PRESETS[args.preset]
-        args.x = preset["x"]
-        args.theta = preset["theta"]
-        args.N = preset["N"]
-    elif args.x is None or args.N is None:
-        raise UsageError("table commands need --preset or explicit --x/--theta/--N")
-    ctx = PrecisionContext(args.digits)
+def _cmd_table(args, ctx):
+    row_ns = TABLE1_ROWS if args.command == "table1" else TABLE2_ROWS
     params, _ = _params_from(args, ctx)
-    mp = ctx.mp
     report, reference = reduced_sum_pair(params, max(row_ns), ctx)
-    split = split_nearest(params)
-    fmt_real = _real_csv if args.format == "csv" else _real_out
-    rows = []
-    series = mp.mpc(0)
-    terms = iter(report.terms)
-    done = 0
+    frac = split_nearest(params).frac
+    # partial[n] is the series truncated after n terms
+    partial = list(itertools.accumulate(report.terms, initial=ctx.mp.mpc(0)))
     for n in row_ns:
-        while done < n:
-            series += next(terms)
-            done += 1
-        abs_rn = abs(reference - series)
-        bound = remainder_bound(n, params.x, split.frac, params.theta, ctx)
-        rows.append({
-            "preset": args.preset or "",
-            "x": args.x,
-            "theta": args.theta,
-            "N": args.N,
-            "digits": args.digits,
-            "n": n,
-            "abs_error": fmt_real(mp, abs_rn, args.digits),
-            "abs_Rn": fmt_real(mp, abs_rn, args.digits),
-            "bound": fmt_real(mp, bound, args.digits),
-            "ratio": fmt_real(mp, bound / abs_rn, args.digits),
-        })
-    return rows
+        abs_rn = abs(reference - partial[n])
+        bound = remainder_bound(n, params.x, frac, params.theta, ctx)
+        yield {"preset": args.preset or "", **_given(args), "n": n, "abs_error": abs_rn,
+               "abs_Rn": abs_rn, "bound": bound, "ratio": bound / abs_rn}
 
 
-def _cmd_curlicue(args):
-    _require(args, "x", "N")
-    ctx = PrecisionContext(args.digits)
-    mp = ctx.mp
+def _cmd_curlicue(args, ctx):
     if args.stride < 1:
         raise UsageError("--stride must be >= 1")
+    if args.N < 1:
+        raise DomainError(f"curlicue: N must be a positive integer, got {args.N}")
     if args.N > DEFAULT_MAX_TERMS or args.N // args.stride + 1 > _MAX_POINTS:
         raise ResourceBudgetError(
             f"curlicue: N={args.N} at stride {args.stride} exceeds the budget of "
             f"{DEFAULT_MAX_TERMS} terms and {_MAX_POINTS} points")
-    x = eval_number_expr(parse_number_expr(args.x), ctx)
-    theta = eval_number_expr(parse_number_expr(args.theta), ctx)
-    fmt_real = _real_csv if args.format == "csv" else _real_out
-    rows = [{"j": 0, "re": fmt_real(mp, 0, args.digits),
-             "im": fmt_real(mp, 0, args.digits)}]
-    for j, s in _phase_partial_sums(x, theta, args.N, mp, args.stride):
-        rows.append({"j": j, "re": fmt_real(mp, s.real, args.digits),
-                     "im": fmt_real(mp, s.imag, args.digits)})
-    return rows
+    x, theta = _reals(args, ctx)
+    points = itertools.chain([(0, ctx.mp.mpf(0))],
+                             _phase_partial_sums(x, theta, args.N, ctx.mp, args.stride))
+    # a generator, so only formatted points are ever held
+    return ({"j": j, "re": s.real, "im": s.imag} for j, s in points)
 
 
-def _cmd_bench(args):
-    ctx = PrecisionContext(args.digits)
+def _cmd_bench(args, ctx):
     params, _ = _params_from(args, ctx)
-    mp = ctx.mp
     t0 = time.perf_counter_ns()
     oracle = direct_sum(params, ctx)
     direct_ns = time.perf_counter_ns() - t0
@@ -297,58 +221,36 @@ def _cmd_bench(args):
     expansion_ns = time.perf_counter_ns() - t0
     err = abs(oracle - report.value)
     allowance = ORACLE_NOISE_FACTOR * ctx.eps * params.N
-    certified = err <= report.remainder_bound + allowance
-    if not certified:
+    if not err <= report.remainder_bound + allowance:
         raise PrecisionError(
-            f"bench: |error|={mp.nstr(err, 6)} exceeds bound+noise="
-            f"{mp.nstr(report.remainder_bound + allowance, 6)}")
-    fmt_real = _real_csv if args.format == "csv" else _real_out
-    return [{
-        "method": "bench",
-        "x": args.x,
-        "theta": args.theta,
-        "N": args.N,
-        "digits": args.digits,
-        "n": report.n_used,
-        "direct_ns": direct_ns,
-        "expansion_ns": expansion_ns,
-        "speedup": round(direct_ns / max(expansion_ns, 1), 3),
-        "abs_error": fmt_real(mp, err, args.digits),
-        "bound": fmt_real(mp, report.remainder_bound, args.digits),
-        "certified": True,
-    }]
+            f"bench: |error|={ctx.mp.nstr(err, 6)} exceeds bound+noise="
+            f"{ctx.mp.nstr(report.remainder_bound + allowance, 6)}")
+    return [{"method": "bench", **_given(args), "n": report.n_used,
+             "direct_ns": direct_ns, "expansion_ns": expansion_ns,
+             "speedup": round(direct_ns / max(expansion_ns, 1), 3),
+             "abs_error": err, "bound": report.remainder_bound, "certified": True}]
 
 
-_HANDLERS = {
-    "sum": _cmd_sum,
-    "exact": _cmd_exact,
-    "asym": _cmd_asym,
-    "table1": lambda args: _cmd_table(args, TABLE1_ROWS),
-    "table2": lambda args: _cmd_table(args, TABLE2_ROWS),
-    "curlicue": _cmd_curlicue,
-    "bench": _cmd_bench,
-}
+_HANDLERS = {"sum": _cmd_value, "exact": _cmd_value, "asym": _cmd_value,
+             "table1": _cmd_table, "table2": _cmd_table,
+             "curlicue": _cmd_curlicue, "bench": _cmd_bench}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows = _HANDLERS[args.command](args)
-        text = _emit(rows, args.format)
+        ctx = _context(args)
+        text = _emit(_HANDLERS[args.command](args, ctx), args, ctx.mp)
     except (UsageError, ExprError) as exc:
         print(f"quadgauss: usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"quadgauss: domain error: {exc}", file=sys.stderr)
         return 3
-    except (PrecisionError, ResourceBudgetError, TruncationError) as exc:
-        print(f"quadgauss: {exc}", file=sys.stderr)
-        return 4
-    except QuadGaussError as exc:  # pragma: no cover - safety net
+    except QuadGaussError as exc:  # precision, resource and truncation errors
         print(f"quadgauss: {exc}", file=sys.stderr)
         return 4
     # output is fully materialized before anything is written

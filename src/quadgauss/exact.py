@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from .core import GaussParams, phase_term
 from .errors import DomainError, TruncationError
 from .precision import PrecisionContext, ensure_finite
-from .special import _hzeta, erfc_kernel
+from .special import erfc_kernel, hurwitz_zeta_odd
 
 __all__ = [
     "TailPolicy",
@@ -110,29 +110,28 @@ def phase_integral(params: GaussParams, ctx: PrecisionContext | None = None):
     return ensure_finite(mp, value, "phase_integral")
 
 
-def _tail_layers(mp, x, a, k_stop, target, max_orders, head):
+def _tail_layers(ctx, x, a, k_stop, target, max_orders):
     """Deepen the analytic tail until its leftover bound undercuts target.
 
-    Returns (orders, bound, zetas): the chosen depth, the smallest
-    leftover bound seen, and the cached Hurwitz values needed to
-    assemble the correction layers r = 1..orders-1.
+    Returns (orders, bound, zetas) at the first such depth: the depth, its
+    leftover bound, and the cached Hurwitz values needed to assemble the
+    correction layers r = 1..orders-1.  None if no depth up to max_orders
+    gets there.
     """
+    mp = ctx.mp
     half = mp.mpf(1) / 2
     xq = x / mp.pi
     poch = half  # (1/2)_{n_t}
     zetas = {}
-    best = None
     for n_t in range(1, max_orders + 1):
-        zm = _hzeta(mp, 2 * n_t + 1, k_stop + 1 - a, head)
-        zp = _hzeta(mp, 2 * n_t + 1, k_stop + 1 + a, head)
+        zm = hurwitz_zeta_odd(n_t, k_stop + 1 - a, ctx)
+        zp = hurwitz_zeta_odd(n_t, k_stop + 1 + a, ctx)
         zetas[n_t] = (zm, zp)
         bound = poch / mp.sqrt(mp.pi) * xq ** (n_t + half) * (zm + zp)
-        if best is None or bound < best[1]:
-            best = (n_t, bound)
         if bound < target:
-            break
+            return n_t, bound, zetas
         poch *= n_t + half
-    return best[0], best[1], zetas
+    return None
 
 
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
@@ -158,18 +157,17 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
 
     half = mp.mpf(1) / 2
     pref = 1 / (2 * mp.sqrt(x))
-    head = max(10, ctx.digits)
     k_stop = max(int(mp.floor(abs(a))) + 9, 16)
     while True:
         if k_stop > policy.k_max_cap:
             raise TruncationError(
                 f"boundary_series: k_stop={k_stop} needed for "
                 f"tol={mp.nstr(tol, 6)} exceeds k_max_cap={policy.k_max_cap}")
-        orders, leftover, zetas = _tail_layers(mp, x, a, k_stop, tol / pref,
-                                               _MAX_TAIL_ORDERS, head)
-        if leftover * pref < tol:
+        layers = _tail_layers(ctx, x, a, k_stop, tol / pref, _MAX_TAIL_ORDERS)
+        if layers is not None:
             break
         k_stop *= 2
+    orders, leftover, zetas = layers
 
     pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
                     for k in range(1, k_stop + 1))

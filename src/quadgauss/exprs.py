@@ -28,8 +28,9 @@ __all__ = ["NumberExpr", "parse_number_expr", "eval_number_expr", "format_expr"]
 NumberExpr = ast.Expression
 
 _LITERAL = re.compile(r"\d+\.?\d*|\.\d+")
-_BINARY = {ast.Add: ("+", operator.add), ast.Sub: ("-", operator.sub),
-           ast.Mult: ("*", operator.mul), ast.Div: ("/", operator.truediv)}
+# operator: (text, function, binding level)
+_BINARY = {ast.Add: ("+", operator.add, 1), ast.Sub: ("-", operator.sub, 1),
+           ast.Mult: ("*", operator.mul, 2), ast.Div: ("/", operator.truediv, 2)}
 
 
 def _guarded(walk, *args):
@@ -110,17 +111,26 @@ def eval_number_expr(expr: NumberExpr, ctx: PrecisionContext):
     return _guarded(_value, expr.body, ctx.mp)
 
 
-def _text(node) -> str:
+def _text(node, floor=0) -> str:
+    """The node's text, parenthesized if it binds more loosely than floor."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Call):
         return f"sqrt({_text(node.args[0])})"
     if isinstance(node, ast.UnaryOp):
-        return f"(-{_text(node.operand)})"
-    return f"({_text(node.left)}{_BINARY[type(node.op)][0]}{_text(node.right)})"
+        return "-" + _text(node.operand, 3)  # above every binary level
+    symbol, _, level = _BINARY[type(node.op)]
+    text = _text(node.left, level) + symbol + _text(node.right, level + 1)
+    return f"({text})" if level < floor else text
 
 
 def format_expr(expr: NumberExpr) -> str:
-    """Canonical fully-parenthesized rendering; re-parses to an equal tree
-    while it nests at most 200 deep, Python's limit on open parentheses."""
+    """Canonical rendering with only the parentheses precedence needs.
+
+    A binary operation's left operand is parenthesized when it binds more
+    loosely, its right operand also when it binds as loosely (operators
+    associate to the left), and unary minus parenthesizes a binary
+    operand: 1-(2-3), 1-2-3, -(1+2), -2*3, 1--2.  The text re-parses to an
+    equal tree while its parentheses nest at most 200 deep, Python's limit.
+    """
     return _guarded(_text, expr.body)

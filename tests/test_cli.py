@@ -124,6 +124,36 @@ def test_csv_is_rfc4180_and_scientific(capsys):
     assert float(row["value_re"]) == pytest.approx(2.0, abs=1e-15)
 
 
+def test_csv_headers_per_command(capsys):
+    args = ["--x", "0.017", "--theta", "0.25", "--N", "1000", "--format", "csv"]
+    want = {
+        "exact": SCALAR_KEYS[:5] + ["value_re", "value_im", "bound", "elapsed_ns"],
+        "asym": SCALAR_KEYS[:5] + ["n", "value_re", "value_im", "bound", "elapsed_ns"],
+        "bench": ["method", "x", "theta", "N", "digits", "n", "direct_ns",
+                  "expansion_ns", "speedup", "abs_error", "bound", "certified"],
+    }
+    for command, keys in want.items():
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 0, err
+        assert out.split("\r\n", 1)[0] == ",".join(keys)
+
+
+def test_asym_warns_past_optimal_truncation(capsys):
+    code, out, err = run_cli(capsys, "asym", "--x", "0.3", "--theta", "0.1",
+                             "--N", "30", "--n", "40")
+    assert code == 0 and json.loads(out)["n"] == 40
+    assert "optimal truncation index" in err
+
+
+def test_table_with_explicit_params(capsys):
+    doc = run_json(capsys, "table2", "--x", "1/(500*sqrt(3))", "--N", "6000",
+                   "--digits", "17")
+    assert [row["n"] for row in doc] == [1, 2, 4, 6, 8, 10]
+    for row in doc:
+        assert row["preset"] == ""
+        assert all(isinstance(row[k], float) for k in ("abs_error", "abs_Rn", "bound", "ratio"))
+
+
 def test_curlicue_hand_computed_track(capsys):
     doc = run_json(capsys, "curlicue", "--x", "0.5", "--theta", "0", "--N", "4",
                    "--digits", "16")
@@ -200,6 +230,21 @@ def test_exit_codes(capsys):
         code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", n,
                                "--stride", stride)
         assert code == 4 and out == ""
+    # domain: curlicue needs N >= 1, like every other command
+    for n in ("0", "-5"):
+        code, out, err = run_cli(capsys, "curlicue", "--x", "0.5", "--N", n)
+        assert code == 3 and out == "" and "domain" in err
+    # usage: curlicue's stride and required --x
+    code, _, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", "10", "--stride", "0")
+    assert code == 2
+    code, _, err = run_cli(capsys, "curlicue", "--theta", "0", "--N", "10")
+    assert code == 2 and "--x is required" in err
+    # a usage error wins over bad digits; bad digits win over a bad stride
+    code, _, _ = run_cli(capsys, "table1", "--digits", "5")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", "10", "--stride", "0",
+                         "--digits", "5")
+    assert code == 3
     # help exits 0
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0

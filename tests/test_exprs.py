@@ -139,3 +139,19 @@ def test_parse_then_eval_raises_only_package_errors(src):
     except (ExprError, DomainError):
         return
     assert isinstance(value, type(CTX30.mp.mpf(0)))
+
+
+def test_printer_keeps_only_needed_parentheses():
+    for src, want in (("1-(2-3)", "1-(2-3)"), ("(1-2)-3", "1-2-3"),
+                      ("-(1+2)", "-(1+2)"), ("(-2)*3", "-2*3"),
+                      ("2/(3*4)", "2/(3*4)"), ("(2/3)*4", "2/3*4"),
+                      ("1-(-2)", "1--2"), ("sqrt(2)*(-pi)", "sqrt(2)*-pi")):
+        printed = format_expr(parse_number_expr(src))
+        assert printed == want
+        assert format_expr(parse_number_expr(printed)) == printed
+
+
+def test_long_sum_prints_text_that_reparses():
+    src = "1" + "+1" * 250
+    printed = format_expr(parse_number_expr(src))
+    assert _val(printed) == _val(src) == 251
