@@ -32,7 +32,6 @@ from .exact import (
     boundary_series,
     exact_sum,
     exact_sum_detail,
-    phase_integral,
 )
 from .expansion import (
     ExpansionReport,
@@ -40,7 +39,6 @@ from .expansion import (
     optimal_truncation,
     reduced_sum_pair,
     remainder_bound,
-    series_coeff,
 )
 from .exprs import NumberExpr, eval_number_expr, format_expr, parse_number_expr
 from .precision import PrecisionContext

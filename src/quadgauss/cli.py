@@ -10,9 +10,10 @@ bench     wall time of the oracle vs the expansion plus the certificate
 
 Parameters --x/--theta take exact expressions ("1/(250*sqrt(pi))"), so
 irrational inputs enter at full working precision.  Each handler returns
-rows whose reals are raw mpf values, and ``_emit`` formats each real once:
-a JSON number at --digits <= 17, a decimal string beyond (so consumers
-cannot truncate it), scientific notation in CSV.  Output is written only
+rows whose reals are raw mpf values, and ``_emit`` formats each real once
+and writes each row as it comes: a JSON number at --digits <= 17, a
+decimal string beyond (so consumers cannot truncate it), scientific
+notation in CSV.  The rows go to a temporary file that is published only
 on success.  Exit codes: 2 usage, 3 domain error, 4 precision/resource
 error.
 """
@@ -20,12 +21,15 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 
 from .core import (
@@ -33,12 +37,11 @@ from .core import (
     _phase_partial_sums,
     direct_sum,
     normalize_params,
-    split_nearest,
 )
 from .errors import (DomainError, ExprError, PrecisionError, QuadGaussError,
                      ResourceBudgetError)
 from .exact import TailPolicy, exact_sum_detail
-from .expansion import asymptotic_sum, reduced_sum_pair, remainder_bound
+from .expansion import asymptotic_sum, reduced_sum_pair
 from .exprs import eval_number_expr, parse_number_expr
 from .precision import PrecisionContext
 
@@ -62,7 +65,7 @@ DEFAULT_DIGITS = 30
 # |oracle - expansion| is certified only up to the oracle's own noise
 ORACLE_NOISE_FACTOR = 10**4
 
-# curlicue buffers every emitted point before writing any
+# curlicue writes about 100 bytes per point at 30 digits
 _MAX_POINTS = 10**6
 
 
@@ -107,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(rows, args, mp):
-    """Render rows (dicts, any iterable) as one JSON document or RFC-4180
-    CSV, formatting each mpf once as the rows are consumed."""
+def _emit(rows, args, mp, fh):
+    """Write rows (dicts, any iterable) to fh as one JSON document or
+    RFC-4180 CSV, formatting each mpf once and writing each row as the
+    rows are consumed."""
     if args.format == "csv":
         # the empty fixed-exponent window [1, 0) forces scientific form
         real = functools.partial(mp.nstr, n=max(17, args.digits), min_fixed=1,
@@ -118,15 +122,46 @@ def _emit(rows, args, mp):
         real = float
     else:
         real = functools.partial(mp.nstr, n=args.digits, strip_zeros=False)
-    out = [{k: real(mp.mpf(v)) if isinstance(v, mp.mpf) else v for k, v in row.items()}
-           for row in rows]
-    if args.format == "json":
-        return json.dumps(out[0] if len(out) == 1 else out, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(out[0].keys())
-    writer.writerows(row.values() for row in out)
-    return buf.getvalue()
+    out = ({k: real(mp.mpf(v)) if isinstance(v, mp.mpf) else v for k, v in row.items()}
+           for row in rows)
+    if args.format == "csv":
+        first = next(out)
+        csv.writer(fh, lineterminator="\r\n").writerows(
+            itertools.chain([first.keys(), first.values()], (row.values() for row in out)))
+        return
+    # the bytes json.dumps(list(rows), indent=2) gives, 1024 rows at a
+    # time: each chunk's document less its "[\n" and "\n]"
+    chunks = iter(lambda: list(itertools.islice(out, 1024)), [])
+    head = next(chunks)
+    if len(head) == 1:  # one row is a bare object
+        fh.write(json.dumps(head[0], indent=2) + "\n")
+        return
+    sep = "[\n"
+    for chunk in itertools.chain([head], chunks):
+        fh.write(sep + json.dumps(chunk, indent=2)[2:-2])
+        sep = ",\n"
+    fh.write("\n]\n")
+
+
+@contextlib.contextmanager
+def _staged(path):
+    """A file for the output, published only if the block succeeds: copied
+    to stdout when path is None, else renamed over path."""
+    if path is None:
+        with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as fh:
+            yield fh
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="ascii", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _context(args):
@@ -185,12 +220,11 @@ def _cmd_table(args, ctx):
     row_ns = TABLE1_ROWS if args.command == "table1" else TABLE2_ROWS
     params, _ = _params_from(args, ctx)
     report, reference = reduced_sum_pair(params, max(row_ns), ctx)
-    frac = split_nearest(params).frac
     # partial[n] is the series truncated after n terms
     partial = list(itertools.accumulate(report.terms, initial=ctx.mp.mpc(0)))
     for n in row_ns:
         abs_rn = abs(reference - partial[n])
-        bound = remainder_bound(n, params.x, frac, params.theta, ctx)
+        bound = report.bounds[n - 1]
         yield {"preset": args.preset or "", **_given(args), "n": n, "abs_error": abs_rn,
                "abs_Rn": abs_rn, "bound": bound, "ratio": bound / abs_rn}
 
@@ -207,7 +241,7 @@ def _cmd_curlicue(args, ctx):
     x, theta = _reals(args, ctx)
     points = itertools.chain([(0, ctx.mp.mpf(0))],
                              _phase_partial_sums(x, theta, args.N, ctx.mp, args.stride))
-    # a generator, so only formatted points are ever held
+    # a generator: points are formatted and written one at a time
     return ({"j": j, "re": s.real, "im": s.imag} for j, s in points)
 
 
@@ -243,7 +277,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         ctx = _context(args)
-        text = _emit(_HANDLERS[args.command](args, ctx), args, ctx.mp)
+        with _staged(args.out) as fh:
+            _emit(_HANDLERS[args.command](args, ctx), args, ctx.mp, fh)
     except (UsageError, ExprError) as exc:
         print(f"quadgauss: usage error: {exc}", file=sys.stderr)
         return 2
@@ -253,12 +288,6 @@ def main(argv=None) -> int:
     except QuadGaussError as exc:  # precision, resource and truncation errors
         print(f"quadgauss: {exc}", file=sys.stderr)
         return 4
-    # output is fully materialized before anything is written
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

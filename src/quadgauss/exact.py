@@ -1,63 +1,43 @@
-"""Exact erfc-series representation of the quadratic exponential sum.
+"""The exact route: the erfc representation, certified to a tolerance.
 
-Contour deformation turns the sum into the identity (valid on all of
-0 < x < 1, not just small x)
+Contour deformation turns the sum into (valid on all of 0 < x < 1)
 
     S_N = (f(N) - 1)/2 + J_N + e^{i pi/4} (I_N - I_0),
-
-where J_N is the full-range integral of the term function, available in
-closed form through the kernel E,
-
     J_N = e^{i pi/4} / (2 sqrt(x)) * { E(theta) - f(N) E(N x + theta) },
+    I_j = f(j) / (2 sqrt(x)) * sum_{k>=1} { E(k - a) - E(k + a) },  a = j x + theta.
 
-and the boundary series at the two summation edges j in {0, N} are
-
-    I_j = f(j) / (2 sqrt(x)) * sum_{k>=1} { E(k - a) - E(k + a) },
-    a = j x + theta.
-
-Each pair in the k-series is O(k^-2) but with a slowly decaying envelope
-(~ C(a, x)/k after summation), so bare truncation at tolerance tol would
-need k ~ C/tol terms.  Instead the tail k > k_stop is summed in closed
-form order by order through the large-t series of E: the r = 0 layer
-telescopes to a digamma difference, the r >= 1 layers to Hurwitz-zeta
-differences,
-
-    sum_{k>k_stop} [E(k-a) - E(k+a)]
-        = pi^{-1/2} { (i x/pi)^{1/2} [psi(k_stop+1+a) - psi(k_stop+1-a)]
-          + sum_{r=1}^{n_t-1} (-1)^r (1/2)_r (i x/pi)^{r+1/2}
-              [zeta(2r+1, k_stop+1-a) - zeta(2r+1, k_stop+1+a)] }
-          + leftover,
-
-with the leftover rigorously dominated by the kernel's tail bound summed
-over the range:
-
-    |leftover| <= ((1/2)_{n_t} / sqrt(pi)) (x/pi)^{n_t+1/2}
-                  [zeta(2n_t+1, k_stop+1-a) + zeta(2n_t+1, k_stop+1+a)].
-
-k_stop and the tail depth n_t are chosen so that the leftover, scaled by
-the prefactor 1/(2 sqrt(x)), undercuts the policy tolerance; k_stop stays
-near max(|a|, 16) in practice.  Explicit pair evaluation below k_stop
-keeps this path independent of the small-x expansion machinery.
+Re-indexed about the nearest integer M of N x + theta, this is the
+decomposition of ``expansion``: renorm, boundary and kernel terms plus
+e^{i pi/4} (f(N) T(frac) - T(theta)).  ``boundary_series`` evaluates
+f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0): the
+pairs k = 1..k_stop through the kernel, every argument positive, and the
+rest through ``edge_layers`` at k0 = k_stop, deepened until the leftover
+bound undercuts the policy tolerance.  The layers' small parameter is
+x/(pi k_stop^2), so k_stop starts at 16 and doubles only when
+``_MAX_TAIL_ORDERS`` layers do not suffice.  The work is O(M + k_stop);
+``direct_sum`` stays the independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .core import GaussParams, phase_term
+from .core import GaussParams, phase_term, split_nearest
 from .errors import DomainError, TruncationError
+from .expansion import _skeleton, edge_layers
 from .precision import PrecisionContext, ensure_finite
-from .special import erfc_kernel, hurwitz_zeta_odd
+from .special import erfc_kernel
 
 __all__ = [
     "TailPolicy",
     "BoundarySeries",
-    "phase_integral",
     "boundary_series",
     "exact_sum",
     "exact_sum_detail",
 ]
 
+_FIRST_K_STOP = 16
 _MAX_TAIL_ORDERS = 14
 
 
@@ -67,7 +47,8 @@ class TailPolicy:
 
     ``tol`` is the target absolute truncation error per series (None
     resolves to 10 * eps of the active context) and must be >= eps;
-    ``k_max_cap`` caps the explicit summation range.
+    ``k_max_cap`` caps the explicit summation range, and the short sum's
+    length M with it.
     """
 
     tol: object = None
@@ -98,45 +79,22 @@ class BoundarySeries:
     tail_bound: object
 
 
-def phase_integral(params: GaussParams, ctx: PrecisionContext | None = None):
-    """J_N = integral_0^N f(t) dt in closed form through the kernel E."""
-    ctx = ctx or params.ctx
-    mp = ctx.mp
-    xi = mp.mpf(params.N) * params.x + params.theta
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    value = rot / (2 * mp.sqrt(params.x)) * (
-        erfc_kernel(params.theta, params.x, ctx)
-        - phase_term(params.N, params, ctx) * erfc_kernel(xi, params.x, ctx))
-    return ensure_finite(mp, value, "phase_integral")
-
-
-def _tail_layers(ctx, x, a, k_stop, target, max_orders):
-    """Deepen the analytic tail until its leftover bound undercuts target.
-
-    Returns (orders, bound, zetas) at the first such depth: the depth, its
-    leftover bound, and the cached Hurwitz values needed to assemble the
-    correction layers r = 1..orders-1.  None if no depth up to max_orders
-    gets there.
-    """
-    mp = ctx.mp
-    half = mp.mpf(1) / 2
-    xq = x / mp.pi
-    poch = half  # (1/2)_{n_t}
-    zetas = {}
-    for n_t in range(1, max_orders + 1):
-        zm = hurwitz_zeta_odd(n_t, k_stop + 1 - a, ctx)
-        zp = hurwitz_zeta_odd(n_t, k_stop + 1 + a, ctx)
-        zetas[n_t] = (zm, zp)
-        bound = poch / mp.sqrt(mp.pi) * xq ** (n_t + half) * (zm + zp)
-        if bound < target:
-            return n_t, bound, zetas
-        poch *= n_t + half
+def _layer_tail(x, a, k_stop, tol, ctx):
+    """(sum, orders, bound) of the first layers at k0 = k_stop whose
+    leftover bound undercuts tol; None if _MAX_TAIL_ORDERS do not."""
+    tail = 0
+    layers = itertools.islice(edge_layers(x, a, k_stop, ctx), _MAX_TAIL_ORDERS)
+    for orders, (term, bound) in enumerate(layers, 1):
+        tail += term
+        if bound < tol:
+            return tail, orders, bound
     return None
 
 
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
-    """I_j for edge j in {0, N}: explicit pairs to k_stop, analytic tail above.
+    """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
+    explicit pairs to k_stop, Hurwitz layers above.
 
     Pairs are combined before accumulation to exploit their cancellation
     and summed exactly by ``fsum``.  Raises TruncationError when no k_stop
@@ -149,58 +107,47 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         raise DomainError(f"boundary_series: edge must be 0 or N={params.N}, got {edge}")
     tol = policy.resolve_tol(ctx)
     x = params.x
-    a = edge * x + params.theta
-    zero = mp.mpf(0)
+    a = params.theta if edge == 0 else split_nearest(params).frac
     if a == 0:
         # every pair cancels identically
-        return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=zero)
+        return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
-    half = mp.mpf(1) / 2
-    pref = 1 / (2 * mp.sqrt(x))
-    k_stop = max(int(mp.floor(abs(a))) + 9, 16)
+    k_stop = _FIRST_K_STOP
     while True:
         if k_stop > policy.k_max_cap:
             raise TruncationError(
                 f"boundary_series: k_stop={k_stop} needed for "
                 f"tol={mp.nstr(tol, 6)} exceeds k_max_cap={policy.k_max_cap}")
-        layers = _tail_layers(ctx, x, a, k_stop, tol / pref, _MAX_TAIL_ORDERS)
+        layers = _layer_tail(x, a, k_stop, tol, ctx)
         if layers is not None:
             break
         k_stop *= 2
-    orders, leftover, zetas = layers
+    tail, orders, leftover = layers
 
     pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
                     for k in range(1, k_stop + 1))
-
-    # analytic tail: r = 0 layer via digamma, r >= 1 via Hurwitz zeta
-    xq = x / mp.pi
-    tail = mp.expjpi(mp.mpf(1) / 4) * mp.sqrt(xq) / mp.sqrt(mp.pi) * (
-        mp.digamma(k_stop + 1 + a) - mp.digamma(k_stop + 1 - a))
-    poch = mp.mpf(1)
-    for r in range(1, orders):
-        poch *= r - half
-        zm, zp = zetas[r]
-        rot = mp.expjpi(mp.mpf(2 * r + 1) / 4)  # i^(r+1/2)
-        tail += (-1) ** r * poch / mp.sqrt(mp.pi) * xq ** (r + half) * rot * (zm - zp)
-
-    value = phase_term(edge, params, ctx) * pref * (pairs + tail)
+    value = phase_term(edge, params, ctx) * (pairs / (2 * mp.sqrt(x)) + tail)
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
-                          k_stop=k_stop, orders=orders,
-                          tail_bound=leftover * pref)
+                          k_stop=k_stop, orders=orders, tail_bound=leftover)
 
 
 def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
                      ctx: PrecisionContext | None = None):
-    """(value, edge-N series, edge-0 series) for the representation above."""
+    """(value, edge-N series, edge-0 series) for the representation above.
+
+    Raises ResourceBudgetError when the short sum would exceed the
+    policy's ``k_max_cap`` terms.
+    """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
     mp = ctx.mp
+    split = split_nearest(params)
+    renorm, boundary, e_term = _skeleton(params, split, phase_term(params.N, params, ctx),
+                                         policy.k_max_cap, ctx)
     upper = boundary_series(params.N, params, policy, ctx)
     lower = boundary_series(0, params, policy, ctx)
     rot = mp.expjpi(mp.mpf(1) / 4)
-    value = ((phase_term(params.N, params, ctx) - 1) / 2
-             + phase_integral(params, ctx)
-             + rot * (upper.value - lower.value))
+    value = renorm + boundary + e_term + rot * (upper.value - lower.value)
     return ensure_finite(mp, value, "exact_sum"), upper, lower
 
 

@@ -1,63 +1,62 @@
-"""Small-x evaluation of the quadratic exponential sum with a certificate.
+"""One decomposition of the quadratic exponential sum for both certified routes.
 
-For x -> 0 with N x finite, write xi = N x + theta = M + frac with M the
-nearest integer (M >= 0 holds automatically) and frac in (-1/2, 1/2].
-Then
+Write xi = N x + theta = M + frac with M the nearest integer and frac in
+(-1/2, 1/2].  On all of 0 < x < 1,
 
-    S_N(x, theta) = renorm + (f(N) - 1)/2
-                    + e^{i pi/4}/(2 sqrt(x)) { K(theta) - f(N) K(frac) }
-                    + 1/(2 pi i) sum_{r=0}^{n-1} (1/2)_r (x/(pi i))^r C_r
-                    + R_n,
+    S_N = renorm + (f(N) - 1)/2 + e^{i pi/4}/(2 sqrt(x)) { K(theta) - f(N) K(frac) }
+          + e^{i pi/4} { f(N) T(frac) - T(theta) },
 
-where the renormalization term is the rotated-and-rescaled short sum
+with renorm the rotated short sum of M or so phases exp(-pi i (j - theta)^2/x)
+(``_renorm_term``), K the signed erfc kernel (``_signed_kernel``) and T
+the edge series at an offset |a| <= 1/2,
 
-    renorm = e^{-pi i theta^2/x + i pi/4} / sqrt(x)
-             * sum_{j=j0}^{j1} exp(-pi i j^2/x + 2 pi i j theta/x),
+    T(a) = 1/(2 sqrt(x)) sum_{k>=1} [E(k - a) - E(k + a)].
 
-    j0 = 0 if theta < 0 else 1,   j1 = M - 1 if frac < 0 else M
+This is the erfc representation S_N = (f(N) - 1)/2 + J_N
++ e^{i pi/4} (I_N - I_0) (see ``exact``) re-indexed: by the reflection
+E(-t) = 2 e^{-pi i t^2/x} - E(t), the pairs of I_N below xi and J_N's
+E(xi) become the phases j = 1..M of the short sum, the kernel term at
+frac and T(frac); a negative theta or frac moves the phase j = 0 or
+j = M between the short sum and K.  The reflected phases are summed
+there rather than left to cancel after the 1/(2 sqrt(x)) prefactor,
+which would leave eps/sqrt(x) of round-off, so no route evaluates the
+kernel at a negative argument.
 
-(zero when the range is empty), K is the signed kernel K(t) = E(t) for
-t >= 0 and -E(-t) for t < 0, the coefficients are reflection differences
-of Hurwitz zeta values,
+``edge_layers`` sums the large-t series of E over k > k0 order by order
+(a digamma difference, then Hurwitz-zeta differences), with the leftover
+after n layers bounded by
 
-    C_r = f(N) * hzeta_diff(r, frac) - hzeta_diff(r, theta),
+    ((1/2)_n / (2 pi)) (x/pi)^n [zeta(2n+1, k0+1-a) + zeta(2n+1, k0+1+a)].
 
-smooth across integer xi, and the remainder carries the computable,
-N-independent bound
+The routes differ only in the window k0 of explicit pairs and the
+stopping rule.  ``asym`` takes k0 = 0 and n layers: the paper's series in
+powers of x/pi, with an N-independent remainder bound (``remainder_bound``)
+whose theta half drops at theta = 0, where T(theta) vanishes.  ``exact``
+sums k0 pairs through the kernel and deepens the layers to a tolerance.
+K(theta) and K(frac) always go through the exact kernel: for
+frac = o(sqrt(x)) their large-t series is invalid.
 
-    |R_n| <= ((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)],
-
-whose hzeta_sum(n, theta) half drops at theta = 0, where the edge-0
-boundary series vanishes identically.
-
-For a negative theta or frac the kernel would reflect,
-E(-t) = 2 e^{-pi i t^2/x} - E(t); the reflected unit phases are the
-j = 0 and j = M terms of the short sum, so they are summed there instead
-of cancelling each other after the 1/(2 sqrt(x)) prefactor, which would
-leave eps/sqrt(x) of round-off behind.
-K(theta) and K(frac) are always evaluated exactly through the kernel,
-never replaced by their large-t series: for frac = o(sqrt(x)) that series
-is invalid while the exact kernel stays uniformly accurate.
-
-The series is divergent; its optimal truncation index is approximately
-pi (1 - |frac|)^2 / x, far beyond the n ~ 10 used in practice.  Requests
-at or past the optimum are honoured but flagged.
+The series of ``asym`` is divergent; its optimal truncation index is
+about pi (1 - |frac|)^2 / x, far beyond the n ~ 10 used in practice.
+Requests at or past the optimum are honoured but flagged.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from mpmath.ctx_mp import MPContext
 
-from .core import GaussParams, NearestSplit, direct_sum, phase_sum, phase_term, split_nearest
-from .errors import DomainError
+from .core import (DEFAULT_MAX_TERMS, GaussParams, NearestSplit, direct_sum, phase_sum,
+                   phase_term, split_nearest)
+from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
-from .special import erfc_kernel, hzeta_diff, hzeta_sum
+from .special import erfc_kernel, hurwitz_zeta_odd
 
 __all__ = [
     "ExpansionReport",
-    "series_coeff",
+    "edge_layers",
     "remainder_bound",
     "asymptotic_sum",
     "reduced_sum_pair",
@@ -71,13 +70,15 @@ class ExpansionReport:
 
     ``value`` reassembles exactly as renorm_term + boundary_term + E_term
     + sum(terms); ``script_S`` is the truncated series alone (the part the
-    remainder bound certifies); ``beyond_optimal`` flags n >= optimal_n,
-    where the divergent series has stopped gaining accuracy.
+    remainder bound certifies); ``bounds[n-1]`` is the bound after n terms;
+    ``beyond_optimal`` flags n >= optimal_n, where the divergent series has
+    stopped gaining accuracy.
     """
 
     value: object
     script_S: object
     terms: tuple
+    bounds: tuple
     remainder_bound: object
     renorm_term: object
     boundary_term: object
@@ -87,39 +88,47 @@ class ExpansionReport:
     beyond_optimal: bool
 
 
-def series_coeff(r: int, params: GaussParams, split: NearestSplit | None = None,
-                 ctx: PrecisionContext | None = None):
-    """C_r = f(N) * hzeta_diff(r, frac) - hzeta_diff(r, theta).
+def edge_layers(x, a, k0: int, ctx: PrecisionContext):
+    """Yield (term_r, bound_r), r = 0, 1, ..., of 1/(2 sqrt(x)) sum_{k>k0}
+    [E(k - a) - E(k + a)], |a| <= 1/2: the r-th layer of its large-t series
+    and the bound on what layers 0..r leave out.
 
-    Well-defined and smooth as frac -> 0 or theta -> 0; identically zero
-    when both vanish.
+    term_r = e^{i pi/4} (1/2)_r (-i x/pi)^r D_r / (2 pi) with D_0 =
+    psi(k0+1+a) - psi(k0+1-a), D_r = zeta(2r+1, k0+1-a) - zeta(2r+1, k0+1+a);
+    the order-(r+1) zeta pair gives bound_r, then term_{r+1}.
     """
-    ctx = ctx or params.ctx
-    split = split or split_nearest(params)
-    fN = phase_term(params.N, params, ctx)
-    return (fN * hzeta_diff(r, split.frac, ctx)
-            - hzeta_diff(r, params.theta, ctx))
+    mp = ctx.mp
+    x = mp.mpf(x)
+    a = mp.convert(a)  # an mpf offset keeps every bit
+    lo, hi = k0 + 1 - a, k0 + 1 + a
+    half = mp.mpf(1) / 2
+    xq = x / mp.pi
+    coef = 1 / (2 * mp.pi)  # (1/2)_r (x/pi)^r / (2 pi)
+    turn = mp.expjpi(mp.mpf(1) / 4)  # e^{i pi/4} (-i)^r
+    diff = mp.digamma(hi) - mp.digamma(lo)
+    for r in itertools.count(1):
+        zm = hurwitz_zeta_odd(r, lo, ctx)
+        zp = hurwitz_zeta_odd(r, hi, ctx)
+        term = turn * coef * diff
+        coef *= (r - half) * xq
+        yield term, coef * (zm + zp)
+        turn *= mp.mpc(0, -1)
+        diff = zm - zp
 
 
 def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     """((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
 
-    Strictly positive and independent of N: a function of (n, x, frac,
-    theta) only.  At theta = 0 the edge-0 boundary series vanishes
-    identically, so its hzeta_sum(n, theta) half is left out.
+    The bound after n layers of ``edge_layers`` at k0 = 0, summed over the
+    two edges: strictly positive and independent of N.  At theta = 0 the
+    edge-0 series vanishes identically, so its half is left out.
     """
     mp = ctx.mp
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
-    x = mp.mpf(x)
-    half = mp.mpf(1) / 2
-    poch = mp.mpf(1)
-    for r in range(n):
-        poch *= r + half
-    zetas = hzeta_sum(n, frac, ctx)
-    if mp.mpf(theta) != 0:
-        zetas += hzeta_sum(n, theta, ctx)
-    return poch / (2 * mp.pi) * (x / mp.pi) ** n * zetas
+    offsets = (frac,) if mp.mpf(theta) == 0 else (frac, theta)
+    return sum(next(itertools.islice(edge_layers(x, a, 0, ctx), n - 1, None))[1]
+               for a in offsets)
 
 
 def _renorm_term(params: GaussParams, split: NearestSplit, mp):
@@ -159,6 +168,25 @@ def _signed_kernel(t, x, ctx: PrecisionContext):
     return erfc_kernel(t, x, ctx)
 
 
+def _skeleton(params: GaussParams, split: NearestSplit, fN, max_terms: int,
+              ctx: PrecisionContext):
+    """(renorm, (f(N) - 1)/2, E-term): the part of S_N both routes share.
+
+    Refuses a short sum of more than ``max_terms`` phases before any term
+    is computed.
+    """
+    if split.whole > max_terms:
+        raise ResourceBudgetError(
+            f"renormalized sum: M={split.whole} exceeds the budget of "
+            f"{max_terms} terms")
+    mp = ctx.mp
+    rot = mp.expjpi(mp.mpf(1) / 4)
+    e_term = rot / (2 * mp.sqrt(params.x)) * (
+        _signed_kernel(params.theta, params.x, ctx)
+        - fN * _signed_kernel(split.frac, params.x, ctx))
+    return _renorm_term(params, split, mp), (fN - 1) / 2, e_term
+
+
 def asymptotic_sum(params: GaussParams, n: int | None = None,
                    ctx: PrecisionContext | None = None) -> ExpansionReport:
     """Evaluate S_N by the certified expansion, truncated after n terms.
@@ -166,7 +194,9 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     n defaults to min(10, optimal truncation index).  The report's
     remainder_bound certifies |direct oracle - value| up to the oracle's
     own O(N eps) noise; the bound stays true for any valid parameters but
-    is only *useful* in the small-x regime it was built for.
+    is only *useful* in the small-x regime it was built for.  Raises
+    ResourceBudgetError when the short sum would exceed
+    ``core.DEFAULT_MAX_TERMS`` terms.
     """
     ctx = ctx or params.ctx
     mp = ctx.mp
@@ -177,34 +207,25 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
     fN = phase_term(params.N, params, ctx)
-    renorm = _renorm_term(params, split, mp)
-    boundary = (fN - 1) / 2
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    e_term = rot / (2 * mp.sqrt(params.x)) * (
-        _signed_kernel(params.theta, params.x, ctx)
-        - fN * _signed_kernel(split.frac, params.x, ctx))
+    renorm, boundary, e_term = _skeleton(params, split, fN, DEFAULT_MAX_TERMS, ctx)
 
-    half = mp.mpf(1) / 2
-    over_2pi_i = mp.mpc(0, -1) / (2 * mp.pi)  # 1/(2 pi i)
-    xq = params.x / mp.pi
-    scale = mp.mpc(1)  # (x/pi)^r * (-i)^r, exact quarter-turn rotation
-    poch = mp.mpf(1)  # (1/2)_r
-    terms = []
-    series = mp.mpc(0)
-    for r in range(n):
-        if r > 0:
-            poch *= r - half
-            scale *= xq * mp.mpc(0, -1)
-        term = over_2pi_i * poch * scale * series_coeff(r, params, split, ctx)
-        terms.append(term)
-        series += term
+    rot = mp.expjpi(mp.mpf(1) / 4)
+    upper = itertools.islice(edge_layers(params.x, split.frac, 0, ctx), n)
+    lower = (edge_layers(params.x, params.theta, 0, ctx) if params.theta != 0
+             else itertools.repeat((0, 0)))  # T(0) = 0, and its bound is left out
+    terms, bounds = [], []
+    for (t_up, b_up), (t_lo, b_lo) in zip(upper, lower):
+        terms.append(rot * (fN * t_up - t_lo))
+        bounds.append(b_up + b_lo)
+    series = mp.fsum(terms)
 
     value = renorm + boundary + e_term + series
     return ExpansionReport(
         value=ensure_finite(mp, value, "asymptotic_sum"),
         script_S=series,
         terms=tuple(terms),
-        remainder_bound=remainder_bound(n, params.x, split.frac, params.theta, ctx),
+        bounds=tuple(bounds),
+        remainder_bound=bounds[-1],
         renorm_term=renorm,
         boundary_term=boundary,
         E_term=e_term,

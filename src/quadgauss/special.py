@@ -30,10 +30,11 @@ everything else is mpmath's own:
 
 * ``hurwitz_zeta_odd`` -- zeta(2r+1, a) by Euler--Maclaurin with a shifted
   head of max(10, digits) terms and adaptive Bernoulli depth (it keeps full
-  relative accuracy at the large shifted arguments of the exact route's
-  tail layers), plus the regularized cotangent ``cot_pi_reg`` and the
-  reflection sum/difference pairs ``hzeta_sum`` / ``hzeta_diff`` that feed
-  the expansion coefficients and the remainder certificate.
+  relative accuracy at the shifted arguments k0 + 1 -+ a of the edge
+  layers), plus the regularized cotangent ``cot_pi_reg`` and the
+  reflection sum/difference pairs ``hzeta_sum`` / ``hzeta_diff``: the
+  closed forms of the expansion coefficients and the remainder
+  certificate, kept as their reference.
 
 All routines are pure functions of (arguments, context) and return values
 rounded to the context's working precision.

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quadgauss
 from quadgauss import PrecisionContext
 from quadgauss.cli import main
 
@@ -225,6 +229,9 @@ def test_exit_codes(capsys):
     # resource: oversized budget
     code, _, err = run_cli(capsys, "sum", "--x", "0.5", "--N", "200000001")
     assert code == 4
+    # resource: the short sum of asym would need 5e11 phases
+    code, out, _ = run_cli(capsys, "asym", "--x", "0.5", "--N", "1000000000000", "--n", "2")
+    assert code == 4 and out == ""
     # resource: curlicue's term and point budgets, checked before any term
     for n, stride in (("2000001", "1"), ("200000001", "1000")):
         code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", n,
@@ -257,6 +264,12 @@ def test_no_partial_output_on_error(tmp_path, capsys):
     assert code == 3
     assert not target.exists()
     assert out == ""
+    # table rows are generated while the output is being written: the
+    # failure leaves neither the target nor a temporary file behind
+    for out_args in (["--out", str(target)], []):
+        code, out, err = run_cli(capsys, "table1", "--x", "2", "--N", "4", *out_args)
+        assert code == 3 and out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_out_file_writing(tmp_path, capsys):
@@ -266,3 +279,35 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0 and out == ""
     text = target.read_text(encoding="ascii")
     assert text.startswith("method,")
+
+
+def test_curlicue_json_is_one_document_across_chunks(capsys):
+    # 2101 points span three chunks of formatted rows
+    code, out, err = run_cli(capsys, "curlicue", "--x", "0.37", "--theta", "0.1",
+                             "--N", "2100", "--digits", "16")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc) == 2101 and doc[-1]["j"] == 2100
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_curlicue_streams_its_output(tmp_path):
+    # 10^5 points at 30 digits peaked at about 145 MB RSS when the whole
+    # text was built before writing; written as formatted, the child stays
+    # near its start-up size
+    target = tmp_path / "track.json"
+    script = ("import resource, sys\n"
+              "from quadgauss.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(quadgauss.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "curlicue", "--x", "0.37", "--theta", "0.1",
+         "--N", "100000", "--digits", "30", "--out", str(target)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 64 * 1024  # KiB
+    assert list(tmp_path.iterdir()) == [target]
+    with open(target, encoding="ascii") as fh:
+        doc = json.load(fh)
+    assert len(doc) == 100001 and doc[-1]["j"] == 100000

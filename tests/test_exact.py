@@ -3,52 +3,23 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadgauss import (
     DomainError,
     GaussParams,
     PrecisionContext,
+    ResourceBudgetError,
     TailPolicy,
     TruncationError,
     boundary_series,
     direct_sum,
-    erfc_kernel,
     exact_sum,
     exact_sum_detail,
-    phase_integral,
-    phase_term,
 )
 
 CTX30 = PrecisionContext(30)
-
-
-def _quad_integral(params, ctx):
-    mp = ctx.mp
-    f = lambda t: mp.expjpi(params.x * t * t + 2 * params.theta * t)
-    return mp.quad(f, [mp.mpf(j) for j in range(params.N + 1)])
-
-
-def test_phase_integral_vs_quadrature():
-    ctx = CTX30
-    p = GaussParams("0.05", "0.2", 10, ctx)
-    assert abs(phase_integral(p) - _quad_integral(p, ctx)) < ctx.mp.mpf("1e-20")
-
-
-def test_phase_integral_negative_theta_branch():
-    # theta = -0.4 drives the kernel through negative arguments
-    ctx = CTX30
-    p = GaussParams("0.02", "-0.4", 25, ctx)
-    assert abs(phase_integral(p) - _quad_integral(p, ctx)) < ctx.mp.mpf("1e-20")
-
-
-def test_phase_integral_theta_zero_form():
-    ctx = CTX30
-    mp = ctx.mp
-    p = GaussParams("0.04", 0, 30, ctx)
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    xi = mp.mpf(30) * p.x
-    want = rot / (2 * mp.sqrt(p.x)) * (1 - phase_term(30, p) * erfc_kernel(xi, p.x, ctx))
-    assert abs(phase_integral(p) - want) <= 10 * ctx.eps * abs(want)
 
 
 def test_boundary_series_vanishes_at_theta_zero():
@@ -99,11 +70,18 @@ def test_tail_policy_validation():
 
 
 def test_truncation_error_reported_when_cap_blocks():
-    # edge N with N x + theta ~ 1800 needs k_stop past the cap
-    ctx = CTX30
-    p = GaussParams("0.9", "0.3", 2000, ctx)
+    # 14 layers at k_stop = 16 cannot reach 1e-75 at x = 0.01
+    ctx = PrecisionContext(80)
+    p = GaussParams("0.01", "0.3", 100, ctx)
     with pytest.raises(TruncationError):
-        boundary_series(2000, p, TailPolicy(tol="1e-20", k_max_cap=1000), ctx)
+        boundary_series(0, p, TailPolicy(tol="1e-75", k_max_cap=16), ctx)
+
+
+def test_short_sum_budget_refused_before_any_term():
+    # M = N x = 5e7 phases exceed the default k_max_cap of 10^6
+    p = GaussParams("0.5", 0, 10**8, CTX30)
+    with pytest.raises(ResourceBudgetError):
+        exact_sum_detail(p)
 
 
 def test_exact_matches_hand_value():
@@ -158,3 +136,32 @@ def test_representation_identity_randomized():
         budget = 2 * tol + 1000 * ctx.eps * n
         assert abs(value - direct_sum(p)) <= budget, (xs, ts, n)
         assert upper.tail_bound <= tol and lower.tail_bound <= tol
+
+
+def _exact_vs_oracle(p, ctx):
+    """(|exact - oracle|, allowance, upper): the oracle runs 20 digits
+    higher on the same binary parameters, and the allowance is the two
+    tail bounds plus rounding, with no N-scaled term."""
+    value, upper, lower = exact_sum_detail(p, ctx=ctx)
+    hi = PrecisionContext(ctx.digits + 20)
+    S = direct_sum(GaussParams(p.x, p.theta, p.N, hi))
+    allow = upper.tail_bound + lower.tail_bound + 64 * ctx.mp.eps * max(1, abs(S))
+    return abs(hi.mp.mpc(value) - S), allow, upper
+
+
+def test_exact_at_large_N_x():
+    # N x + theta = 1800.3: the pairs below it are short-sum phases, so the
+    # explicit window stays at its first k_stop
+    err, allow, upper = _exact_vs_oracle(GaussParams("0.9", "0.3", 2000, CTX30), CTX30)
+    assert upper.k_stop == 16
+    assert err <= allow
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(x=st.floats(0.005, 0.9), theta=st.floats(-0.5, 0.5), N=st.integers(1, 600))
+@example(x=0.37, theta=-0.2, N=100)  # N x + theta = 36.8: frac < 0
+@example(x=0.37, theta=0.1, N=300)  # N x + theta = 111.1: frac > 0
+def test_exact_within_tail_bounds(x, theta, N):
+    p = GaussParams(x, theta, N, CTX30)
+    err, allow, _ = _exact_vs_oracle(p, CTX30)
+    assert err <= allow

@@ -8,18 +8,22 @@ from quadgauss import (
     DomainError,
     GaussParams,
     PrecisionContext,
+    ResourceBudgetError,
     asymptotic_sum,
     cot_pi_reg,
     direct_sum,
+    exact_sum,
     hurwitz_zeta_odd,
+    hzeta_diff,
     hzeta_sum,
     optimal_truncation,
     phase_term,
     reduced_sum_pair,
     remainder_bound,
-    series_coeff,
     split_nearest,
 )
+from quadgauss import exact, expansion
+from quadgauss.expansion import edge_layers
 
 from _utils import sig3
 
@@ -49,8 +53,7 @@ def test_coeff_zero_when_both_fractions_vanish():
     p = GaussParams("0.03125", 0, 512, ctx)
     s = split_nearest(p)
     assert s.frac == 0 and s.whole == 16
-    for r in range(6):
-        assert series_coeff(r, p, s) == 0
+    assert all(term == 0 for term in asymptotic_sum(p, 6).terms)
 
 
 def test_coeff_r0_closed_form():
@@ -59,7 +62,8 @@ def test_coeff_r0_closed_form():
     s = split_nearest(p)
     fN = phase_term(p.N, p)
     want = fN * cot_pi_reg(s.frac, ctx) - cot_pi_reg(p.theta, ctx)
-    assert abs(series_coeff(0, p, s) - want) <= 10 * ctx.eps * abs(want)
+    c0 = 2j * ctx.mp.pi * asymptotic_sum(p, 1).terms[0]  # term 0 is C_0/(2 pi i)
+    assert abs(c0 - want) <= 10 * ctx.eps * abs(want)
 
 
 def test_coeff_near_integer_regression():
@@ -72,9 +76,39 @@ def test_coeff_near_integer_regression():
     p = GaussParams(x, theta, n, ctx)
     s = split_nearest(p)
     assert abs(s.frac) < mp.mpf("1.1e-9")
-    c0 = series_coeff(0, p, s)
+    c0 = 2j * mp.pi * asymptotic_sum(p, 1).terms[0]
     assert ctx.mp.isfinite(c0.real) and ctx.mp.isfinite(c0.imag)
     assert abs(c0 + cot_pi_reg(theta, ctx)) < mp.mpf("1e-8")
+
+
+@pytest.mark.parametrize("case", ["col1", "col2", "near_integer"])
+def test_edge_layers_match_coefficient_form(case):
+    # at k0 = 0 the layers are the expansion terms: e^{i pi/4} T_r(a) is
+    # (1/2)_r (x/(pi i))^r hzeta_diff(r, a) / (2 pi i), with cot_pi_reg at
+    # r = 0, and bound_r is the hzeta_sum form of the remainder bound
+    ctx = CTX40
+    mp = ctx.mp
+    if case == "near_integer":
+        theta = mp.mpf("0.25")
+        p = GaussParams((3 + mp.mpf("1e-9") - theta) / 1024, theta, 1024, ctx)
+    else:
+        p = _params(ctx, COL1 if case == "col1" else COL2)
+    s = split_nearest(p)
+    rot = mp.expjpi(mp.mpf(1) / 4)
+    for a in (s.frac, p.theta):
+        for r, (term, bound) in enumerate(edge_layers(p.x, a, 0, ctx)):
+            if r == 10:
+                break
+            poch = mp.rf(mp.mpf(1) / 2, r)
+            want = poch * (p.x / (mp.pi * 1j)) ** r * hzeta_diff(r, a, ctx) / (2j * mp.pi)
+            assert abs(rot * term - want) <= 10 * ctx.eps * max(abs(want), mp.mpf("1e-30"))
+            want_bound = (mp.rf(mp.mpf(1) / 2, r + 1) / (2 * mp.pi) * (p.x / mp.pi) ** (r + 1)
+                          * hzeta_sum(r + 1, a, ctx))
+            assert abs(bound - want_bound) <= 10 * ctx.eps * want_bound
+    rep = asymptotic_sum(p, 10)
+    for n in (1, 4, 10):
+        assert rep.bounds[n - 1] == remainder_bound(n, p.x, s.frac, p.theta, ctx)
+    assert rep.remainder_bound == rep.bounds[-1]
 
 
 def test_remainder_bound_reference_values():
@@ -318,3 +352,31 @@ def test_negative_theta_at_tiny_x_agrees_with_direct_sum(xs, theta, N):
     S = direct_sum(p)
     allow = rep.remainder_bound + 64 * ctx.mp.eps * max(1, abs(S))
     assert abs(S - rep.value) <= allow
+
+
+def test_short_sum_budget_refused_before_any_term():
+    # M = N x = 5e11 phases exceed core.DEFAULT_MAX_TERMS
+    p = GaussParams("0.5", 0, 10**12, CTX40)
+    with pytest.raises(ResourceBudgetError):
+        asymptotic_sum(p, 2)
+
+
+def test_no_route_reflects_the_kernel(monkeypatch):
+    # the reflected unit phases are short-sum terms, so both routes call
+    # the kernel at non-negative arguments only
+    args = []
+
+    def spy(t, x, ctx):
+        args.append(t)
+        return kernel(t, x, ctx)
+
+    kernel = expansion.erfc_kernel
+    monkeypatch.setattr(expansion, "erfc_kernel", spy)
+    monkeypatch.setattr(exact, "erfc_kernel", spy)
+    # a negative theta, a negative frac, and N x + theta = 45.3 with the
+    # pairs k < 45.3 of the edge-N series at negative arguments
+    for xs, theta, n in (("0.003", "-0.45", 700), ("0.37", "-0.2", 100), ("0.9", "0.3", 50)):
+        p = GaussParams(xs, theta, n, CTX40)
+        asymptotic_sum(p, 4)
+        exact_sum(p)
+    assert args and min(args) >= 0
