@@ -10,17 +10,17 @@ Re-indexed about the nearest integer M of N x + theta, this is the
 decomposition of ``expansion``: renorm, boundary and kernel terms plus
 e^{i pi/4} (f(N) T(frac) - T(theta)).  ``boundary_series`` evaluates
 f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0): the
-pairs k = 1..k_stop through the kernel, every argument positive, and the
-rest through ``edge_layers`` at k0 = k_stop, deepened until the leftover
-bound undercuts the policy tolerance.  The layers' small parameter is
-x/(pi k_stop^2), so k_stop starts at 16 and doubles only when
-``_MAX_TAIL_ORDERS`` layers do not suffice.  The work is O(M + k_stop);
-``direct_sum`` stays the independent check.
+pairs k = 1..16 through the kernel, every argument positive, and the rest
+through ``edge_layers`` at k0 = 16, deepened until the leftover bound
+undercuts the policy tolerance.  The layers' small parameter is
+x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking for more than
+855 orders, to about e^-855 ~ 1e-371: 16 pairs serve every tolerance above
+that, and a tolerance below it raises TruncationError.
+The work is O(M + 16 + layers); ``direct_sum`` stays the independent check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import GaussParams, phase_term, split_nearest
@@ -37,8 +37,8 @@ __all__ = [
     "exact_sum_detail",
 ]
 
-_FIRST_K_STOP = 16
-_MAX_TAIL_ORDERS = 14
+_WINDOW = 16  # explicit kernel pairs k = 1.._WINDOW per boundary series
+_MAX_SHORT_TERMS = 10**6  # budget of the renormalized short sum's length M
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,17 @@ class TailPolicy:
     """Truncation control for the boundary series.
 
     ``tol`` is the target absolute truncation error per series (None
-    resolves to 10 * eps of the active context) and must be >= eps;
-    ``k_max_cap`` caps the explicit summation range, and the short sum's
-    length M with it.
+    resolves to 10 * eps of the active context) and must be >= eps.
     """
 
     tol: object = None
-    k_max_cap: int = 10**6
 
     def resolve_tol(self, ctx: PrecisionContext):
         mp = ctx.mp
-        tol = 10 * ctx.eps if self.tol is None else mp.mpf(self.tol)
+        try:
+            tol = 10 * ctx.eps if self.tol is None else mp.mpf(self.tol)
+        except (TypeError, ValueError):
+            raise DomainError(f"TailPolicy: tol must be a number, got {self.tol!r}") from None
         if not (tol > 0):
             raise DomainError(f"TailPolicy: tol must be positive, got {tol}")
         if tol < ctx.eps:
@@ -79,26 +79,15 @@ class BoundarySeries:
     tail_bound: object
 
 
-def _layer_tail(x, a, k_stop, tol, ctx):
-    """(sum, orders, bound) of the first layers at k0 = k_stop whose
-    leftover bound undercuts tol; None if _MAX_TAIL_ORDERS do not."""
-    tail = 0
-    layers = itertools.islice(edge_layers(x, a, k_stop, ctx), _MAX_TAIL_ORDERS)
-    for orders, (term, bound) in enumerate(layers, 1):
-        tail += term
-        if bound < tol:
-            return tail, orders, bound
-    return None
-
-
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
     """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
-    explicit pairs to k_stop, Hurwitz layers above.
+    explicit pairs k = 1..16, Hurwitz layers above until the leftover bound
+    is below the policy tolerance.
 
     Pairs are combined before accumulation to exploit their cancellation
-    and summed exactly by ``fsum``.  Raises TruncationError when no k_stop
-    within the policy cap can certify the tolerance.
+    and summed exactly by ``fsum``.  Raises TruncationError when the layer
+    bounds stop shrinking before they reach the tolerance (about 1e-371).
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -112,38 +101,36 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         # every pair cancels identically
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
-    k_stop = _FIRST_K_STOP
-    while True:
-        if k_stop > policy.k_max_cap:
-            raise TruncationError(
-                f"boundary_series: k_stop={k_stop} needed for "
-                f"tol={mp.nstr(tol, 6)} exceeds k_max_cap={policy.k_max_cap}")
-        layers = _layer_tail(x, a, k_stop, tol, ctx)
-        if layers is not None:
+    tail, last = 0, mp.inf
+    for orders, (term, bound) in enumerate(edge_layers(x, a, _WINDOW, ctx), 1):
+        tail += term
+        if bound < tol:
             break
-        k_stop *= 2
-    tail, orders, leftover = layers
+        if not bound < last:
+            raise TruncationError(
+                f"boundary_series: the layer bounds stop shrinking at {mp.nstr(last, 6)}, "
+                f"above tol={mp.nstr(tol, 6)}")
+        last = bound
 
     pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
-                    for k in range(1, k_stop + 1))
+                    for k in range(1, _WINDOW + 1))
     value = phase_term(edge, params, ctx) * (pairs / (2 * mp.sqrt(x)) + tail)
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
-                          k_stop=k_stop, orders=orders, tail_bound=leftover)
+                          k_stop=_WINDOW, orders=orders, tail_bound=bound)
 
 
 def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
                      ctx: PrecisionContext | None = None):
     """(value, edge-N series, edge-0 series) for the representation above.
 
-    Raises ResourceBudgetError when the short sum would exceed the
-    policy's ``k_max_cap`` terms.
+    Raises ResourceBudgetError when the short sum would exceed 10^6 terms.
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
     mp = ctx.mp
     split = split_nearest(params)
     renorm, boundary, e_term = _skeleton(params, split, phase_term(params.N, params, ctx),
-                                         policy.k_max_cap, ctx)
+                                         _MAX_SHORT_TERMS, ctx)
     upper = boundary_series(params.N, params, policy, ctx)
     lower = boundary_series(0, params, policy, ctx)
     rot = mp.expjpi(mp.mpf(1) / 4)

@@ -88,6 +88,17 @@ class ExpansionReport:
     beyond_optimal: bool
 
 
+def _layer_coefs(x, mp):
+    """Yield (1/2)_r (x/pi)^r / (2 pi), r = 0, 1, ...: the one recurrence
+    behind the layer terms and bounds."""
+    xq = mp.mpf(x) / mp.pi
+    half = mp.mpf(1) / 2
+    coef = 1 / (2 * mp.pi)
+    for r in itertools.count(1):
+        yield coef
+        coef *= (r - half) * xq
+
+
 def edge_layers(x, a, k0: int, ctx: PrecisionContext):
     """Yield (term_r, bound_r), r = 0, 1, ..., of 1/(2 sqrt(x)) sum_{k>k0}
     [E(k - a) - E(k + a)], |a| <= 1/2: the r-th layer of its large-t series
@@ -98,20 +109,14 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
     the order-(r+1) zeta pair gives bound_r, then term_{r+1}.
     """
     mp = ctx.mp
-    x = mp.mpf(x)
     a = mp.convert(a)  # an mpf offset keeps every bit
     lo, hi = k0 + 1 - a, k0 + 1 + a
-    half = mp.mpf(1) / 2
-    xq = x / mp.pi
-    coef = 1 / (2 * mp.pi)  # (1/2)_r (x/pi)^r / (2 pi)
     turn = mp.expjpi(mp.mpf(1) / 4)  # e^{i pi/4} (-i)^r
     diff = mp.digamma(hi) - mp.digamma(lo)
-    for r in itertools.count(1):
+    for r, (coef, coef_next) in enumerate(itertools.pairwise(_layer_coefs(x, mp)), 1):
         zm = hurwitz_zeta_odd(r, lo, ctx)
         zp = hurwitz_zeta_odd(r, hi, ctx)
-        term = turn * coef * diff
-        coef *= (r - half) * xq
-        yield term, coef * (zm + zp)
+        yield turn * coef * diff, coef_next * (zm + zp)
         turn *= mp.mpc(0, -1)
         diff = zm - zp
 
@@ -120,15 +125,17 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     """((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
 
     The bound after n layers of ``edge_layers`` at k0 = 0, summed over the
-    two edges: strictly positive and independent of N.  At theta = 0 the
-    edge-0 series vanishes identically, so its half is left out.
+    two edges, bit for bit, from the order-n zeta pairs alone: strictly
+    positive and independent of N.  At theta = 0 the edge-0 series
+    vanishes identically, so its half is left out.
     """
     mp = ctx.mp
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
+    coef = next(itertools.islice(_layer_coefs(x, mp), n, None))
     offsets = (frac,) if mp.mpf(theta) == 0 else (frac, theta)
-    return sum(next(itertools.islice(edge_layers(x, a, 0, ctx), n - 1, None))[1]
-               for a in offsets)
+    return sum(coef * (hurwitz_zeta_odd(n, 1 - a, ctx) + hurwitz_zeta_odd(n, 1 + a, ctx))
+               for a in map(mp.convert, offsets))
 
 
 def _renorm_term(params: GaussParams, split: NearestSplit, mp):

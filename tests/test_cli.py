@@ -219,6 +219,9 @@ def test_exit_codes(capsys):
     # usage: --tol belongs to exact alone
     code, _, _ = run_cli(capsys, "sum", "--x", "0.5", "--N", "4", "--tol", "1e-20")
     assert code == 2
+    # domain: --tol text that is not a number
+    code, out, err = run_cli(capsys, "exact", "--x", "0.01", "--N", "10", "--tol", "abc")
+    assert code == 3 and out == "" and "domain" in err
     # domain: x degenerates mod 2
     code, _, err = run_cli(capsys, "sum", "--x", "2", "--N", "4")
     assert code == 3 and "domain" in err

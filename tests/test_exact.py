@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadgauss.exact
 from quadgauss import (
     DomainError,
     GaussParams,
@@ -50,7 +51,7 @@ def test_boundary_series_tail_honesty():
 
 
 def test_boundary_series_refinement_below_tol():
-    # doubling the explicit range moves the value by less than tol
+    # tightening the tolerance moves the value by less than tol
     ctx = CTX30
     p = GaussParams("0.01", "0.25", 1, ctx)
     tol = ctx.mp.mpf("1e-15")
@@ -67,18 +68,24 @@ def test_tail_policy_validation():
         boundary_series(0, p, TailPolicy(ctx.eps / 10), ctx)
     with pytest.raises(DomainError):
         boundary_series(0, p, TailPolicy(0), ctx)
+    with pytest.raises(DomainError):
+        boundary_series(0, p, TailPolicy("abc"), ctx)
 
 
-def test_truncation_error_reported_when_cap_blocks():
-    # 14 layers at k_stop = 16 cannot reach 1e-75 at x = 0.01
-    ctx = PrecisionContext(80)
-    p = GaussParams("0.01", "0.3", 100, ctx)
+def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
+    # layers whose bounds level off above tol cannot certify it
+    def stalled_layers(x, a, k0, ctx):
+        for bound in ("1e-10", "1e-12", "1e-12"):
+            yield ctx.mp.mpc(0), ctx.mp.mpf(bound)
+
+    monkeypatch.setattr(quadgauss.exact, "edge_layers", stalled_layers)
+    p = GaussParams("0.01", "0.3", 100, CTX30)
     with pytest.raises(TruncationError):
-        boundary_series(0, p, TailPolicy(tol="1e-75", k_max_cap=16), ctx)
+        boundary_series(0, p, TailPolicy("1e-20"), CTX30)
 
 
 def test_short_sum_budget_refused_before_any_term():
-    # M = N x = 5e7 phases exceed the default k_max_cap of 10^6
+    # M = N x = 5e7 phases exceed the short sum's budget of 10^6
     p = GaussParams("0.5", 0, 10**8, CTX30)
     with pytest.raises(ResourceBudgetError):
         exact_sum_detail(p)
@@ -114,7 +121,8 @@ def test_exact_default_policy():
 
 def test_exact_at_high_digits():
     # the analytic tail (digamma and Hurwitz-zeta layers) above the default
-    # precision; the budget sits just above the reported tail bounds
+    # precision; the budgets predate the fixed 16-pair window and sit well
+    # above its reported tail bounds
     for digits, tol, budget in ((50, "1e-45", "1e-43"), (80, "1e-75", "1e-77")):
         ctx = PrecisionContext(digits)
         p = GaussParams("0.01", "0.3", 100, ctx)
@@ -153,6 +161,15 @@ def test_exact_at_large_N_x():
     # N x + theta = 1800.3: the pairs below it are short-sum phases, so the
     # explicit window stays at its first k_stop
     err, allow, upper = _exact_vs_oracle(GaussParams("0.9", "0.3", 2000, CTX30), CTX30)
+    assert upper.k_stop == 16
+    assert err <= allow
+
+
+def test_exact_at_200_digits():
+    # 124 layers at the 16-pair window reach the default tol of 1e-198;
+    # capped at 14 layers, the window would need more than 10^6 pairs
+    ctx = PrecisionContext(200)
+    err, allow, upper = _exact_vs_oracle(GaussParams("0.5", "0.2", 50, ctx), ctx)
     assert upper.k_stop == 16
     assert err <= allow
 
