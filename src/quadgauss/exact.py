@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import GaussParams, phase_term, split_nearest
 from .errors import DomainError, TruncationError
-from .expansion import _skeleton, edge_layers
+from .expansion import _MP, _skeleton, edge_layers
 from .precision import PrecisionContext, ensure_finite
 from .special import erfc_kernel
 
@@ -79,6 +79,25 @@ class BoundarySeries:
     tail_bound: object
 
 
+def _layer_floor(x, a):
+    """A lower bound on every bound_r of edge_layers(x, a, _WINDOW), in
+    double precision with an unbounded exponent.
+
+    With b = _WINDOW + 1 - |a| and zeta(s, b) >= b^(1-s)/(s-1), bound_r >=
+    L_r = (1/2)_{r+1} q^{r+1} / (4 pi (r+1)), q = x/(pi b^2) < 1/855.  The
+    ratio L_{r+1}/L_r = q (r + 1/2 + 1/(2r+4)) grows with r and first
+    reaches 1 at some r in r0..r0+3, r0 = floor(1/q) - 2, where L is least.
+    The result is shrunk by 2^-20 to cover its own rounding.
+    """
+    b = _WINDOW + 1 - abs(_MP.mpf(a))
+    q = _MP.mpf(x) / (_MP.pi * b * b)
+    r0 = int(1 / q) - 2
+    log_floor = min(_MP.loggamma(r + _MP.mpf(1.5)) - _MP.log(_MP.pi) / 2
+                    + (r + 1) * _MP.log(q) - _MP.log(4 * _MP.pi * (r + 1))
+                    for r in range(r0, r0 + 4))
+    return _MP.exp(log_floor) * (1 - _MP.ldexp(1, -20))
+
+
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
     """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
@@ -86,8 +105,10 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
     is below the policy tolerance.
 
     Pairs are combined before accumulation to exploit their cancellation
-    and summed exactly by ``fsum``.  Raises TruncationError when the layer
-    bounds stop shrinking before they reach the tolerance (about 1e-371).
+    and summed exactly by ``fsum``.  Raises TruncationError before the first
+    layer when a proven lower bound on every layer bound (``_layer_floor``)
+    is above the tolerance, and otherwise when the bounds stop shrinking
+    before they reach it (about 1e-371 at worst).
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -101,6 +122,11 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         # every pair cancels identically
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
+    floor = _layer_floor(x, a)
+    if _MP.mpf(tol) < floor:
+        raise TruncationError(
+            f"boundary_series: every layer bound exceeds {_MP.nstr(floor, 6)}, "
+            f"above tol={mp.nstr(tol, 6)}")
     tail, last = 0, mp.inf
     for orders, (term, bound) in enumerate(edge_layers(x, a, _WINDOW, ctx), 1):
         tail += term

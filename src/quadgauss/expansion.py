@@ -47,12 +47,13 @@ import itertools
 from dataclasses import dataclass
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .core import (DEFAULT_MAX_TERMS, GaussParams, NearestSplit, direct_sum, phase_sum,
                    phase_term, split_nearest)
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
-from .special import erfc_kernel, hurwitz_zeta_odd
+from .special import _GUARD, cot_pi_reg, erfc_kernel, hurwitz_zeta_odd, zeta_odd_orders
 
 __all__ = [
     "ExpansionReport",
@@ -99,23 +100,40 @@ def _layer_coefs(x, mp):
         coef *= (r - half) * xq
 
 
+def _digamma_gap(a, k0: int, ctx: PrecisionContext):
+    """psi(k0+1+a) - psi(k0+1-a) = -cot_pi_reg(a) - a sum_{j=1}^{k0} 2/(j^2 - a^2),
+    |a| <= 1/2.
+
+    Both parts are odd in a and carry it as a factor, so a tiny a keeps its
+    relative accuracy; at k0 = 16 they cancel to about 1/27 of their size,
+    so the sum (in fixed point) and the cotangent run with guard bits.
+    """
+    mp = ctx.mp
+    with mp.extraprec(_GUARD):
+        P = mp.prec
+        a2 = to_fixed((a * a)._mpf_, P)
+        total = sum((2 << 2 * P) // ((j * j << P) - a2) for j in range(1, k0 + 1))
+        res = -(cot_pi_reg(a, ctx) + a * mp.make_mpf(from_man_exp(total, -P)))
+    return +res
+
+
 def edge_layers(x, a, k0: int, ctx: PrecisionContext):
     """Yield (term_r, bound_r), r = 0, 1, ..., of 1/(2 sqrt(x)) sum_{k>k0}
     [E(k - a) - E(k + a)], |a| <= 1/2: the r-th layer of its large-t series
     and the bound on what layers 0..r leave out.
 
     term_r = e^{i pi/4} (1/2)_r (-i x/pi)^r D_r / (2 pi) with D_0 =
-    psi(k0+1+a) - psi(k0+1-a), D_r = zeta(2r+1, k0+1-a) - zeta(2r+1, k0+1+a);
-    the order-(r+1) zeta pair gives bound_r, then term_{r+1}.
+    psi(k0+1+a) - psi(k0+1-a) (``_digamma_gap``), D_r = zeta(2r+1, k0+1-a)
+    - zeta(2r+1, k0+1+a); the order-(r+1) zeta pair gives bound_r, then
+    term_{r+1}.  One ``zeta_odd_orders`` walk at each of the two arguments
+    supplies every order.
     """
     mp = ctx.mp
     a = mp.convert(a)  # an mpf offset keeps every bit
-    lo, hi = k0 + 1 - a, k0 + 1 + a
     turn = mp.expjpi(mp.mpf(1) / 4)  # e^{i pi/4} (-i)^r
-    diff = mp.digamma(hi) - mp.digamma(lo)
-    for r, (coef, coef_next) in enumerate(itertools.pairwise(_layer_coefs(x, mp)), 1):
-        zm = hurwitz_zeta_odd(r, lo, ctx)
-        zp = hurwitz_zeta_odd(r, hi, ctx)
+    diff = _digamma_gap(a, k0, ctx)
+    zetas = zip(zeta_odd_orders(k0 + 1 - a, ctx), zeta_odd_orders(k0 + 1 + a, ctx))
+    for (coef, coef_next), (zm, zp) in zip(itertools.pairwise(_layer_coefs(x, mp)), zetas):
         yield turn * coef * diff, coef_next * (zm + zp)
         turn *= mp.mpc(0, -1)
         diff = zm - zp

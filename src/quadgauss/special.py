@@ -28,21 +28,27 @@ everything else is mpmath's own:
   the bound being the standard first-omitted-term estimate for erfc on
   |arg z| <= pi/4 (DLMF 7.12(i)).
 
-* ``hurwitz_zeta_odd`` -- zeta(2r+1, a) by Euler--Maclaurin with a shifted
-  head of max(10, digits) terms and adaptive Bernoulli depth (it keeps full
-  relative accuracy at the shifted arguments k0 + 1 -+ a of the edge
-  layers), plus the regularized cotangent ``cot_pi_reg`` and the
-  reflection sum/difference pairs ``hzeta_sum`` / ``hzeta_diff``: the
-  closed forms of the expansion coefficients and the remainder
-  certificate, kept as their reference.
+* ``zeta_odd_orders`` -- zeta(3, a), zeta(5, a), ... from one fixed-point
+  integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
+  a^s (so the sum is >= 1 and keeps full relative accuracy at the edge
+  layers' arguments k0 + 1 -+ a), one more order per multiplication of the
+  running powers, and Bernoulli corrections from a process-wide cache of
+  B_2m/(2m)! ratios.  ``hurwitz_zeta_odd`` is its order r, so the edge
+  layers, the remainder certificate and the regularized cotangent
+  ``cot_pi_reg`` with the reflection pairs ``hzeta_sum`` / ``hzeta_diff``
+  (the closed forms kept as the layers' reference) share one engine.
 
 All routines are pure functions of (arguments, context) and return values
-rounded to the context's working precision.
+rounded to the context's working precision; the Bernoulli cache holds
+exact floors that every caller reads alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_pow_int, round_nearest, to_fixed
 
 from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
@@ -169,61 +175,132 @@ def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
 
 
 def hurwitz_zeta_odd(r: int, a, ctx: PrecisionContext):
-    """zeta(2r+1, a) = sum_{k>=0} (k+a)^(-2r-1) for integer r >= 1, a > 0.
+    """zeta(2r+1, a) = sum_{k>=0} (k+a)^(-2r-1) for integer r >= 1, finite a > 0.
 
-    Euler--Maclaurin with a head of max(10, digits) shifted terms and
-    Bernoulli corrections deepened until the first omitted term is below
-    the target; relative error <= eps.
+    Order r of ``zeta_odd_orders``, bit for bit: a caller that walks the
+    orders and one that asks for a single order read the same value.
     """
     mp = ctx.mp
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"hurwitz_zeta_odd: r must be an integer >= 1, got {r}")
     a = mp.mpf(a)
-    if not (a > 0):
-        raise DomainError(f"hurwitz_zeta_odd: a must be positive, got {a}")
-    return _hzeta(mp, 2 * r + 1, a, max(10, ctx.digits))
+    if not (a > 0 and mp.isfinite(a)):
+        raise DomainError(f"hurwitz_zeta_odd: a must be positive and finite, got {a}")
+    return next(itertools.islice(zeta_odd_orders(a, ctx), r - 1, None))
 
 
-def _hzeta(mp, s: int, a, head: int):
-    """Euler--Maclaurin evaluation of zeta(s, a), integer s >= 2, a > 0."""
-    with mp.extradps(10):
-        a = mp.mpf(a)
-        K = head
-        while True:
-            acc = mp.mpf(0)
-            for k in range(K - 1, -1, -1):  # ascending magnitude
-                acc += (k + a) ** (-s)
-            w = K + a
-            winv = 1 / w
-            winv2 = winv * winv
-            total = acc + w ** (1 - s) / (s - 1) + w ** (-s) / 2
-            # Bernoulli corrections t_m = B_{2m}/(2m)! (s)_{2m-1} w^{1-s-2m}
-            poch = mp.mpf(s)  # (s)_{2m-1}
-            wpow = w ** (1 - s) * winv2  # w^{1-s-2m}
-            fact = mp.mpf(2)  # (2m)!
-            stop = mp.mpf(10) ** (-(mp.dps - 2))
-            m = 1
-            prev = None
-            converged = False
-            while True:
-                t = mp.bernoulli(2 * m) / fact * poch * wpow
-                total += t
-                at = abs(t)
-                if at < stop * abs(total):
-                    converged = True
-                    break
-                if prev is not None and at > prev:
-                    break  # divergence onset before target: enlarge head
-                prev = at
-                m += 1
-                poch *= (s + 2 * m - 3) * (s + 2 * m - 2)
-                wpow *= winv2
-                fact *= (2 * m - 1) * (2 * m)
-            if converged:
-                break
+# Bits the fixed-point engine carries beyond the working precision; terms
+# below 2^(_GUARD/2) of its units are dropped.
+_GUARD = 32
+# The head starts with one term per _HEAD_BITS bits of working precision.
+_HEAD_BITS = 6
+
+# (bits, R): R[m-2] = floor(2^(bits + 6) c_m/c_{m-1}), m = 2, 3, ..., for
+# the Euler--Maclaurin coefficients c_m = B_2m/(2m)!.  A floor shifted
+# right is the floor at fewer bits, so every caller reads the same integers
+# whatever precision the cache was built at.  The tuple is replaced whole,
+# never changed in place, so threads may share it.
+_EM_RATIOS = (0, ())
+
+
+def _em_ratios(count: int, bits: int) -> list:
+    """floor(2^(bits + 6) c_m/c_{m-1}) for m = 2 .. count + 1.
+
+    c_m = (-1)^(m-1) T_m / (4^m (4^m - 1) (2m-1)!) from the tangent numbers
+    T_m, which Brent and Harvey's in-place recurrence gives exactly in
+    integers.
+    """
+    global _EM_RATIOS
+    have, ratios = _EM_RATIOS
+    if have < bits or len(ratios) < count:
+        have, n = max(have, bits), max(count, len(ratios)) + 1
+        T = [0, 1]
+        for k in range(2, n + 1):
+            T.append((k - 1) * T[k - 1])
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        ratios = tuple((-T[m] * (4 ** (m - 1) - 1) << (have + 6))
+                       // (4 * T[m - 1] * (4 ** m - 1) * (2 * m - 1) * (2 * m - 2))
+                       for m in range(2, n + 1))
+        _EM_RATIOS = (have, ratios)
+    return [c >> (have - bits) for c in ratios[:count]]
+
+
+def zeta_odd_orders(a, ctx: PrecisionContext):
+    """Yield zeta(3, a), zeta(5, a), ... for finite a > 0, each rounded once
+    to the working precision, from one fixed-point Euler--Maclaurin pass.
+
+    With u_k = a/(k + a) <= 1 and w = K + a,
+
+        a^s zeta(s, a) = sum_{k<K} u_k^s
+                         + u_K^s [w/(s-1) + 1/2 + sum_m c_m (s)_{2m-1} w^(1-2m)],
+
+    c_m = B_2m/(2m)!.  Every quantity is an integer in units of 2^-P,
+    P = prec + _GUARD; the scaled sum is at least u_0^s = 1, so the fixed
+    point keeps full relative accuracy at every a and order.  Each order
+    multiplies the running powers u_k^s by u_k^2; the corrections run by
+    the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2 until they drop below
+    2^(-prec-16), which bounds the Euler--Maclaurin remainder since every
+    derivative of (t + a)^-s is monotone.  The head starts at prec/6 terms,
+    which makes 2 pi w, the depth the corrections can reach, exceed P ln 2;
+    it doubles, as the old per-call pass did, if they grow first.  Once
+    u_K^s underflows the tail is gone for good and the head sheds its zero
+    powers.  The walk depends on (a, prec) alone, so order r has the same
+    bits however it is reached.
+    """
+    mp = ctx.mp
+    prec = mp.prec
+    P = prec + _GUARD
+    tiny = 1 << (_GUARD // 2)
+    a = mp.mpf(a)._mpf_
+    A = to_fixed(a, P)
+    powers, squares = [], []  # u_k^s and u_k^2, k = 0..K; u_K^s scales the tail
+
+    def extend_head(K, s):
+        for k in range(len(powers), K + 1):
+            u = (A << P) // ((k << P) + A) if k else 1 << P
+            squares.append(u * u >> P)
+            powers.append(pow(u, s) >> (P * (s - 1)))
+
+    def em_tail(K, W, s, kappa):
+        """u_K^s [w/(s-1) + 1/2 + corrections], or None if they grow first."""
+        V = powers[K]
+        Q = P + 2 * (W >> P).bit_length() + 8
+        total = (V * W >> P) // (s - 1) + (V >> 1)
+        t = (V * s << P) // (12 * W)  # c_1 = 1/12
+        m = 1
+        while abs(t) > tiny:
+            total += t
+            m += 1
+            if m - 2 == len(kappa):  # c_m/(c_{m-1} w^2) in units of 2^-Q
+                winv2 = (1 << (Q + 2 * P)) // (W * W)
+                kappa[:] = [c * winv2 >> (P + 6) for c in _em_ratios(2 * m, P)]
+            nxt = t * ((s + 2 * m - 3) * (s + 2 * m - 2)) * kappa[m - 2] >> Q
+            if abs(nxt) >= abs(t):
+                return None
+            t = nxt
+        return total
+
+    K = max(10, prec // _HEAD_BITS)
+    extend_head(K, 1)
+    W, kappa = (K << P) + A, []  # w = K + a
+    tail_live = True
+    for s in itertools.count(3, 2):
+        powers[:] = [p * q >> P for p, q in zip(powers, squares)]
+        tail = 0
+        if tail_live and powers[K] == 0:  # u_K^s underflowed: no tail from here on
+            tail_live = False
+            while powers[-1] == 0:
+                powers.pop()
+        while tail_live and (tail := em_tail(K, W, s, kappa)) is None:
             K *= 2
-        res = total
-    return +res
+            extend_head(K, s)
+            W, kappa = (K << P) + A, []
+        head = sum(powers[:K]) if tail_live else sum(powers)
+        value = mpf_mul(from_man_exp(head + tail, -P), mpf_pow_int(a, -s, P),
+                        prec, round_nearest)
+        yield mp.make_mpf(value)
 
 
 def cot_pi_reg(lam, ctx: PrecisionContext):

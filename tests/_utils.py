@@ -40,6 +40,53 @@ def zeta_series_oracle(s, a, ctx, k0=200000):
     return value, bound
 
 
+def _hzeta(mp, s: int, a, head: int):
+    """Euler--Maclaurin evaluation of zeta(s, a), integer s >= 2, a > 0.
+
+    One mpf pass per call: a head of ``head`` terms, doubled while the
+    Bernoulli corrections diverge before they fall below the target.  The
+    independent reference for ``special.zeta_odd_orders``.
+    """
+    with mp.extradps(10):
+        a = mp.mpf(a)
+        K = head
+        while True:
+            acc = mp.mpf(0)
+            for k in range(K - 1, -1, -1):  # ascending magnitude
+                acc += (k + a) ** (-s)
+            w = K + a
+            winv = 1 / w
+            winv2 = winv * winv
+            total = acc + w ** (1 - s) / (s - 1) + w ** (-s) / 2
+            # Bernoulli corrections t_m = B_{2m}/(2m)! (s)_{2m-1} w^{1-s-2m}
+            poch = mp.mpf(s)  # (s)_{2m-1}
+            wpow = w ** (1 - s) * winv2  # w^{1-s-2m}
+            fact = mp.mpf(2)  # (2m)!
+            stop = mp.mpf(10) ** (-(mp.dps - 2))
+            m = 1
+            prev = None
+            converged = False
+            while True:
+                t = mp.bernoulli(2 * m) / fact * poch * wpow
+                total += t
+                at = abs(t)
+                if at < stop * abs(total):
+                    converged = True
+                    break
+                if prev is not None and at > prev:
+                    break  # divergence onset before target: enlarge head
+                prev = at
+                m += 1
+                poch *= (s + 2 * m - 3) * (s + 2 * m - 2)
+                wpow *= winv2
+                fact *= (2 * m - 1) * (2 * m)
+            if converged:
+                break
+            K *= 2
+        res = total
+    return +res
+
+
 def machin_pi(ctx):
     """pi by Machin's arctangent formula; independent of mpmath.pi."""
     mp = ctx.mp

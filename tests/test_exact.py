@@ -1,6 +1,8 @@
 """The erfc-series representation against quadrature and the oracle."""
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from quadgauss import (
     exact_sum,
     exact_sum_detail,
 )
+from quadgauss.expansion import edge_layers
 
 CTX30 = PrecisionContext(30)
 
@@ -82,6 +85,28 @@ def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
     p = GaussParams("0.01", "0.3", 100, CTX30)
     with pytest.raises(TruncationError):
         boundary_series(0, p, TailPolicy("1e-20"), CTX30)
+
+
+def test_unreachable_tol_refused_before_the_first_layer():
+    # at 450 digits the default tol (1e-449) is below every layer bound at
+    # x = 0.99 (the smallest is about 1e-377, after some 860 orders); the
+    # proven floor refuses it at once instead of walking the orders to it
+    ctx = PrecisionContext(450)
+    p = GaussParams("0.99", "0.5", 3, ctx)
+    start = time.perf_counter()
+    with pytest.raises(TruncationError):
+        boundary_series(0, p, None, ctx)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("x,a", [("0.99", "0.5"), ("0.9", "-0.3")])
+def test_layer_floor_is_below_every_layer_bound(x, a):
+    ctx = CTX30
+    mp = ctx.mp
+    floor = quadgauss.exact._layer_floor(mp.mpf(x), mp.mpf(a))
+    least = min(itertools.islice((b for _, b in edge_layers(mp.mpf(x), mp.mpf(a), 16, ctx)),
+                                 1000))
+    assert 0 < floor < least
 
 
 def test_short_sum_budget_refused_before_any_term():

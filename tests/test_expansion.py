@@ -2,6 +2,7 @@
 
 import random
 
+import mpmath
 import pytest
 
 from quadgauss import (
@@ -109,6 +110,21 @@ def test_edge_layers_match_coefficient_form(case):
     for n in (1, 4, 10):
         assert rep.bounds[n - 1] == remainder_bound(n, p.x, s.frac, p.theta, ctx)
     assert rep.remainder_bound == rep.bounds[-1]
+
+
+@pytest.mark.parametrize("k0", [0, 16])
+def test_digamma_gap_matches_digamma_pair(k0):
+    # the r = 0 layer psi(k0+1+a) - psi(k0+1-a) from the cotangent and a
+    # finite sum, against mpmath's digamma far above the working precision;
+    # a tiny a keeps its relative accuracy
+    ctx = CTX40
+    for a in ("0.3217", "-0.5", "0.5", "0.4999999", "1e-12", "-1e-40"):
+        a = ctx.mp.mpf(a)
+        got = expansion._digamma_gap(a, k0, ctx)
+        with mpmath.workdps(3 * ctx.digits + 30):
+            a = mpmath.mpf(a)
+            ref = mpmath.digamma(k0 + 1 + a) - mpmath.digamma(k0 + 1 - a)
+            assert abs(mpmath.mpf(got) / ref - 1) <= 8 * ctx.mp.eps, a
 
 
 def test_remainder_bound_reference_values():

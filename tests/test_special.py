@@ -1,9 +1,12 @@
 """Special-function layer: erfc, the kernel E, Hurwitz zeta, cotangent."""
 
+import itertools
 import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadgauss import (
     DomainError,
@@ -17,7 +20,10 @@ from quadgauss import (
     hzeta_sum,
 )
 
-from _utils import erfc_quadrature, machin_pi, mp_reference_erfc, zeta_series_oracle
+from quadgauss import special
+from quadgauss.special import zeta_odd_orders
+
+from _utils import _hzeta, erfc_quadrature, machin_pi, mp_reference_erfc, zeta_series_oracle
 
 CTX30 = PrecisionContext(30)
 CTX50 = PrecisionContext(50)
@@ -255,6 +261,70 @@ def test_zeta_domain():
         hurwitz_zeta_odd(1, 0, CTX30)
     with pytest.raises(DomainError):
         hurwitz_zeta_odd(1, -2, CTX30)
+
+
+def _rel_err(got, ref):
+    """|got/ref - 1| evaluated at the reference's (higher) precision."""
+    return abs(mpmath.mpf(got) / ref - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(a=st.floats(2.0 ** -10, 40.0), digits=st.sampled_from([30, 50, 80]))
+def test_zeta_orders_within_eight_working_eps_of_mpmath(a, digits):
+    # every order 1..12 of one walk, against mpmath far above the working
+    # precision; mp.eps is the working (guarded) precision's, not ctx.eps
+    ctx = PrecisionContext(digits)
+    a = ctx.mp.mpf(a)
+    for r, got in enumerate(itertools.islice(zeta_odd_orders(a, ctx), 12), 1):
+        with mpmath.workdps(3 * digits + 30):
+            ref = mpmath.zeta(2 * r + 1, mpmath.mpf(a))
+            assert _rel_err(got, ref) <= 8 * ctx.mp.eps, (r, a, digits)
+
+
+def test_zeta_lazy_walk_matches_islice_bit_for_bit():
+    # two walks pulled in step, with other work at a raised precision in
+    # between, give the same bits as islice and as hurwitz_zeta_odd
+    ctx = CTX30
+    mp = ctx.mp
+    for lo, hi in (("0.6505", "1.3495"), ("16.6505", "17.3495"), ("509.81184", "0.0625")):
+        walks = zip(zeta_odd_orders(lo, ctx), zeta_odd_orders(hi, ctx))
+        lazy = []
+        for _ in range(12):
+            lazy.append(next(walks))
+            with mp.extraprec(100):
+                mp.zeta(3)
+        for a, got in zip((lo, hi), zip(*lazy)):
+            assert list(got) == list(itertools.islice(zeta_odd_orders(a, ctx), 12))
+            assert list(got) == [hurwitz_zeta_odd(r, a, ctx) for r in range(1, 13)]
+
+
+def test_zeta_deep_orders_against_reference_pass():
+    # exact's deepest walks: hundreds of orders at the window's arguments
+    ctx = PrecisionContext(300)
+    mp = ctx.mp
+    for a in ("16.5", "17.5"):
+        a = mp.mpf(a)
+        walk = list(itertools.islice(zeta_odd_orders(a, ctx), 400))
+        for r in (1, 2, 7, 60, 150, 250, 400):
+            ref = _hzeta(mp, 2 * r + 1, a, ctx.digits)
+            assert abs(walk[r - 1] - ref) <= 8 * mp.eps * ref, (a, r)
+
+
+def test_zeta_head_doubles_when_corrections_diverge(monkeypatch):
+    # a 10-term head is too short for a = 0.5 at 30 digits: the corrections
+    # turn before they reach the target, and without doubling the head the
+    # order-10 value would be off by about 1e8 eps
+    ctx = CTX30
+    mp = ctx.mp
+    a = mp.mpf("0.5")
+    full = list(itertools.islice(zeta_odd_orders(a, ctx), 10))
+    monkeypatch.setattr(special, "_HEAD_BITS", 10**6)  # head = max(10, prec // _HEAD_BITS)
+    short = list(itertools.islice(zeta_odd_orders(a, ctx), 10))
+    with mpmath.workdps(3 * ctx.digits + 30):
+        for r, (got, want) in enumerate(zip(short, full), 1):
+            ref = mpmath.zeta(2 * r + 1, mpmath.mpf(a))
+            assert _rel_err(got, ref) <= 8 * mp.eps
+            assert _rel_err(want, ref) <= 8 * mp.eps
 
 
 # ---------------------------------------------------------------------------
