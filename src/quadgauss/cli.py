@@ -225,8 +225,9 @@ def _cmd_table(args, ctx):
     for n in row_ns:
         abs_rn = abs(reference - partial[n])
         bound = report.bounds[n - 1]
+        # an exact decomposition (dyadic inputs) leaves |R_n| = 0: no ratio
         yield {"preset": args.preset or "", **_given(args), "n": n, "abs_error": abs_rn,
-               "abs_Rn": abs_rn, "bound": bound, "ratio": bound / abs_rn}
+               "abs_Rn": abs_rn, "bound": bound, "ratio": bound / abs_rn if abs_rn else None}
 
 
 def _cmd_curlicue(args, ctx):

@@ -144,17 +144,17 @@ def phase_sum(x, theta, count: int, mp):
     return total
 
 
-def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None,
-               max_terms: int = DEFAULT_MAX_TERMS):
+def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
     """S_N(x, theta) by term-by-term summation.
 
     The ground-truth oracle: accumulated error <= N * C * eps for a small
-    constant C.  Raises ResourceBudgetError when N exceeds ``max_terms``.
+    constant C.  Raises ResourceBudgetError when N exceeds
+    ``DEFAULT_MAX_TERMS``.
     """
     ctx = ctx or params.ctx
-    if params.N > max_terms:
+    if params.N > DEFAULT_MAX_TERMS:
         raise ResourceBudgetError(
-            f"direct_sum: N={params.N} exceeds the budget of {max_terms} terms")
+            f"direct_sum: N={params.N} exceeds the budget of {DEFAULT_MAX_TERMS} terms")
     value = phase_sum(params.x, params.theta, params.N, ctx.mp)
     return ensure_finite(ctx.mp, value, "direct_sum")
 

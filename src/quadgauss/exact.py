@@ -9,14 +9,14 @@ Contour deformation turns the sum into (valid on all of 0 < x < 1)
 Re-indexed about the nearest integer M of N x + theta, this is the
 decomposition of ``expansion``: renorm, boundary and kernel terms plus
 e^{i pi/4} (f(N) T(frac) - T(theta)).  ``boundary_series`` evaluates
-f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0): the
-pairs k = 1..16 through the kernel, every argument positive, and the rest
-through ``edge_layers`` at k0 = 16, deepened until the leftover bound
-undercuts the policy tolerance.  The layers' small parameter is
-x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking for more than
-855 orders, to about e^-855 ~ 1e-371: 16 pairs serve every tolerance above
-that, and a tolerance below it raises TruncationError.
-The work is O(M + 16 + layers); ``direct_sum`` stays the independent check.
+f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0) as
+``edge_layers`` at the window k0 = 16, every kernel argument positive,
+deepened until the leftover bound undercuts the policy tolerance.  The
+layers' small parameter is x/(pi (k0 + 1/2)^2) < 1/855, so their bounds
+keep shrinking for more than 855 orders, to about e^-855 ~ 1e-371: 16
+pairs serve every tolerance above that, and a tolerance below it raises
+TruncationError.  The work is O(M + 16 + layers); ``direct_sum`` stays the
+independent check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import GaussParams, phase_term, split_nearest
 from .errors import DomainError, TruncationError
 from .expansion import _MP, _skeleton, edge_layers
 from .precision import PrecisionContext, ensure_finite
-from .special import erfc_kernel
 
 __all__ = [
     "TailPolicy",
@@ -101,14 +100,13 @@ def _layer_floor(x, a):
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
     """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
-    explicit pairs k = 1..16, Hurwitz layers above until the leftover bound
-    is below the policy tolerance.
+    ``edge_layers`` at k0 = 16 until the leftover bound is below the policy
+    tolerance.
 
-    Pairs are combined before accumulation to exploit their cancellation
-    and summed exactly by ``fsum``.  Raises TruncationError before the first
-    layer when a proven lower bound on every layer bound (``_layer_floor``)
-    is above the tolerance, and otherwise when the bounds stop shrinking
-    before they reach it (about 1e-371 at worst).
+    Raises TruncationError before the first layer when a proven lower bound
+    on every layer bound (``_layer_floor``) is above the tolerance, and
+    otherwise when the bounds stop shrinking before they reach it (about
+    1e-371 at worst).
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -127,9 +125,9 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         raise TruncationError(
             f"boundary_series: every layer bound exceeds {_MP.nstr(floor, 6)}, "
             f"above tol={mp.nstr(tol, 6)}")
-    tail, last = 0, mp.inf
+    total, last = 0, mp.inf
     for orders, (term, bound) in enumerate(edge_layers(x, a, _WINDOW, ctx), 1):
-        tail += term
+        total += term
         if bound < tol:
             break
         if not bound < last:
@@ -137,10 +135,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
                 f"boundary_series: the layer bounds stop shrinking at {mp.nstr(last, 6)}, "
                 f"above tol={mp.nstr(tol, 6)}")
         last = bound
-
-    pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
-                    for k in range(1, _WINDOW + 1))
-    value = phase_term(edge, params, ctx) * (pairs / (2 * mp.sqrt(x)) + tail)
+    value = phase_term(edge, params, ctx) * total
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
                           k_stop=_WINDOW, orders=orders, tail_bound=bound)
 

@@ -22,17 +22,18 @@ there rather than left to cancel after the 1/(2 sqrt(x)) prefactor,
 which would leave eps/sqrt(x) of round-off, so no route evaluates the
 kernel at a negative argument.
 
-``edge_layers`` sums the large-t series of E over k > k0 order by order
-(a digamma difference, then Hurwitz-zeta differences), with the leftover
-after n layers bounded by
+``edge_layers`` is all of T(a) at any window k0: the pairs k <= k0
+through the kernel, then the large-t series of E over k > k0 order by
+order (a digamma difference, then Hurwitz-zeta differences), with the
+leftover after n layers bounded by
 
     ((1/2)_n / (2 pi)) (x/pi)^n [zeta(2n+1, k0+1-a) + zeta(2n+1, k0+1+a)].
 
-The routes differ only in the window k0 of explicit pairs and the
-stopping rule.  ``asym`` takes k0 = 0 and n layers: the paper's series in
-powers of x/pi, with an N-independent remainder bound (``remainder_bound``)
-whose theta half drops at theta = 0, where T(theta) vanishes.  ``exact``
-sums k0 pairs through the kernel and deepens the layers to a tolerance.
+k0 sets the cost, not the sum, so the routes differ only in the window
+and the stopping rule.  ``asym`` takes k0 = 0 and n layers of both edges
+(``_series``): the paper's series in powers of x/pi and its N-independent
+remainder bound, whose theta half drops at theta = 0, where T(theta)
+vanishes.  ``exact`` takes k0 = 16 and deepens the layers to a tolerance.
 K(theta) and K(frac) always go through the exact kernel: for
 frac = o(sqrt(x)) their large-t series is invalid.
 
@@ -53,7 +54,7 @@ from .core import (DEFAULT_MAX_TERMS, GaussParams, NearestSplit, direct_sum, pha
                    phase_term, split_nearest)
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
-from .special import _GUARD, cot_pi_reg, erfc_kernel, hurwitz_zeta_odd, zeta_odd_orders
+from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
 
 __all__ = [
     "ExpansionReport",
@@ -89,17 +90,6 @@ class ExpansionReport:
     beyond_optimal: bool
 
 
-def _layer_coefs(x, mp):
-    """Yield (1/2)_r (x/pi)^r / (2 pi), r = 0, 1, ...: the one recurrence
-    behind the layer terms and bounds."""
-    xq = mp.mpf(x) / mp.pi
-    half = mp.mpf(1) / 2
-    coef = 1 / (2 * mp.pi)
-    for r in itertools.count(1):
-        yield coef
-        coef *= (r - half) * xq
-
-
 def _digamma_gap(a, k0: int, ctx: PrecisionContext):
     """psi(k0+1+a) - psi(k0+1-a) = -cot_pi_reg(a) - a sum_{j=1}^{k0} 2/(j^2 - a^2),
     |a| <= 1/2.
@@ -118,42 +108,57 @@ def _digamma_gap(a, k0: int, ctx: PrecisionContext):
 
 
 def edge_layers(x, a, k0: int, ctx: PrecisionContext):
-    """Yield (term_r, bound_r), r = 0, 1, ..., of 1/(2 sqrt(x)) sum_{k>k0}
-    [E(k - a) - E(k + a)], |a| <= 1/2: the r-th layer of its large-t series
-    and the bound on what layers 0..r leave out.
+    """Yield (term_r, bound_r), r = 0, 1, ..., of T(a), |a| <= 1/2: the
+    terms sum to T(a), and bound_r bounds what terms 0..r leave out.
 
-    term_r = e^{i pi/4} (1/2)_r (-i x/pi)^r D_r / (2 pi) with D_0 =
+    term_0 carries the k0 kernel pairs, every argument positive.  The rest
+    is layer r = e^{i pi/4} (1/2)_r (-i x/pi)^r D_r / (2 pi) with D_0 =
     psi(k0+1+a) - psi(k0+1-a) (``_digamma_gap``), D_r = zeta(2r+1, k0+1-a)
-    - zeta(2r+1, k0+1+a); the order-(r+1) zeta pair gives bound_r, then
-    term_{r+1}.  One ``zeta_odd_orders`` walk at each of the two arguments
-    supplies every order.
+    - zeta(2r+1, k0+1+a); the order-(r+1) zeta pair gives bound_r.  One
+    ``zeta_odd_orders`` walk at each of the two arguments supplies every
+    order.
     """
     mp = ctx.mp
     a = mp.convert(a)  # an mpf offset keeps every bit
+    xq = mp.mpf(x) / mp.pi
+    coef = 1 / (2 * mp.pi)  # (1/2)_r (x/pi)^r / (2 pi)
     turn = mp.expjpi(mp.mpf(1) / 4)  # e^{i pi/4} (-i)^r
-    diff = _digamma_gap(a, k0, ctx)
+    term = turn * coef * _digamma_gap(a, k0, ctx)
+    if k0 > 0:
+        # pairs are combined before accumulation to exploit their cancellation
+        pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
+                        for k in range(1, k0 + 1))
+        term += pairs / (2 * mp.sqrt(x))
     zetas = zip(zeta_odd_orders(k0 + 1 - a, ctx), zeta_odd_orders(k0 + 1 + a, ctx))
-    for (coef, coef_next), (zm, zp) in zip(itertools.pairwise(_layer_coefs(x, mp)), zetas):
-        yield turn * coef * diff, coef_next * (zm + zp)
+    for r, (zm, zp) in enumerate(zetas, 1):
+        coef *= (r - 0.5) * xq
+        yield term, coef * (zm + zp)
         turn *= mp.mpc(0, -1)
-        diff = zm - zp
+        term = turn * coef * (zm - zp)
+
+
+def _series(x, frac, theta, ctx: PrecisionContext):
+    """Yield (term_r of T(frac), term_r of T(theta), bound_r) at k0 = 0, with
+    bound_r the two edges' bounds summed.  At theta = 0 the edge-0 series
+    vanishes identically, so its terms are 0 and its half of the bound is
+    left out."""
+    lower = (edge_layers(x, theta, 0, ctx) if ctx.mp.convert(theta) != 0
+             else itertools.repeat((0, 0)))
+    for (t_up, b_up), (t_lo, b_lo) in zip(edge_layers(x, frac, 0, ctx), lower):
+        yield t_up, t_lo, b_up + b_lo
 
 
 def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     """((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
 
-    The bound after n layers of ``edge_layers`` at k0 = 0, summed over the
-    two edges, bit for bit, from the order-n zeta pairs alone: strictly
-    positive and independent of N.  At theta = 0 the edge-0 series
-    vanishes identically, so its half is left out.
+    The n-th bound of the walk ``asymptotic_sum`` reports, so its
+    ``bounds[n-1]`` equals this bit for bit: strictly positive, independent
+    of N, and without the theta half at theta = 0.
     """
-    mp = ctx.mp
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
-    coef = next(itertools.islice(_layer_coefs(x, mp), n, None))
-    offsets = (frac,) if mp.mpf(theta) == 0 else (frac, theta)
-    return sum(coef * (hurwitz_zeta_odd(n, 1 - a, ctx) + hurwitz_zeta_odd(n, 1 + a, ctx))
-               for a in map(mp.convert, offsets))
+    _, _, bound = next(itertools.islice(_series(x, frac, theta, ctx), n - 1, None))
+    return bound
 
 
 def _renorm_term(params: GaussParams, split: NearestSplit, mp):
@@ -235,13 +240,11 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     renorm, boundary, e_term = _skeleton(params, split, fN, DEFAULT_MAX_TERMS, ctx)
 
     rot = mp.expjpi(mp.mpf(1) / 4)
-    upper = itertools.islice(edge_layers(params.x, split.frac, 0, ctx), n)
-    lower = (edge_layers(params.x, params.theta, 0, ctx) if params.theta != 0
-             else itertools.repeat((0, 0)))  # T(0) = 0, and its bound is left out
     terms, bounds = [], []
-    for (t_up, b_up), (t_lo, b_lo) in zip(upper, lower):
+    walk = _series(params.x, split.frac, params.theta, ctx)
+    for t_up, t_lo, bound in itertools.islice(walk, n):
         terms.append(rot * (fN * t_up - t_lo))
-        bounds.append(b_up + b_lo)
+        bounds.append(bound)
     series = mp.fsum(terms)
 
     value = renorm + boundary + e_term + series

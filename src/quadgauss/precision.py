@@ -48,12 +48,6 @@ class PrecisionContext:
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrecisionContext) and other.digits == self.digits
-
-    def __hash__(self):
-        return hash(("PrecisionContext", self.digits))
-
 
 def ensure_finite(mp, value, what: str):
     """Reject NaN/inf escaping a numeric kernel."""

@@ -178,7 +178,9 @@ def hurwitz_zeta_odd(r: int, a, ctx: PrecisionContext):
     """zeta(2r+1, a) = sum_{k>=0} (k+a)^(-2r-1) for integer r >= 1, finite a > 0.
 
     Order r of ``zeta_odd_orders``, bit for bit: a caller that walks the
-    orders and one that asks for a single order read the same value.
+    orders and one that asks for a single order read the same value.  Each
+    call walks orders 1..r, so a caller that needs many orders should walk
+    ``zeta_odd_orders`` once.
     """
     mp = ctx.mp
     if not isinstance(r, int) or r < 1:

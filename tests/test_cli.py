@@ -158,6 +158,31 @@ def test_table_with_explicit_params(capsys):
         assert all(isinstance(row[k], float) for k in ("abs_error", "abs_Rn", "bound", "ratio"))
 
 
+def test_table_ratio_is_empty_when_the_remainder_vanishes(capsys):
+    # at dyadic inputs the decomposition is exact, so |R_n| = 0 and the
+    # ratio bound/|R_n| is JSON null or an empty CSV field
+    doc = run_json(capsys, "table2", "--x", "0.5", "--theta", "0", "--N", "2",
+                   "--digits", "20")
+    assert all(row["abs_Rn"] == "0.0" and row["ratio"] is None for row in doc)
+    code, out, err = run_cli(capsys, "table1", "--x", "0.25", "--theta=-0.25",
+                             "--N", "1000", "--format", "csv")
+    assert code == 0, err
+    assert all(row["ratio"] == "" for row in csv.DictReader(io.StringIO(out)))
+
+
+def test_certified_commands_exit_cleanly_on_small_exact_inputs(capsys):
+    # every certified command either answers or refuses with a documented
+    # code; no input here may escape as an exception
+    for command in ("asym", "exact", "table1", "table2"):
+        for x in ("1/2", "1/4", "1/3"):
+            for theta in ("0", "1/4", "-1/4", "1/2", "-1/2"):
+                for n in ("1", "2", "3"):
+                    argv = [command, "--x", x, f"--theta={theta}", "--N", n,
+                            "--digits", "15"]
+                    code, _, err = run_cli(capsys, *argv)
+                    assert code in (0, 3, 4) and "Traceback" not in err, (argv, err)
+
+
 def test_curlicue_hand_computed_track(capsys):
     doc = run_json(capsys, "curlicue", "--x", "0.5", "--theta", "0", "--N", "4",
                    "--digits", "16")

@@ -17,6 +17,7 @@ from quadgauss import (
     phase_term,
     split_nearest,
 )
+from quadgauss.core import DEFAULT_MAX_TERMS
 
 CTX30 = PrecisionContext(30)
 
@@ -89,9 +90,9 @@ def test_direct_sum_gauss_example():
 
 
 def test_direct_sum_budget():
-    p = GaussParams("0.5", 0, 11, CTX30)
+    p = GaussParams("0.5", 0, DEFAULT_MAX_TERMS + 1, CTX30)
     with pytest.raises(ResourceBudgetError):
-        direct_sum(p, max_terms=10)
+        direct_sum(p)
 
 
 def test_oracle_stability_on_random_sets():

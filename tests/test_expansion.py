@@ -1,5 +1,6 @@
 """The certified small-x expansion: coefficients, bound, assembly."""
 
+import itertools
 import random
 
 import mpmath
@@ -23,7 +24,7 @@ from quadgauss import (
     remainder_bound,
     split_nearest,
 )
-from quadgauss import exact, expansion
+from quadgauss import expansion
 from quadgauss.expansion import edge_layers
 
 from _utils import sig3
@@ -110,6 +111,20 @@ def test_edge_layers_match_coefficient_form(case):
     for n in (1, 4, 10):
         assert rep.bounds[n - 1] == remainder_bound(n, p.x, s.frac, p.theta, ctx)
     assert rep.remainder_bound == rep.bounds[-1]
+
+
+def test_edge_layers_sum_does_not_depend_on_the_window():
+    # the k0 kernel pairs ride in term_0, so the window sets only the cost:
+    # at k0 = 0 and k0 = 16 the terms sum to one T(a), within the bounds
+    ctx = CTX40
+    for a in ("0.3217", "-0.5", "1e-12"):
+        sums = []
+        for k0, n in ((0, 40), (16, 8)):
+            terms, bounds = zip(*itertools.islice(edge_layers("0.01", a, k0, ctx), n))
+            sums.append((ctx.mp.fsum(terms), bounds[-1]))
+        (t_0, b_0), (t_16, b_16) = sums
+        assert b_0 + b_16 < ctx.mp.mpf("1e-25") and abs(t_0) > ctx.mp.mpf("1e-14"), a
+        assert abs(t_0 - t_16) <= b_0 + b_16 + 10 * ctx.eps * abs(t_0), a
 
 
 @pytest.mark.parametrize("k0", [0, 16])
@@ -388,7 +403,6 @@ def test_no_route_reflects_the_kernel(monkeypatch):
 
     kernel = expansion.erfc_kernel
     monkeypatch.setattr(expansion, "erfc_kernel", spy)
-    monkeypatch.setattr(exact, "erfc_kernel", spy)
     # a negative theta, a negative frac, and N x + theta = 45.3 with the
     # pairs k < 45.3 of the edge-N series at negative arguments
     for xs, theta, n in (("0.003", "-0.45", 700), ("0.37", "-0.2", 100), ("0.9", "0.3", 50)):
