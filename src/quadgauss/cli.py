@@ -15,7 +15,8 @@ and writes each row as it comes: a JSON number at --digits <= 17, a
 decimal string beyond (so consumers cannot truncate it), scientific
 notation in CSV.  The rows go to a temporary file that is published only
 on success.  Exit codes: 2 usage, 3 domain error, 4 precision/resource
-error.
+error, 141 (the shell's SIGPIPE status) when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
@@ -289,6 +290,13 @@ def main(argv=None) -> int:
     except QuadGaussError as exc:  # precision, resource and truncation errors
         print(f"quadgauss: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): fd 1 goes to the null device
+        # so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -10,17 +10,21 @@ Re-indexed about the nearest integer M of N x + theta, this is the
 decomposition of ``expansion``: renorm, boundary and kernel terms plus
 e^{i pi/4} (f(N) T(frac) - T(theta)).  ``boundary_series`` evaluates
 f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0) as
-``edge_layers`` at the window k0 = 16, every kernel argument positive,
-deepened until the leftover bound undercuts the policy tolerance.  The
-layers' small parameter is x/(pi (k0 + 1/2)^2) < 1/855, so their bounds
-keep shrinking for more than 855 orders, to about e^-855 ~ 1e-371: 16
-pairs serve every tolerance above that, and a tolerance below it raises
-TruncationError.  The work is O(M + 16 + layers); ``direct_sum`` stays the
-independent check.
+``edge_layers`` at a window k0, every kernel argument positive, deepened
+until the leftover bound undercuts the policy tolerance.  The window is
+the least k0 in 0..16 at which a proven ceiling on the least layer bound
+is below the tolerance, so the walk is sure to reach it; that least bound
+is about exp(-pi (k0 + 1 - |a|)^2 / x), so small x takes k0 = 0 and
+x = 0.9 at tol 1e-28 about 4.  At the cap k0 = 16 the layers' small
+parameter is x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking
+for more than 855 orders, to about e^-855 ~ 1e-371; a tolerance below
+that raises TruncationError.  The work is O(M + k0 + layers); ``direct_sum``
+stays the independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import GaussParams, phase_term, split_nearest
@@ -36,8 +40,9 @@ __all__ = [
     "exact_sum_detail",
 ]
 
-_WINDOW = 16  # explicit kernel pairs k = 1.._WINDOW per boundary series
+_WINDOW = 16  # the most explicit kernel pairs k = 1..k0 per boundary series
 _MAX_SHORT_TERMS = 10**6  # budget of the renormalized short sum's length M
+_LN_PI, _LN_2PI = math.log(math.pi), math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,8 @@ class BoundarySeries:
 
     ``tail_bound`` dominates the modulus of everything not captured by
     the k <= k_stop pairs plus the ``orders``-deep analytic tail.
+    ``k_stop`` is the chosen window k0: 0 means either a == 0, where the
+    series vanishes and ``orders`` == 0, or window 0 with ``orders`` >= 1.
     """
 
     value: object
@@ -78,35 +85,83 @@ class BoundarySeries:
     tail_bound: object
 
 
-def _layer_floor(x, a):
-    """A lower bound on every bound_r of edge_layers(x, a, _WINDOW), in
-    double precision with an unbounded exponent.
+def _layer_floor(x, a, k0: int):
+    """A lower bound on every bound_r of edge_layers(x, a, k0), in double
+    precision with an unbounded exponent.
 
-    With b = _WINDOW + 1 - |a| and zeta(s, b) >= b^(1-s)/(s-1), bound_r >=
-    L_r = (1/2)_{r+1} q^{r+1} / (4 pi (r+1)), q = x/(pi b^2) < 1/855.  The
-    ratio L_{r+1}/L_r = q (r + 1/2 + 1/(2r+4)) grows with r and first
-    reaches 1 at some r in r0..r0+3, r0 = floor(1/q) - 2, where L is least.
+    With b = k0 + 1 - |a| and zeta(s, b) >= b^(1-s)/(s-1), bound_r >= L_r =
+    (1/2)_{r+1} q^{r+1} / (4 pi (r+1)), q = x/(pi b^2).  The ratio
+    L_{r+1}/L_r = q (r + 1/2 + 1/(2r+4)) grows with r and first reaches 1
+    at some r in r0..r0+3, r0 = max(0, floor(1/q) - 2), where L is least.
     The result is shrunk by 2^-20 to cover its own rounding.
     """
-    b = _WINDOW + 1 - abs(_MP.mpf(a))
+    b = k0 + 1 - abs(_MP.mpf(a))
     q = _MP.mpf(x) / (_MP.pi * b * b)
-    r0 = int(1 / q) - 2
+    r0 = max(0, int(1 / q) - 2)
     log_floor = min(_MP.loggamma(r + _MP.mpf(1.5)) - _MP.log(_MP.pi) / 2
                     + (r + 1) * _MP.log(q) - _MP.log(4 * _MP.pi * (r + 1))
                     for r in range(r0, r0 + 4))
     return _MP.exp(log_floor) * (1 - _MP.ldexp(1, -20))
 
 
+def _log_layer_ceiling(x, a, k0: int) -> float:
+    """An upper bound on ln min_r bound_r of edge_layers(x, a, k0), in
+    double precision.
+
+    With b = k0 + 1 -+ |a| and zeta(s, b) <= b^-s + b^(1-s)/(s-1), bound_r
+    <= U_r = (1/2)_{r+1} p^{r+1} / (2 pi) sum_b b^-s (1 + b/(s-1)), s = 2r+3,
+    p = x/pi.  The b = k0 + 1 - |a| term dominates, and it is least near
+    r = 1/q, q = p/b^2, as in ``_layer_floor``: the result is the least U_r
+    over r0..r0+3, r0 = max(0, floor(1/q) - 2), with 1/q capped at e^35,
+    where U_r is already below any tolerance a working precision can ask
+    for.  Only logarithms are formed, so no x overflows an exponent.  Each
+    candidate is raised by 2^-40 of the magnitudes it sums, which covers
+    its float rounding.
+    """
+    log_p = float(_MP.log(x)) - _LN_PI
+    a = abs(float(a))
+    b_lo, b_hi = k0 + 1 - a, k0 + 1 + a
+    log_lo, log_hi = math.log(b_lo), math.log(b_hi)
+    r0 = max(0, int(math.exp(min(2 * log_lo - log_p, 35.0))) - 2)
+    best = math.inf
+    for r in range(r0, r0 + 4):
+        s = 2 * r + 3
+        lg = math.lgamma(r + 1.5)
+        lo = math.log1p(b_lo / (s - 1))
+        # the b_hi term relative to the b_lo term, at most 1
+        rel = math.exp(s * (log_lo - log_hi) + math.log1p(b_hi / (s - 1)) - lo)
+        log_u = (lg - _LN_PI / 2 + (r + 1) * log_p - _LN_2PI - s * log_lo + lo
+                 + math.log1p(rel))
+        scale = abs(lg) + (r + 1) * abs(log_p) + s * (abs(log_lo) + 1) + 8
+        best = min(best, log_u + scale * 2.0 ** -40)
+    return best
+
+
+def _window(x, a, tol) -> int:
+    """The least k0 in 0.._WINDOW whose layer ceiling is below tol, else
+    _WINDOW.
+
+    tol is lowered by 2^-20, as the floor is shrunk, so that the walk's
+    bounds, rounded at the working precision, fall below it too.  They
+    shrink until their least value (zeta(s, b) is log-convex in s), so the
+    walk at that window meets tol without TruncationError.
+    """
+    log_tol = float(_MP.log(tol)) - 2.0 ** -20
+    return next((k0 for k0 in range(_WINDOW)
+                 if _log_layer_ceiling(x, a, k0) < log_tol), _WINDOW)
+
+
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
                     ctx: PrecisionContext | None = None) -> BoundarySeries:
     """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
-    ``edge_layers`` at k0 = 16 until the leftover bound is below the policy
-    tolerance.
+    ``edge_layers`` at the window ``_window`` chooses until the leftover
+    bound is below the policy tolerance.
 
-    Raises TruncationError before the first layer when a proven lower bound
-    on every layer bound (``_layer_floor``) is above the tolerance, and
-    otherwise when the bounds stop shrinking before they reach it (about
-    1e-371 at worst).
+    A window below the cap of 16 is chosen only where the walk is proven to
+    reach the tolerance.  At the cap, raises TruncationError before the
+    first layer when a proven lower bound on every layer bound
+    (``_layer_floor``) is above the tolerance, and otherwise when the bounds
+    stop shrinking before they reach it (about 1e-371 at worst).
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -120,13 +175,15 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         # every pair cancels identically
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
-    floor = _layer_floor(x, a)
-    if _MP.mpf(tol) < floor:
-        raise TruncationError(
-            f"boundary_series: every layer bound exceeds {_MP.nstr(floor, 6)}, "
-            f"above tol={mp.nstr(tol, 6)}")
+    k0 = _window(x, a, tol)
+    if k0 == _WINDOW:
+        floor = _layer_floor(x, a, k0)
+        if _MP.mpf(tol) < floor:
+            raise TruncationError(
+                f"boundary_series: every layer bound exceeds {_MP.nstr(floor, 6)}, "
+                f"above tol={mp.nstr(tol, 6)}")
     total, last = 0, mp.inf
-    for orders, (term, bound) in enumerate(edge_layers(x, a, _WINDOW, ctx), 1):
+    for orders, (term, bound) in enumerate(edge_layers(x, a, k0, ctx), 1):
         total += term
         if bound < tol:
             break
@@ -137,7 +194,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         last = bound
     value = phase_term(edge, params, ctx) * total
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
-                          k_stop=_WINDOW, orders=orders, tail_bound=bound)
+                          k_stop=k0, orders=orders, tail_bound=bound)
 
 
 def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,

@@ -33,7 +33,8 @@ k0 sets the cost, not the sum, so the routes differ only in the window
 and the stopping rule.  ``asym`` takes k0 = 0 and n layers of both edges
 (``_series``): the paper's series in powers of x/pi and its N-independent
 remainder bound, whose theta half drops at theta = 0, where T(theta)
-vanishes.  ``exact`` takes k0 = 16 and deepens the layers to a tolerance.
+vanishes.  ``exact`` takes the least k0 <= 16 its tolerance needs and
+deepens the layers to it.
 K(theta) and K(frac) always go through the exact kernel: for
 frac = o(sqrt(x)) their large-t series is invalid.
 

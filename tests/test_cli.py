@@ -339,3 +339,26 @@ def test_curlicue_streams_its_output(tmp_path):
     with open(target, encoding="ascii") as fh:
         doc = json.load(fh)
     assert len(doc) == 100001 and doc[-1]["j"] == 100000
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # about 500 KB of rows overflow the pipe, so the copy to stdout fails
+    src = os.path.dirname(os.path.dirname(quadgauss.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nfrom quadgauss.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n",
+         "curlicue", "--x", "0.37", "--N", "5000", "--stride", "1"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"[\n"
+    assert code == 141
+    assert b"Traceback" not in err

@@ -21,6 +21,8 @@ from quadgauss import (
     exact_sum,
     exact_sum_detail,
 )
+from quadgauss.core import split_nearest
+from quadgauss.exact import _layer_floor, _log_layer_ceiling
 from quadgauss.expansion import edge_layers
 
 CTX30 = PrecisionContext(30)
@@ -103,7 +105,7 @@ def test_unreachable_tol_refused_before_the_first_layer():
 def test_layer_floor_is_below_every_layer_bound(x, a):
     ctx = CTX30
     mp = ctx.mp
-    floor = quadgauss.exact._layer_floor(mp.mpf(x), mp.mpf(a))
+    floor = quadgauss.exact._layer_floor(mp.mpf(x), mp.mpf(a), 16)
     least = min(itertools.islice((b for _, b in edge_layers(mp.mpf(x), mp.mpf(a), 16, ctx)),
                                  1000))
     assert 0 < floor < least
@@ -182,21 +184,101 @@ def _exact_vs_oracle(p, ctx):
     return abs(hi.mp.mpc(value) - S), allow, upper
 
 
+def _least_window(p, edge, ctx):
+    """The least window whose layer ceiling is below the default tol, less
+    2^-20, at this edge."""
+    a = p.theta if edge == 0 else split_nearest(p).frac
+    log_tol = float(ctx.mp.log(TailPolicy().resolve_tol(ctx))) - 2.0 ** -20
+    return next(k0 for k0 in range(17) if _log_layer_ceiling(p.x, a, k0) < log_tol)
+
+
 def test_exact_at_large_N_x():
     # N x + theta = 1800.3: the pairs below it are short-sum phases, so the
-    # explicit window stays at its first k_stop
-    err, allow, upper = _exact_vs_oracle(GaussParams("0.9", "0.3", 2000, CTX30), CTX30)
-    assert upper.k_stop == 16
+    # edge series at frac = 0.3 needs only a small window
+    p = GaussParams("0.9", "0.3", 2000, CTX30)
+    err, allow, upper = _exact_vs_oracle(p, CTX30)
+    assert upper.k_stop == _least_window(p, p.N, CTX30)
     assert err <= allow
 
 
 def test_exact_at_200_digits():
-    # 124 layers at the 16-pair window reach the default tol of 1e-198;
-    # capped at 14 layers, the window would need more than 10^6 pairs
+    # the least window whose ceiling meets the default tol of 1e-198 is 8,
+    # reached in 316 layers; capped at 14 layers, the window would need
+    # more than 10^6 pairs
     ctx = PrecisionContext(200)
-    err, allow, upper = _exact_vs_oracle(GaussParams("0.5", "0.2", 50, ctx), ctx)
-    assert upper.k_stop == 16
+    p = GaussParams("0.5", "0.2", 50, ctx)
+    err, allow, upper = _exact_vs_oracle(p, ctx)
+    assert upper.k_stop == _least_window(p, p.N, ctx)
     assert err <= allow
+
+
+@pytest.mark.parametrize("x,theta,N", [("1e-400", "-0.25", 3), ("1e-40", "0.3", 5)])
+def test_exact_at_tiny_x(x, theta, N):
+    # window 0 meets the tolerance at once; the window's choice works on
+    # logarithms, so no exponent overflows at x = 10^-400
+    err, allow, upper = _exact_vs_oracle(GaussParams(x, theta, N, CTX30), CTX30)
+    assert upper.k_stop == 0 and upper.orders == 1
+    assert err <= allow
+
+
+def _layer_bound(x, a, k0, r, mp):
+    """bound_r of edge_layers(x, a, k0) from its formula, with mpmath's zeta."""
+    b = k0 + 1 - abs(a), k0 + 1 + abs(a)
+    return (mp.rf(mp.mpf(1) / 2, r + 1) * (x / mp.pi) ** (r + 1) / (2 * mp.pi)
+            * (mp.zeta(2 * r + 3, b[0]) + mp.zeta(2 * r + 3, b[1])))
+
+
+def _least_layer_bound(x, a, k0, mp):
+    """min_r bound_r: the bounds shrink until their ratio reaches 1 (zeta is
+    log-convex in s) and grow after, so bisect for the first r at which
+    bound_{r+1} >= bound_r."""
+    def turned(r):
+        return _layer_bound(x, a, k0, r + 1, mp) >= _layer_bound(x, a, k0, r, mp)
+
+    hi = 1
+    while not turned(hi):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if turned(mid) else (mid + 1, hi)
+    return _layer_bound(x, a, k0, lo, mp)
+
+
+_OFFSETS = st.builds(lambda m, neg: -m if neg else m,
+                     st.floats(0, 0.5, exclude_min=True), st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(x=st.floats(0.005, 0.99), a=_OFFSETS, k0=st.integers(0, 16))
+@example(x=0.99, a=0.5, k0=0)  # the layers grow from the first: q > 1
+@example(x=0.005, a=1e-300, k0=16)  # about 171000 layers to the least bound
+def test_floor_and_ceiling_bracket_the_least_layer_bound(x, a, k0):
+    ctx = CTX30
+    mp = ctx.mp
+    x, a = mp.mpf(x), mp.mpf(a)
+    # the formula is the walk's: its first bounds agree to the working precision
+    for r, (_, bound) in zip(range(3), edge_layers(x, a, k0, ctx)):
+        assert abs(bound / _layer_bound(x, a, k0, r, mp) - 1) < 1e-25
+    least = _least_layer_bound(x, a, k0, mp)
+    assert 0 < _layer_floor(x, a, k0) <= least
+    assert float(mp.log(least)) <= _log_layer_ceiling(x, a, k0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(x=st.floats(0.005, 0.99), a=_OFFSETS, digits=st.integers(15, 29))
+@example(x=0.99, a=0.5, digits=29)
+def test_window_is_the_least_that_provably_meets_tol(x, a, digits):
+    # edge 0 at theta = a: the window is the least k0 whose ceiling is below
+    # tol, and the walk there reaches tol without TruncationError
+    ctx = CTX30
+    tol = ctx.mp.mpf(10) ** -digits
+    series = boundary_series(0, GaussParams(x, a, 1, ctx), TailPolicy(tol), ctx)
+    log_tol = float(ctx.mp.log(tol)) - 2.0 ** -20
+    ceilings = [_log_layer_ceiling(x, a, k0) for k0 in range(series.k_stop + 1)]
+    assert all(c >= log_tol for c in ceilings[:-1])
+    assert ceilings[-1] < log_tol
+    assert 0 < series.tail_bound < tol and series.orders >= 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
