@@ -49,7 +49,8 @@ import itertools
 from dataclasses import dataclass
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .core import (DEFAULT_MAX_TERMS, GaussParams, NearestSplit, direct_sum, phase_sum,
                    phase_term, split_nearest)
@@ -117,25 +118,36 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
     psi(k0+1+a) - psi(k0+1-a) (``_digamma_gap``), D_r = zeta(2r+1, k0+1-a)
     - zeta(2r+1, k0+1+a); the order-(r+1) zeta pair gives bound_r.  One
     ``zeta_odd_orders`` walk at each of the two arguments supplies every
-    order.
+    order.  Each order is a few libmp operations at the working precision,
+    rounded as mpmath's own arithmetic would round them: e^{i pi/4} (-i)^r
+    is (+-1 +- i)/sqrt(2), a 4-cycle of exact quarter turns, so both parts
+    of a layer are one real product up to sign.
     """
     mp = ctx.mp
+    prec, rnd = mp.prec, round_nearest
     a = mp.convert(a)  # an mpf offset keeps every bit
     xq = mp.mpf(x) / mp.pi
     coef = 1 / (2 * mp.pi)  # (1/2)_r (x/pi)^r / (2 pi)
-    turn = mp.expjpi(mp.mpf(1) / 4)  # e^{i pi/4} (-i)^r
-    term = turn * coef * _digamma_gap(a, k0, ctx)
+    term = mp.expjpi(mp.mpf(1) / 4) * coef * _digamma_gap(a, k0, ctx)
     if k0 > 0:
         # pairs are combined before accumulation to exploit their cancellation
         pairs = mp.fsum(erfc_kernel(k - a, x, ctx) - erfc_kernel(k + a, x, ctx)
                         for k in range(1, k0 + 1))
         term += pairs / (2 * mp.sqrt(x))
+    xq, coef = xq._mpf_, coef._mpf_
+    root_half = mpf_sqrt(from_man_exp(1, -1), prec, rnd)
+    # which parts of e^{i pi/4} (-i)^r sqrt(2) = 1 - i, -1 - i, -1 + i, 1 + i,
+    # r = 1, 2, 3, 4, ..., are negative
+    turns = itertools.cycle(((0, 1), (1, 1), (1, 0), (0, 0)))
     zetas = zip(zeta_odd_orders(k0 + 1 - a, ctx), zeta_odd_orders(k0 + 1 + a, ctx))
-    for r, (zm, zp) in enumerate(zetas, 1):
-        coef *= (r - 0.5) * xq
-        yield term, coef * (zm + zp)
-        turn *= mp.mpc(0, -1)
-        term = turn * coef * (zm - zp)
+    for r, ((zm, zp), (neg_re, neg_im)) in enumerate(zip(zetas, turns), 1):
+        zm, zp = zm._mpf_, zp._mpf_
+        coef = mpf_mul(coef, mpf_mul(from_man_exp(2 * r - 1, -1), xq, prec, rnd), prec, rnd)
+        yield term, mp.make_mpf(mpf_mul(coef, mpf_add(zm, zp, prec, rnd), prec, rnd))
+        part = mpf_mul(mpf_mul(root_half, coef, prec, rnd), mpf_sub(zm, zp, prec, rnd),
+                       prec, rnd)
+        term = mp.make_mpc((mpf_neg(part) if neg_re else part,
+                            mpf_neg(part) if neg_im else part))
 
 
 def _series(x, frac, theta, ctx: PrecisionContext):

@@ -1,23 +1,24 @@
 """Extended-precision special functions on the quarter-turn rays.
 
 The evaluation engine needs four primitives.  Hand-rolled code is kept
-only where it buys a certified bound or freedom from phase round-off;
-everything else is mpmath's own:
+only where it buys a certified bound, freedom from phase round-off or a
+measured gain in speed and accuracy; everything else is mpmath's own:
 
 * ``erfc_complex`` -- complementary error function of a complex argument,
   mpmath's ``erfc`` at the context's working precision behind a
-  finite-argument check.
+  finite-argument check.  No route calls it; the kernel below does not
+  need it.
 
 * ``erfc_kernel`` -- E(t) = exp(-pi i t^2/x) erfc(omega t sqrt(pi/x)) with
   omega = exp(-i pi/4): the boundary kernel of the continuum approximation
   to the quadratic exponential sum.  E(0) = 1 and
   E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.  For
-  t > 0, z^2 = -i pi t^2/x exactly, so E(t) = e^{z^2} erfc(z)
-  = U(1/2, 1/2, z^2)/sqrt(pi) (DLMF 13.6).  For |z|^2 <= 16 it is the
-  phase factor times ``erfc_complex``; beyond that one call to mpmath's
-  ``hyperu`` evaluates it from z^2 alone, without ever forming the
-  oscillatory factor, so no phase round-off enters however large t^2/x
-  grows.
+  t > 0, z^2 = -i r2 exactly, r2 = pi t^2/x, so E(t) = e^{z^2} erfc(z) is
+  a function of r2 alone, summed in fixed-point integers: Kummer's series
+  up to r2 = prec ln 2 or so, at as many extra bits as its terms cancel,
+  and the large-t series of ``erfc_kernel_asym`` beyond, which never forms
+  the oscillatory factor, so no phase round-off enters however large
+  t^2/x grows.
 
 * ``erfc_kernel_asym`` -- the large-t series of E with a certified tail
   bound: for t > 0 and n >= 1,
@@ -26,7 +27,8 @@ everything else is mpmath's own:
       |T_n| <= ((1/2)_n / sqrt(pi)) (x/(pi t^2))^(n+1/2),
 
   the bound being the standard first-omitted-term estimate for erfc on
-  |arg z| <= pi/4 (DLMF 7.12(i)).
+  |arg z| <= pi/4 (DLMF 7.12(i)).  ``erfc_kernel`` sums the same series
+  in the same loop, stopped by the same bound.
 
 * ``zeta_odd_orders`` -- zeta(3, a), zeta(5, a), ... from one fixed-point
   integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
@@ -46,9 +48,12 @@ exact floors that every caller reads alike.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_pow_int, round_nearest, to_fixed
+from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_pi, mpf_div,
+                          mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
+                          to_fixed, to_float)
 
 from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
@@ -73,17 +78,22 @@ class BoundedValue:
     bound: object
 
 
+# Bits the fixed-point loops (the kernel's two series, the Hurwitz-zeta
+# walk) carry beyond the working precision prec; the walk and the large-t
+# series drop terms below 2^-(prec + _GUARD/2).
+_GUARD = 32
+
+
 # ---------------------------------------------------------------------------
 # complementary error function
 # ---------------------------------------------------------------------------
 
-# erfc_kernel multiplies the phase by erfc_complex up to this |z|^2, where
-# that is faster than mpmath's hyperu, and calls hyperu beyond it.
-_SERIES_RADIUS2 = 16
-
-
 def erfc_complex(z, ctx: PrecisionContext):
-    """erfc(z) for complex z: mpmath's erfc at the working precision."""
+    """erfc(z) for complex z: mpmath's erfc at the working precision.
+
+    Public for callers of the library; neither route uses it, since
+    ``erfc_kernel`` sums E(t) = e^{z^2} erfc(z) directly.
+    """
     mp = ctx.mp
     z = mp.mpc(z)
     if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
@@ -95,20 +105,112 @@ def erfc_complex(z, ctx: PrecisionContext):
 # the kernel E(t)
 # ---------------------------------------------------------------------------
 
+# qgbench/tracer.py labels kernel calls by r2 = |z|^2 bands and reads this
+# edge of its lowest one; the kernel itself switches series at _switch(prec).
+_SERIES_RADIUS2 = 16
+_LN2 = math.log(2)
+
+
+def _switch(prec: int) -> float:
+    """The r2 from which the large-t series is used at working precision prec.
+
+    Its terms relative to the first, c_r = (1/2)_r r2^-r, are least near
+    r = ceil(r2), where Gamma(m + 1/2) <= sqrt(2 pi) m^m e^-m gives
+    c_m <= sqrt(2) e^(1/r2) e^-r2.  From r2 = (prec + _GUARD/2) ln 2 + 1 on
+    that is below 2^-(prec + _GUARD/2), where ``_large_t`` stops, so the
+    series always gets there before its terms grow.
+    """
+    return (prec + _GUARD // 2) * _LN2 + 1
+
+
+def _large_t(q, prec: int, n=None):
+    """(re, im) of pi^(-1/2) sum_{r<n} (-1)^r (1/2)_r (i/r2)^(r+1/2),
+    r2 = pi q > 0, q an mpf tuple, rounded to prec bits.
+
+    The sum is e^{i pi/4} (pi r2)^(-1/2) sum_r c_r (-i)^r with c_0 = 1 and
+    c_r = c_(r-1) (2r - 1)/(2 r2), summed in integers in units of 2^-Q,
+    Q = prec + 2 _GUARD, one running sum per power of -i.  With n None it
+    stops before the first c_r below 2^-(prec + _GUARD/2), the
+    first-omitted-term bound relative to the leading term (DLMF 7.12(i));
+    ``_switch`` makes sure that happens.  Over T terms the floors, and
+    that of 1/(2 r2), cost at most T^3 units, below that bound for
+    T < 2^16.  The precision depends on prec alone, however large r2 is.
+    """
+    Q = prec + 2 * _GUARD
+    F = prec + _GUARD
+    pi = mpf_pi(F)
+    w = to_fixed(mpf_div(fone, mpf_shift(mpf_mul(q, pi, F), 1), Q), Q)  # 1/(2 r2)
+    stop = 1 << (Q - prec - _GUARD // 2) if n is None else 1
+    c, sums, r = 1 << Q, [0, 0, 0, 0], 0
+    while c >= stop and r != n:
+        sums[r & 3] += c
+        r += 1
+        c = (c * w >> Q) * (2 * r - 1)
+    re, im = sums[0] - sums[2], sums[3] - sums[1]
+    # e^{i pi/4} (pi r2)^(-1/2) = (1 + i) lead, lead = 1/(pi sqrt(2 q))
+    lead = mpf_div(fone, mpf_mul(pi, mpf_sqrt(mpf_shift(q, 1), F), F), F)
+    return (mpf_mul(lead, from_man_exp(re - im, -Q), prec, round_nearest),
+            mpf_mul(lead, from_man_exp(re + im, -Q), prec, round_nearest))
+
+
+def _kummer(q, tt, x, prec: int):
+    """(re, im) of E(t) for t > 0 with t^2 = tt, from Kummer's series, rounded
+    to prec bits, q = t^2/x to prec + _GUARD bits: with r2 = pi t^2/x,
+
+        E = e^{-i pi t^2/x} - 2 e^{-i pi/4} (t/sqrt(x)) sum_n (-2i r2)^n/(2n+1)!!.
+
+    The terms reach about e^r2 and cancel to O(1), so they are summed in
+    integers in units of 2^-Q, Q = prec + _GUARD + ceil(r2 log2 e) + bits
+    of a term count: each floor costs at most e^r2 units, and the terms
+    fall below one unit within max(2 e r2, Q) of them; the sum stops at
+    one below 2^-(prec + _GUARD) once the ratios are below 1/2.  It is a
+    smooth O(1) function of r2, so r2 needs only an absolute
+    2^-(prec + _GUARD): it carries prec + _GUARD + mag(r2) bits and
+    multiplies the terms at that many, and the unit phase is expjpi of
+    t^2/x to the same absolute accuracy.
+    """
+    F = prec + _GUARD
+    extra = max(0, q[2] + q[3])  # mag(t^2/x)
+    if extra:
+        q = mpf_div(tt, x, F + extra, round_nearest)
+    r2 = mpf_mul(q, mpf_pi(F + extra + 2), F + extra + 2)
+    size = to_float(r2)
+    Q = F + int(size / _LN2) + 1
+    Q += (6 * int(size) + Q).bit_length()
+    R = to_fixed(mpf_shift(r2, 1), F)  # 2 r2
+    stop = 1 << (Q - F)
+    a, sums, n = 1 << Q, [0, 0, 0, 0], 0
+    # past a term below 2^-F with the ratios 2 r2/(2n+3) below 1/2, what is
+    # left is less than twice that term
+    while a >= stop or 2 * R > (2 * n + 3) << F:
+        sums[n & 3] += a
+        n += 1
+        a = (a * R >> F) // (2 * n + 1)
+    # sum = s_re + i s_im in units of 2^-F; e^{-i pi/4} 2 t/sqrt(x) = (1 - i) v,
+    # v = sqrt(2 t^2/x)
+    s_re, s_im = (sums[0] - sums[2]) >> (Q - F), (sums[3] - sums[1]) >> (Q - F)
+    v = to_fixed(mpf_sqrt(mpf_shift(q, 1), F), F)
+    cos, sin = mpf_cos_sin_pi(q, F, round_nearest)
+    re = to_fixed(cos, F) - (v * (s_re + s_im) >> F)
+    im = -to_fixed(sin, F) - (v * (s_im - s_re) >> F)
+    return from_man_exp(re, -F, prec, round_nearest), from_man_exp(im, -F, prec, round_nearest)
+
 
 def erfc_kernel(t, x, ctx: PrecisionContext):
     """E(t) = exp(-pi i t^2/x) erfc(omega t sqrt(pi/x)), omega = e^{-i pi/4}.
 
-    Defined for 0 < x < 1 and any real t.  For t > 0 the argument sits on
-    the -pi/4 ray where z^2 = -i pi t^2/x exactly, so E(t) = e^{z^2} erfc(z)
-    = U(1/2, 1/2, z^2)/sqrt(pi) (DLMF 13.6): beyond |z|^2 = 16 mpmath's
-    ``hyperu`` evaluates it from z^2 alone, *without* the oscillatory
-    factor -- no phase roundoff however large t^2/x grows.  Negative t goes
+    Defined for 0 < x < 1 and any real t.  For t > 0 the argument z sits on
+    the -pi/4 ray where z^2 = -i r2, r2 = pi t^2/x, exactly, and E(t) =
+    e^{z^2} erfc(z) is one integer evaluation: Kummer's series (``_kummer``)
+    below r2 = ``_switch(prec)``, about prec ln 2, and the large-t series
+    (``_large_t``) from there, which never forms the oscillatory factor, so
+    no phase round-off enters however large t^2/x grows.  Negative t goes
     through the reflection E(-t) = 2 exp(-pi i t^2/x) - E(t), whose leading
-    term carries the (genuine) oscillation.  Its phase t^2/x is formed from
-    the unrounded t with as many extra bits as it has integer bits, so an
-    mpf t carrying more than the working precision (an exact fractional
-    part of N x + theta) keeps them all.
+    term carries the (genuine) oscillation.  Its phase t^2/x is formed
+    from the unrounded t with as many extra bits as it has integer bits;
+    for t > 0 the series read t to prec + 2 _GUARD bits, so an mpf t
+    carrying more than the working precision (an exact fractional part of
+    N x + theta) keeps more than they need.
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -125,22 +227,26 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
             phase = mp.expjpi(-(tt / x))
         value = 2 * phase - erfc_kernel(-t, x, ctx)
         return ensure_finite(mp, value, "erfc_kernel")
-    r2 = mp.pi * t * t / x  # |z|^2
-    if r2 <= _SERIES_RADIUS2:
-        z = mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x))
-        value = mp.expjpi(-(t * t / x)) * erfc_complex(z, ctx)
+    prec = mp.prec
+    # t^2/x to prec + 2 _GUARD - 2 bits: the absolute 2^-(prec + _GUARD)
+    # Kummer's branch needs while t^2/x < 2^30, true below the switch
+    t = mpf_pos(t._mpf_, prec + 2 * _GUARD, round_nearest)
+    tt = mpf_mul(t, t)
+    q = mpf_div(tt, x._mpf_, prec + _GUARD, round_nearest)
+    if mpf_cmp(mpf_mul(q, mpf_pi(prec), prec), from_float(_switch(prec))) < 0:
+        value = _kummer(q, tt, x._mpf_, prec)
     else:
-        half = mp.mpf(1) / 2
-        value = mp.hyperu(half, half, mp.mpc(0, -r2)) / mp.sqrt(mp.pi)
-    return ensure_finite(mp, value, "erfc_kernel")
+        value = _large_t(q, prec)
+    return ensure_finite(mp, mp.make_mpc(value), "erfc_kernel")
 
 
 def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
     """Large-t series of E(t) truncated after n terms, with certified bound.
 
     Requires t > 0 (callers reflect negative arguments themselves), x in
-    (0, 1), n >= 1.  The bound (1/2)_n (x/(pi t^2))^{n+1/2} / sqrt(pi)
-    dominates |E(t) - value| for every t > 0.
+    (0, 1), n >= 1.  The value is ``erfc_kernel``'s own large-t sum
+    (``_large_t``) stopped at n terms; the bound (1/2)_n (x/(pi t^2))^{n+1/2}
+    / sqrt(pi) dominates |E(t) - value| for every t > 0.
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -151,21 +257,11 @@ def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
         raise DomainError("erfc_kernel_asym: t must be positive")
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"erfc_kernel_asym: n must be a positive integer, got {n}")
+    q = mpf_div(mp.fmul(t, t, exact=True)._mpf_, x._mpf_, mp.prec + _GUARD, round_nearest)
+    value = mp.make_mpc(_large_t(q, mp.prec, n))
     w = x / (mp.pi * t * t)
     half = mp.mpf(1) / 2
-    # sum_{r<n} (1/2)_r (-i w)^r, then rotate by i^(1/2) = e^{i pi/4}
-    miw = mp.mpc(0, -1) * w
-    term = mp.mpc(1)
-    acc = mp.mpc(1)
-    poch = mp.mpf(1)  # (1/2)_r
-    for r in range(1, n):
-        poch *= r - half
-        term = term * miw * (r - half)
-        acc += term
-    poch *= n - half  # (1/2)_n
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    value = rot * mp.sqrt(w) * acc / mp.sqrt(mp.pi)
-    bound = poch * w ** (n + half) / mp.sqrt(mp.pi)
+    bound = mp.rf(half, n) * w ** (n + half) / mp.sqrt(mp.pi)
     return BoundedValue(ensure_finite(mp, value, "erfc_kernel_asym"), bound)
 
 
@@ -191,9 +287,6 @@ def hurwitz_zeta_odd(r: int, a, ctx: PrecisionContext):
     return next(itertools.islice(zeta_odd_orders(a, ctx), r - 1, None))
 
 
-# Bits the fixed-point engine carries beyond the working precision; terms
-# below 2^(_GUARD/2) of its units are dropped.
-_GUARD = 32
 # The head starts with one term per _HEAD_BITS bits of working precision.
 _HEAD_BITS = 6
 
@@ -244,7 +337,9 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     multiplies the running powers u_k^s by u_k^2; the corrections run by
     the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2 until they drop below
     2^(-prec-16), which bounds the Euler--Maclaurin remainder since every
-    derivative of (t + a)^-s is monotone.  The head starts at prec/6 terms,
+    derivative of (t + a)^-s is monotone.  The factor a^-s steps by a^-2
+    at P bits, so order r carries about r roundings of 2^-P, far below the
+    working precision.  The head starts at prec/6 terms,
     which makes 2 pi w, the depth the corrections can reach, exceed P ln 2;
     it doubles, as the old per-call pass did, if they grow first.  Once
     u_K^s underflows the tail is gone for good and the head sheds its zero
@@ -286,6 +381,8 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
 
     K = max(10, prec // _HEAD_BITS)
     extend_head(K, 1)
+    a_pow = mpf_div(fone, a, P, round_nearest)
+    a_inv2 = mpf_mul(a_pow, a_pow, P, round_nearest)
     W, kappa = (K << P) + A, []  # w = K + a
     tail_live = True
     for s in itertools.count(3, 2):
@@ -300,9 +397,8 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
             extend_head(K, s)
             W, kappa = (K << P) + A, []
         head = sum(powers[:K]) if tail_live else sum(powers)
-        value = mpf_mul(from_man_exp(head + tail, -P), mpf_pow_int(a, -s, P),
-                        prec, round_nearest)
-        yield mp.make_mpf(value)
+        a_pow = mpf_mul(a_pow, a_inv2, P, round_nearest)  # a^-s
+        yield mp.make_mpf(mpf_mul(from_man_exp(head + tail, -P), a_pow, prec, round_nearest))
 
 
 def cot_pi_reg(lam, ctx: PrecisionContext):
@@ -325,7 +421,11 @@ def cot_pi_reg(lam, ctx: PrecisionContext):
 
 def hzeta_diff(r: int, lam, ctx: PrecisionContext):
     """Reflection difference: pi*cot(pi*lam) - 1/lam for r = 0, else
-    zeta(2r+1, 1+lam) - zeta(2r+1, 1-lam).  Odd in lam, zero at lam = 0."""
+    zeta(2r+1, 1+lam) - zeta(2r+1, 1-lam).  Odd in lam, zero at lam = 0.
+
+    Each call walks ``zeta_odd_orders`` through orders 1..r at both
+    arguments, so a caller that needs many orders should walk them once.
+    """
     mp = ctx.mp
     lam = mp.mpf(lam)
     if not abs(lam) < 1:
@@ -342,7 +442,10 @@ def hzeta_diff(r: int, lam, ctx: PrecisionContext):
 def hzeta_sum(r: int, lam, ctx: PrecisionContext):
     """Reflection sum zeta(2r+1, 1+lam) + zeta(2r+1, 1-lam), r >= 1.
 
-    Even in lam and strictly positive; equals 2*zeta(2r+1) at lam = 0."""
+    Even in lam and strictly positive; equals 2*zeta(2r+1) at lam = 0.
+    Each call walks ``zeta_odd_orders`` through orders 1..r at both
+    arguments, so a caller that needs many orders should walk them once.
+    """
     mp = ctx.mp
     lam = mp.mpf(lam)
     if not abs(lam) < 1:

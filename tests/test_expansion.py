@@ -5,6 +5,7 @@ import random
 
 import mpmath
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from quadgauss import (
     DomainError,
@@ -15,6 +16,7 @@ from quadgauss import (
     cot_pi_reg,
     direct_sum,
     exact_sum,
+    exact_sum_detail,
     hurwitz_zeta_odd,
     hzeta_diff,
     hzeta_sum,
@@ -410,3 +412,24 @@ def test_no_route_reflects_the_kernel(monkeypatch):
         asymptotic_sum(p, 4)
         exact_sum(p)
     assert args and min(args) >= 0
+
+
+def test_no_route_calls_mpmath_erfc_or_hyperu(monkeypatch):
+    # the kernel is one integer evaluation on both sides of its switch: the
+    # first input takes the large-t series (r2 ~ 210 at theta), the others
+    # Kummer's series
+    called = []
+
+    def spy(name, method):
+        def wrapped(ctx, *args, **kwargs):
+            called.append(name)
+            return method(ctx, *args, **kwargs)
+        return wrapped
+
+    for name in ("erfc", "hyperu"):
+        monkeypatch.setattr(MPContext, name, spy(name, getattr(MPContext, name)))
+    for xs, theta, n in (("0.003", "-0.45", 700), ("0.37", "-0.2", 100), ("0.9", "0.3", 50)):
+        p = GaussParams(xs, theta, n, CTX40)
+        asymptotic_sum(p, 4)
+        exact_sum_detail(p)
+    assert not called

@@ -23,7 +23,8 @@ from quadgauss import (
 from quadgauss import special
 from quadgauss.special import zeta_odd_orders
 
-from _utils import _hzeta, erfc_quadrature, machin_pi, mp_reference_erfc, zeta_series_oracle
+from _utils import (_hzeta, _kernel, erfc_quadrature, machin_pi, mp_reference_erfc,
+                    zeta_series_oracle)
 
 CTX30 = PrecisionContext(30)
 CTX50 = PrecisionContext(50)
@@ -182,8 +183,8 @@ def test_kernel_self_consistency_via_series():
 
 @pytest.mark.parametrize("ctx", [CTX30, CTX50], ids=["d30", "d50"])
 def test_kernel_against_quadrature_above_series_radius(ctx):
-    # |z|^2 = pi t^2/x past the series radius, where only hyperu runs,
-    # against the phase times an erfc quadrature independent of it
+    # |z|^2 = pi t^2/x from 16.5 to 140, on both sides of the switch to the
+    # large-t series, against the phase times an erfc quadrature
     mp = ctx.mp
     omega = mp.expjpi(mp.mpf(-1) / 4)
     for x in ("0.9", "0.01", "1e-6"):
@@ -192,6 +193,58 @@ def test_kernel_against_quadrature_above_series_radius(ctx):
             t = mp.sqrt(mp.mpf(r2) * x / mp.pi)
             ref = mp.expjpi(-(t * t / x)) * erfc_quadrature(omega * t * mp.sqrt(mp.pi / x), ctx)
             assert abs(erfc_kernel(t, x, ctx) - ref) <= 10 * ctx.eps * abs(ref), (x, r2)
+
+
+def _kernel_ulps(t, x, ctx):
+    """|erfc_kernel(t, x) - E(t)| in units in the last place of |E| at the
+    working precision, E from the mpmath reference 20 digits higher."""
+    got = erfc_kernel(t, x, ctx)
+    rmp = PrecisionContext(ctx.digits + 20).mp
+    ref = _kernel(rmp, t, x)
+    return abs(rmp.mpc(got) - ref) / rmp.ldexp(1, rmp.mag(abs(ref)) - ctx.mp.prec)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(log_r2=st.floats(-8, 8), log_x=st.floats(-3, -0.005),
+       digits=st.sampled_from([15, 30, 50, 100]))
+def test_kernel_within_two_ulps_of_reference(log_r2, log_x, digits):
+    # r2 = pi t^2/x log-uniform over both series of the integer kernel
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    x = mp.mpf(10) ** log_x
+    t = mp.sqrt(mp.mpf(10) ** log_r2 * x / mp.pi)
+    assert _kernel_ulps(t, x, ctx) <= 2, (t, x, digits)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+def test_kernel_within_two_ulps_at_the_switch(digits):
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    x = mp.mpf("0.37")
+    for side in (-1, 1):
+        r2 = mp.mpf(special._switch(mp.prec)) * (1 + side * mp.mpf(10) ** -9)
+        t = mp.sqrt(r2 * x / mp.pi)
+        assert _kernel_ulps(t, x, ctx) <= 2, side
+
+
+def test_kernel_within_two_ulps_of_a_t_beyond_working_precision():
+    # an exact fractional part carries more bits than the working precision;
+    # Kummer's series (r2 ~ 46) and the large-t series (r2 ~ 7.8e3)
+    ctx = CTX30
+    mp = ctx.mp
+    x = mp.mpf("0.37")
+    for whole in (2, 30):
+        with mp.extraprec(2 * mp.prec):
+            t = whole + mp.mpf(1) / 3
+        assert _kernel_ulps(t, x, ctx) <= 2, whole
+
+
+@pytest.mark.parametrize("digits", [50, 100, 200])
+def test_kernel_within_two_ulps_below_the_old_series_radius(digits):
+    # r2 = 15.5: the phase times mpmath's erfc at the working precision was
+    # 14, 21 and 22 ulps off here
+    ctx = PrecisionContext(digits)
+    assert _kernel_ulps(ctx.mp.mpf("0.8"), ctx.mp.mpf("0.13"), ctx) <= 2
 
 
 # ---------------------------------------------------------------------------
