@@ -18,8 +18,8 @@ is about exp(-pi (k0 + 1 - |a|)^2 / x), so small x takes k0 = 0 and
 x = 0.9 at tol 1e-28 about 4.  At the cap k0 = 16 the layers' small
 parameter is x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking
 for more than 855 orders, to about e^-855 ~ 1e-371; a tolerance below
-that raises TruncationError.  The work is O(M + k0 + layers); ``direct_sum``
-stays the independent check.
+the cap's ceiling raises TruncationError before the first layer.  The
+work is O(M + k0 + layers); ``direct_sum`` stays the independent check.
 """
 
 from __future__ import annotations
@@ -85,36 +85,17 @@ class BoundarySeries:
     tail_bound: object
 
 
-def _layer_floor(x, a, k0: int):
-    """A lower bound on every bound_r of edge_layers(x, a, k0), in double
-    precision with an unbounded exponent.
-
-    With b = k0 + 1 - |a| and zeta(s, b) >= b^(1-s)/(s-1), bound_r >= L_r =
-    (1/2)_{r+1} q^{r+1} / (4 pi (r+1)), q = x/(pi b^2).  The ratio
-    L_{r+1}/L_r = q (r + 1/2 + 1/(2r+4)) grows with r and first reaches 1
-    at some r in r0..r0+3, r0 = max(0, floor(1/q) - 2), where L is least.
-    The result is shrunk by 2^-20 to cover its own rounding.
-    """
-    b = k0 + 1 - abs(_MP.mpf(a))
-    q = _MP.mpf(x) / (_MP.pi * b * b)
-    r0 = max(0, int(1 / q) - 2)
-    log_floor = min(_MP.loggamma(r + _MP.mpf(1.5)) - _MP.log(_MP.pi) / 2
-                    + (r + 1) * _MP.log(q) - _MP.log(4 * _MP.pi * (r + 1))
-                    for r in range(r0, r0 + 4))
-    return _MP.exp(log_floor) * (1 - _MP.ldexp(1, -20))
-
-
 def _log_layer_ceiling(x, a, k0: int) -> float:
     """An upper bound on ln min_r bound_r of edge_layers(x, a, k0), in
     double precision.
 
     With b = k0 + 1 -+ |a| and zeta(s, b) <= b^-s + b^(1-s)/(s-1), bound_r
     <= U_r = (1/2)_{r+1} p^{r+1} / (2 pi) sum_b b^-s (1 + b/(s-1)), s = 2r+3,
-    p = x/pi.  The b = k0 + 1 - |a| term dominates, and it is least near
-    r = 1/q, q = p/b^2, as in ``_layer_floor``: the result is the least U_r
-    over r0..r0+3, r0 = max(0, floor(1/q) - 2), with 1/q capped at e^35,
-    where U_r is already below any tolerance a working precision can ask
-    for.  Only logarithms are formed, so no x overflows an exponent.  Each
+    p = x/pi.  The b = k0 + 1 - |a| term dominates; its ratio from r to
+    r + 1 is about q (r + 1/2), q = p/b^2, so it is least near r = 1/q: the
+    result is the least U_r over r0..r0+3, r0 = max(0, floor(1/q) - 2),
+    with 1/q capped at e^35, where U_r is already below any tolerance a
+    working precision can ask for.  Only logarithms are formed, so no x overflows an exponent.  Each
     candidate is raised by 2^-40 of the magnitudes it sums, which covers
     its float rounding.
     """
@@ -137,18 +118,18 @@ def _log_layer_ceiling(x, a, k0: int) -> float:
     return best
 
 
-def _window(x, a, tol) -> int:
-    """The least k0 in 0.._WINDOW whose layer ceiling is below tol, else
-    _WINDOW.
+def _window(x, a, tol) -> int | None:
+    """The least k0 in 0.._WINDOW whose layer ceiling is below tol, or None
+    when no window's is.
 
-    tol is lowered by 2^-20, as the floor is shrunk, so that the walk's
-    bounds, rounded at the working precision, fall below it too.  They
-    shrink until their least value (zeta(s, b) is log-convex in s), so the
-    walk at that window meets tol without TruncationError.
+    tol is lowered by 2^-20 so that the walk's bounds, rounded at the
+    working precision, fall below it too.  They shrink until their least
+    value (zeta(s, b) is log-convex in s), so the walk at that window meets
+    tol without TruncationError.
     """
     log_tol = float(_MP.log(tol)) - 2.0 ** -20
-    return next((k0 for k0 in range(_WINDOW)
-                 if _log_layer_ceiling(x, a, k0) < log_tol), _WINDOW)
+    return next((k0 for k0 in range(_WINDOW + 1)
+                 if _log_layer_ceiling(x, a, k0) < log_tol), None)
 
 
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
@@ -157,11 +138,11 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
     ``edge_layers`` at the window ``_window`` chooses until the leftover
     bound is below the policy tolerance.
 
-    A window below the cap of 16 is chosen only where the walk is proven to
-    reach the tolerance.  At the cap, raises TruncationError before the
-    first layer when a proven lower bound on every layer bound
-    (``_layer_floor``) is above the tolerance, and otherwise when the bounds
-    stop shrinking before they reach it (about 1e-371 at worst).
+    A window is chosen only where the walk is proven to reach the
+    tolerance.  When no window up to the cap of 16 is, raises
+    TruncationError before the first layer (possible only above about
+    370 digits, with x near 1).  The walk still raises it if its bounds
+    stop shrinking first, which the proof rules out.
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -176,12 +157,12 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
     k0 = _window(x, a, tol)
-    if k0 == _WINDOW:
-        floor = _layer_floor(x, a, k0)
-        if _MP.mpf(tol) < floor:
-            raise TruncationError(
-                f"boundary_series: every layer bound exceeds {_MP.nstr(floor, 6)}, "
-                f"above tol={mp.nstr(tol, 6)}")
+    if k0 is None:
+        ceiling = mp.exp(_log_layer_ceiling(x, a, _WINDOW))
+        raise TruncationError(
+            f"boundary_series: no window k0 <= {_WINDOW} provably reaches "
+            f"tol={mp.nstr(tol, 6)}; the least layer bound at k0={_WINDOW} is proven "
+            f"only below {mp.nstr(ceiling, 6)}")
     total, last = 0, mp.inf
     for orders, (term, bound) in enumerate(edge_layers(x, a, k0, ctx), 1):
         total += term

@@ -183,6 +183,15 @@ def test_certified_commands_exit_cleanly_on_small_exact_inputs(capsys):
                     assert code in (0, 3, 4) and "Traceback" not in err, (argv, err)
 
 
+def test_exact_refuses_an_unreachable_tol_in_one_line(capsys):
+    # at digits 400 and x = 0.99 no window up to 16 provably reaches 1e-378
+    code, out, err = run_cli(capsys, "exact", "--x", "0.99", "--theta", "0.5", "--N", "3",
+                             "--digits", "400", "--tol", "1e-378")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("quadgauss: ")
+    assert "Traceback" not in err
+
+
 def test_curlicue_hand_computed_track(capsys):
     doc = run_json(capsys, "curlicue", "--x", "0.5", "--theta", "0", "--N", "4",
                    "--digits", "16")

@@ -1,6 +1,5 @@
 """The erfc-series representation against quadrature and the oracle."""
 
-import itertools
 import random
 import time
 
@@ -22,7 +21,7 @@ from quadgauss import (
     exact_sum_detail,
 )
 from quadgauss.core import split_nearest
-from quadgauss.exact import _layer_floor, _log_layer_ceiling
+from quadgauss.exact import _log_layer_ceiling
 from quadgauss.expansion import edge_layers
 
 CTX30 = PrecisionContext(30)
@@ -91,8 +90,9 @@ def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
 
 def test_unreachable_tol_refused_before_the_first_layer():
     # at 450 digits the default tol (1e-449) is below every layer bound at
-    # x = 0.99 (the smallest is about 1e-377, after some 860 orders); the
-    # proven floor refuses it at once instead of walking the orders to it
+    # x = 0.99 (the smallest is about 1e-377, after some 860 orders); no
+    # window's proven ceiling is below it, so it is refused at once instead
+    # of walking the orders to it
     ctx = PrecisionContext(450)
     p = GaussParams("0.99", "0.5", 3, ctx)
     start = time.perf_counter()
@@ -101,14 +101,40 @@ def test_unreachable_tol_refused_before_the_first_layer():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("x,a", [("0.99", "0.5"), ("0.9", "-0.3")])
-def test_layer_floor_is_below_every_layer_bound(x, a):
-    ctx = CTX30
+def _cap_case(monkeypatch):
+    """Edge 0 at digits 400, x = 0.99, theta = 0.5: (params, the cap's
+    ceiling, the list of layers the series pulls)."""
+    pulled = []
+
+    def spy(*args):
+        for layer in edge_layers(*args):
+            pulled.append(layer)
+            yield layer
+
+    monkeypatch.setattr(quadgauss.exact, "edge_layers", spy)
+    ctx = PrecisionContext(400)
     mp = ctx.mp
-    floor = quadgauss.exact._layer_floor(mp.mpf(x), mp.mpf(a), 16)
-    least = min(itertools.islice((b for _, b in edge_layers(mp.mpf(x), mp.mpf(a), 16, ctx)),
-                                 1000))
-    assert 0 < floor < least
+    ceiling = mp.exp(_log_layer_ceiling(mp.mpf("0.99"), mp.mpf("0.5"), 16))
+    return GaussParams("0.99", "0.5", 3, ctx), ceiling, pulled
+
+
+def test_tol_below_the_cap_ceiling_refused_before_the_first_layer(monkeypatch):
+    # the least layer bound at the cap is about 8.54e-378 and its ceiling
+    # 8.62e-378: half the ceiling lies below the least bound, so no walk
+    # reaches it, and it is refused before a layer is pulled
+    p, ceiling, pulled = _cap_case(monkeypatch)
+    with pytest.raises(TruncationError):
+        boundary_series(0, p, TailPolicy(ceiling / 2))
+    assert pulled == []
+
+
+def test_tol_above_the_cap_ceiling_met_at_the_cap(monkeypatch):
+    # 5% above the ceiling the cap provably reaches tol, after some 850 orders
+    p, ceiling, pulled = _cap_case(monkeypatch)
+    tol = ceiling * p.ctx.mp.mpf("1.05")
+    series = boundary_series(0, p, TailPolicy(tol))
+    assert series.k_stop == 16 and series.orders == len(pulled)
+    assert series.tail_bound < tol
 
 
 def test_short_sum_budget_refused_before_any_term():
@@ -253,7 +279,7 @@ _OFFSETS = st.builds(lambda m, neg: -m if neg else m,
 @given(x=st.floats(0.005, 0.99), a=_OFFSETS, k0=st.integers(0, 16))
 @example(x=0.99, a=0.5, k0=0)  # the layers grow from the first: q > 1
 @example(x=0.005, a=1e-300, k0=16)  # about 171000 layers to the least bound
-def test_floor_and_ceiling_bracket_the_least_layer_bound(x, a, k0):
+def test_ceiling_is_above_the_least_layer_bound(x, a, k0):
     ctx = CTX30
     mp = ctx.mp
     x, a = mp.mpf(x), mp.mpf(a)
@@ -261,7 +287,6 @@ def test_floor_and_ceiling_bracket_the_least_layer_bound(x, a, k0):
     for r, (_, bound) in zip(range(3), edge_layers(x, a, k0, ctx)):
         assert abs(bound / _layer_bound(x, a, k0, r, mp) - 1) < 1e-25
     least = _least_layer_bound(x, a, k0, mp)
-    assert 0 < _layer_floor(x, a, k0) <= least
     assert float(mp.log(least)) <= _log_layer_ceiling(x, a, k0)
 
 
