@@ -130,9 +130,10 @@ def _emit(rows, args, mp, fh):
         csv.writer(fh, lineterminator="\r\n").writerows(
             itertools.chain([first.keys(), first.values()], (row.values() for row in out)))
         return
-    # the bytes json.dumps(list(rows), indent=2) gives, 1024 rows at a
-    # time: each chunk's document less its "[\n" and "\n]"
-    chunks = iter(lambda: list(itertools.islice(out, 1024)), [])
+    # the bytes json.dumps(list(rows), indent=2) gives, 64 rows at a time
+    # (few rows held, and the same bytes): each chunk's document less its
+    # "[\n" and "\n]"
+    chunks = iter(lambda: list(itertools.islice(out, 64)), [])
     head = next(chunks)
     if len(head) == 1:  # one row is a bare object
         fh.write(json.dumps(head[0], indent=2) + "\n")

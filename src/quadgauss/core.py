@@ -13,19 +13,25 @@ term-wise identities:
     S_N(x, theta + 1) = S_N(x, theta)
     S_N(-x, -theta)   = conj(S_N(x, theta))
 
-Every phase x t^2 + 2 theta t goes straight to mpmath's ``expjpi``,
-which reduces it by the nearest half-integer on the exact binary
-mantissa, so a phase loses nothing to its size once it is formed.
-``phase_term`` forms it exactly.  The oracle loop rounds each phase
-(at most N^2 + N) and each partial sum (at most N) at the working
-precision, ``GUARD_DIGITS`` beyond ``digits``, so the direct sum's error
-stays within N * eps for every N the term budget admits.  That makes it
-the ground truth every other evaluation path is tested against.
+``phase_term`` forms one phase x t^2 + 2 theta t exactly and hands it
+to mpmath's ``expjpi``.  The phase loop behind the oracle, the
+renormalized short sum and the curlicue (``_phase_partial_sums``) reads
+x and 2 theta once in fixed point, reduced mod 2, steps every phase by
+exact integer adds and takes cos/sin of pi times its distance to the
+nearest half-integer in fixed point: no phase loses bits to its size,
+and the loop's own error is at most count 2^(8-B) < 2^(-prec-12) before
+one rounding per partial sum, B = prec + bitlen(count) + 20.  So the
+direct sum stays within N * eps of the exact sum on its inputs for
+every N the term budget admits, and is the ground truth every other
+evaluation path is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
+from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
@@ -76,8 +82,7 @@ class GaussParams:
                 f"theta={mp.nstr(self.theta, 12)}, N={self.N})")
 
 
-@dataclass(frozen=True)
-class NearestSplit:
+class NearestSplit(NamedTuple):
     """N*x + theta split as value = whole + frac, frac in (-1/2, 1/2].
 
     At the tie value = m + 1/2 the split keeps whole = m, frac = 1/2.
@@ -88,8 +93,7 @@ class NearestSplit:
     frac: object
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
+class NormalizationRecord(NamedTuple):
     """Exact transform that carried raw (x, theta) into canonical ranges.
 
     ``x_shift`` counts multiples of 2 removed from x, ``theta_shift``
@@ -115,28 +119,94 @@ def phase_term(t, params: GaussParams, ctx: PrecisionContext | None = None):
     return mp.expjpi(p)
 
 
+def _fixed_mod2(v, F: int, mask: int) -> int:
+    """v 2^F truncated to an integer, mod 2^(F+1): v mod 2 with F fractional
+    bits, off by less than 2^-F, for any finite mpf v.  An exponent >= 1 makes v an
+    even integer, 0 mod 2, so no huge shift is ever formed."""
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:
+        raise DomainError(f"phase loop: arguments must be finite, got {v}")
+    if exp > 0:
+        return 0
+    n = man << (exp + F) if exp + F >= 0 else man >> -(exp + F)
+    return (-n if sign else n) & mask
+
+
 def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
     S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)).
 
-    The one phase loop, in plain working-precision arithmetic.  phase_sum
-    takes the last partial sum, the curlicue export every stride-th one.
+    The one phase loop, in fixed point.  x and 2 theta are read once
+    with F = B + 2 bitlen(count) + 4 fractional bits and reduced mod 2
+    by a mask, B = prec + bitlen(count) + 20, prec the context's.  The
+    phase p_k = x k^2 + 2 theta k then advances by two masked integer
+    adds per term, d += 2x and p += d, so every p_k is exact mod 2 for
+    the inputs as read: nothing drifts, and no phase loses bits to its
+    size.  p_k is split at its nearest half-integer h/2, the quarter
+    turn i^h becomes a sign and a swap, and cos/sin of pi times the
+    remainder (|.| <= pi/4) come from libmp's ``cos_sin_basecase`` at B
+    bits, the step ``mpf_cos_sin`` takes after its own reduction (a
+    private libmp function, mpmath 1.3).  The two sums are integers,
+    rounded once per yielded partial sum.
+
+    Error of each yielded S_j before that rounding, at most
+    j 2^(8-B) < 2^(-prec-12) in modulus:
+    - reading x and 2 theta moves p_k by under (k^2 + k) 2^-F
+      <= 2^(-B-4), so pi p_k by under 2^(-B-2);
+    - pi r is formed from a fixed pi good to 1 unit of 2^-B, |r| <= 1/4,
+      and floored: under 2 units;
+    - ``cos_sin_basecase`` sums a Taylor series with truncating integer
+      steps, about 2 units per series term, under 50 terms at B <= 400
+      (above 400 bits mpmath's ``exponential_series`` keeps its own guard
+      bits), plus its table entry and the final product: under 2^7 units
+      per component.
+    The rounding then adds at most 2^-prec |S_j|.  phase_sum takes the
+    last partial sum, the curlicue export every stride-th one; terms past
+    the last multiple of stride are never yielded.
     """
-    total = mp.mpc(0)
-    two_theta = 2 * mp.mpf(theta)
-    x = mp.mpf(x)
-    for j in range(1, count + 1):
-        total += mp.expjpi(x * (j * j) + two_theta * j)
-        if j % stride == 0:
-            yield j, total
+    prec = mp.prec
+    B = prec + count.bit_length() + 20
+    F = B + 2 * count.bit_length() + 4
+    mask = (1 << (F + 1)) - 1
+    half, quarter = F - 1, 1 << (F - 2)
+    xf = _fixed_mod2(mp.mpf(x), F, mask)
+    two_x = (2 * xf) & mask
+    d = (_fixed_mod2(2 * mp.mpf(theta), F, mask) - xf) & mask  # p_1 - p_0 - 2x
+    p = re = im = 0
+    pi = pi_fixed(B)
+    for j in range(stride, count + 1, stride):
+        for _ in range(stride):
+            d = (d + two_x) & mask
+            p = (p + d) & mask
+            h = (p + quarter) >> half
+            c, s = cos_sin_basecase(((p - (h << half)) * pi) >> F, B)
+            h &= 3
+            if h == 0:
+                re += c
+                im += s
+            elif h == 1:
+                re -= s
+                im += c
+            elif h == 2:
+                re -= c
+                im -= s
+            else:
+                re += s
+                im -= c
+        yield j, mp.make_mpc((from_man_exp(re, -B, prec, round_nearest),
+                              from_man_exp(im, -B, prec, round_nearest)))
 
 
 def phase_sum(x, theta, count: int, mp):
     """sum_{j=1}^{count} exp(i pi (x j^2 + 2 theta j)) for arbitrary real x, theta.
 
-    The last partial sum of the phase loop, shared by the validated
-    oracle, the renormalization term (whose first argument -1/x is far
-    outside (0, 1)) and rational-case identity checks.  count = 0 gives 0.
+    The last partial sum of the fixed-point phase loop
+    (``_phase_partial_sums``): within count 2^(8-B) < 2^(-prec-12) of the
+    exact sum over the inputs as given, plus one rounding at the context
+    precision prec, for any real x and theta, however large, since both
+    are reduced mod 2 exactly.  Shared by the validated oracle, the
+    renormalization term (whose first argument -1/x is far outside
+    (0, 1)) and rational-case identity checks.  count = 0 gives 0.
     """
     total = mp.mpc(0)
     for _, total in _phase_partial_sums(x, theta, count, mp, max(count, 1)):
@@ -147,9 +217,11 @@ def phase_sum(x, theta, count: int, mp):
 def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
     """S_N(x, theta) by term-by-term summation.
 
-    The ground-truth oracle: accumulated error <= N * C * eps for a small
-    constant C.  Raises ResourceBudgetError when N exceeds
-    ``DEFAULT_MAX_TERMS``.
+    The ground-truth oracle: the phase loop's error on the stored x and
+    theta is at most N 2^(8-B) < 2^(-prec-12), B = prec + bitlen(N) + 20
+    (``_phase_partial_sums`` derives it), plus one rounding at the working
+    precision, so well within N * eps.  Raises ResourceBudgetError when N
+    exceeds ``DEFAULT_MAX_TERMS``.
     """
     ctx = ctx or params.ctx
     if params.N > DEFAULT_MAX_TERMS:

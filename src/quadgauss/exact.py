@@ -25,7 +25,7 @@ work is O(M + k0 + layers); ``direct_sum`` stays the independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import GaussParams, phase_term, split_nearest
 from .errors import DomainError, TruncationError
@@ -45,8 +45,7 @@ _MAX_SHORT_TERMS = 10**6  # budget of the renormalized short sum's length M
 _LN_PI, _LN_2PI = math.log(math.pi), math.log(2 * math.pi)
 
 
-@dataclass(frozen=True)
-class TailPolicy:
+class TailPolicy(NamedTuple):
     """Truncation control for the boundary series.
 
     ``tol`` is the target absolute truncation error per series (None
@@ -69,8 +68,7 @@ class TailPolicy:
         return tol
 
 
-@dataclass(frozen=True)
-class BoundarySeries:
+class BoundarySeries(NamedTuple):
     """Boundary series value with its truncation certificate.
 
     ``tail_bound`` dominates the modulus of everything not captured by

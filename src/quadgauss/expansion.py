@@ -46,7 +46,7 @@ Requests at or past the optimum are honoured but flagged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Everything one evaluation of the expansion produced.
 
     ``value`` reassembles exactly as renorm_term + boundary_term + E_term
@@ -180,10 +179,13 @@ def _renorm_term(params: GaussParams, split: NearestSplit, mp):
     else M.
 
     The j = 0 term is exactly 1; an empty range gives 0 exactly.  The
-    phases reach M^2/x (~N M at large N) and the rotation theta^2/x, so the
-    sum and the rotation run with that many extra bits and the result is
-    rounded once.  The rotation is two factors: adding 1/4 to theta^2/x
-    before ``expjpi`` reduces it would round digits away.
+    phases reach M^2/x (~N M at large N) and the rotation theta^2/x.  The
+    phase loop reduces its arguments mod 2 exactly, but -1/x and theta/x
+    rounded at the working precision would move the phases by up to
+    M^2/x units of it, so they, the loop and the rotation run with that
+    many extra bits and the result is rounded once.  The rotation is two
+    factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
+    round digits away.
     """
     first = 0 if params.theta < 0 else 1
     last = split.whole - 1 if split.frac < 0 else split.whole

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_pi, mpf_div,
                           mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(NamedTuple):
     """A value paired with a rigorous absolute-error bound (>= 0)."""
 
     value: object

@@ -141,3 +141,22 @@ def _kernel(mp, t, x):
         return phase * mp.erfc(mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x)))
     half = mp.mpf(1) / 2
     return mp.hyperu(half, half, mp.mpc(0, -r2)) / mp.sqrt(mp.pi)
+
+
+def _expjpi_sums(x, theta, count, mp, stride):
+    """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
+    S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)), one ``mp.expjpi``
+    per term in working-precision arithmetic.
+
+    The phase loop before the fixed-point kernel, kept as the independent
+    reference for ``core._phase_partial_sums``: each phase is rounded once
+    at the working precision, so phases of size P need about log2 P extra
+    bits to keep their fractional part.
+    """
+    total = mp.mpc(0)
+    two_theta = 2 * mp.mpf(theta)
+    x = mp.mpf(x)
+    for j in range(1, count + 1):
+        total += mp.expjpi(x * (j * j) + two_theta * j)
+        if j % stride == 0:
+            yield j, total

@@ -11,9 +11,9 @@ import pytest
 
 import quadgauss
 from quadgauss import PrecisionContext
-from quadgauss.cli import main
+from quadgauss.cli import _emit, build_parser, main
 
-from _utils import sig3
+from _utils import _expjpi_sums, sig3
 
 CTX = PrecisionContext(30)
 
@@ -319,13 +319,44 @@ def test_out_file_writing(tmp_path, capsys):
 
 
 def test_curlicue_json_is_one_document_across_chunks(capsys):
-    # 2101 points span three chunks of formatted rows
+    # 2101 points span 33 chunks of 64 formatted rows
     code, out, err = run_cli(capsys, "curlicue", "--x", "0.37", "--theta", "0.1",
                              "--N", "2100", "--digits", "16")
     assert code == 0, err
     doc = json.loads(out)
     assert len(doc) == 2101 and doc[-1]["j"] == 2100
     assert out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+def test_emit_json_bytes_equal_one_dumps(n):
+    # chunks of 64 rows write the bytes one json.dumps of every row gives;
+    # one row is a bare object
+    args = build_parser().parse_args(["curlicue", "--x", "0.37", "--theta", "0.1",
+                                      "--N", str(n)])
+    rows = [{"j": j, "re": j / 3, "im": -j / 7, "tag": None} for j in range(n)]
+    fh = io.StringIO()
+    _emit(iter(rows), args, CTX.mp, fh)
+    assert fh.getvalue() == json.dumps(rows if n > 1 else rows[0], indent=2) + "\n"
+
+
+def test_curlicue_prints_the_reference_loop_digits(capsys):
+    doc = run_json(capsys, "curlicue", "--x", "0.37", "--theta", "0.1", "--N", "2100")
+    mp = CTX.mp
+    want = _expjpi_sums(mp.mpf("0.37"), mp.mpf("0.1"), 2100, mp, 1)
+    assert [(row["j"], row["re"], row["im"]) for row in doc[1:]] == [
+        (j, mp.nstr(s.real, 30, strip_zeros=False), mp.nstr(s.imag, 30, strip_zeros=False))
+        for j, s in want]
+
+
+def test_cli_import_does_not_load_inspect():
+    # typing's NamedTuple records keep dataclasses, and with it inspect,
+    # out of start-up
+    src = os.path.dirname(os.path.dirname(quadgauss.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadgauss.cli; print('inspect' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_curlicue_streams_its_output(tmp_path):

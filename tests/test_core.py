@@ -2,8 +2,9 @@
 
 import random
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadgauss import (
@@ -17,7 +18,9 @@ from quadgauss import (
     phase_term,
     split_nearest,
 )
-from quadgauss.core import DEFAULT_MAX_TERMS
+from quadgauss.core import DEFAULT_MAX_TERMS, _phase_partial_sums
+
+from _utils import _expjpi_sums
 
 CTX30 = PrecisionContext(30)
 
@@ -117,6 +120,96 @@ def test_oracle_stability_on_random_sets():
         a = direct_sum(GaussParams(x, 0, n, lo))
         b = direct_sum(GaussParams(ref.mp.mpf(x), 0, n, ref))
         assert abs(ref.mp.mpc(a) - b) <= 10 * lo.eps
+
+
+def _check_kernel(digits, count, stride, form, extra=0):
+    """The kernel's partial sums against the expjpi loop 20 digits higher on
+    the same binary inputs, form(mp) -> (x, theta), within the docstring
+    bound j 2^(8-B), B = prec + bitlen(count) + 20, plus one rounding,
+    2^-prec |S_j|; extra bits raise both contexts as _renorm_term raises
+    its own."""
+    mp, ref = PrecisionContext(digits).mp, PrecisionContext(digits + 20).mp
+    with mp.extraprec(extra), ref.extraprec(extra):
+        x, theta = form(mp)
+        got = list(_phase_partial_sums(x, theta, count, mp, stride))
+        want = list(_expjpi_sums(x, theta, count, ref, stride))
+        B = mp.prec + count.bit_length() + 20
+        assert [j for j, _ in got] == [j for j, _ in want]
+        for (j, a), (_, b) in zip(got, want):
+            bound = ref.ldexp(j, 8 - B) + ref.ldexp(abs(b), -mp.prec)
+            assert abs(ref.mpc(a) - b) <= bound, (j, a, b)
+
+
+_DIGITS = st.sampled_from([15, 30, 50, 120])
+_STRIDE = st.sampled_from(["1", "7", "count"])
+
+
+def _stride(kind, count):
+    return max(count, 1) if kind == "count" else int(kind)
+
+
+def _full(mp, v):
+    """v scaled by 1 - 2^-20/3: a full working-precision mantissa, so the
+    kernel's read of its low bits is tested too."""
+    return mp.mpf(v) * (1 - mp.mpf(2) ** -20 / 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(x=st.floats(min_value=1e-6, max_value=1.0, exclude_min=True, exclude_max=True),
+       theta=st.floats(min_value=-0.5, max_value=0.5),
+       count=st.integers(min_value=0, max_value=300), stride=_STRIDE, digits=_DIGITS)
+@example(x=0.37, theta=0.1, count=0, stride="1", digits=30)
+@example(x=0.37, theta=-0.5, count=1, stride="count", digits=120)
+def test_phase_kernel_within_bound_on_the_unit_interval(x, theta, count, stride, digits):
+    _check_kernel(digits, count, _stride(stride, count),
+                  lambda mp: (_full(mp, x), _full(mp, theta)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(log_x=st.floats(min_value=-12, max_value=-0.01), theta=st.floats(-0.5, 0.5),
+       M=st.integers(min_value=0, max_value=2000), stride=_STRIDE, digits=_DIGITS)
+@example(log_x=-12, theta=0.5, M=2000, stride="7", digits=50)
+@example(log_x=-3, theta=-0.25, M=1, stride="1", digits=15)
+def test_phase_kernel_within_bound_on_renormalized_arguments(log_x, theta, M, stride, digits):
+    # _renorm_term's arguments: (-1/x, theta/x) over M terms, formed and
+    # summed with mag(M^2/x) extra bits
+    def form(mp):
+        x = mp.mpf(10) ** log_x
+        return -1 / x, mp.mpf(theta) / x
+
+    extra = max(0, mpmath.mag(max(1, M) ** 2 / mpmath.mpf(10) ** log_x))
+    _check_kernel(digits, M, _stride(stride, M), form, extra)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(x=st.floats(min_value=-50, max_value=50), theta=st.floats(-3, 3),
+       count=st.integers(min_value=0, max_value=300), stride=_STRIDE, digits=_DIGITS)
+@example(x=-1.625, theta=2.75, count=1, stride="1", digits=15)
+@example(x=1e10 + 0.37, theta=-0.1, count=257, stride="count", digits=30)
+def test_phase_kernel_within_bound_on_raw_curlicue_reals(x, theta, count, stride, digits):
+    _check_kernel(digits, count, _stride(stride, count),
+                  lambda mp: (_full(mp, x), _full(mp, theta)))
+
+
+def test_phase_kernel_rejects_non_finite_arguments():
+    mp = CTX30.mp
+    with pytest.raises(DomainError):
+        phase_sum(mp.inf, 0, 3, mp)
+    with pytest.raises(DomainError):
+        phase_sum("0.3", mp.nan, 3, mp)
+
+
+@pytest.mark.parametrize("xs,ts,n", [("1/(250*sqrt(pi))", "-0.125", 7300),
+                                     ("0.61803398874989484820", "0.3", 3000)])
+def test_direct_sum_within_n_eps_of_the_reference_loop(xs, ts, n):
+    ctx, ref = CTX30, PrecisionContext(50)
+    mp = ctx.mp
+    x = 1 / (250 * mp.sqrt(mp.pi)) if "pi" in xs else mp.mpf(xs)
+    got = direct_sum(GaussParams(x, ts, n, ctx))
+    want = None
+    for _, want in _expjpi_sums(x, mp.mpf(ts), n, ref.mp, n):
+        pass
+    assert abs(ref.mp.mpc(got) - want) <= n * ctx.eps
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 5), (3, 8), (1, 50)])
