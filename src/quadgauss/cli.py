@@ -33,12 +33,7 @@ import sys
 import tempfile
 import time
 
-from .core import (
-    DEFAULT_MAX_TERMS,
-    _phase_partial_sums,
-    direct_sum,
-    normalize_params,
-)
+from .core import _phase_partial_sums, direct_sum, normalize_params
 from .errors import (DomainError, ExprError, PrecisionError, QuadGaussError,
                      ResourceBudgetError)
 from .exact import TailPolicy, exact_sum_detail
@@ -237,10 +232,10 @@ def _cmd_curlicue(args, ctx):
         raise UsageError("--stride must be >= 1")
     if args.N < 1:
         raise DomainError(f"curlicue: N must be a positive integer, got {args.N}")
-    if args.N > DEFAULT_MAX_TERMS or args.N // args.stride + 1 > _MAX_POINTS:
+    if args.N // args.stride + 1 > _MAX_POINTS:
         raise ResourceBudgetError(
             f"curlicue: N={args.N} at stride {args.stride} exceeds the budget of "
-            f"{DEFAULT_MAX_TERMS} terms and {_MAX_POINTS} points")
+            f"{_MAX_POINTS} points")
     x, theta = _reals(args, ctx)
     points = itertools.chain([(0, ctx.mp.mpf(0))],
                              _phase_partial_sums(x, theta, args.N, ctx.mp, args.stride))

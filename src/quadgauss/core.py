@@ -23,7 +23,9 @@ and the loop's own error is at most count 2^(8-B) < 2^(-prec-12) before
 one rounding per partial sum, B = prec + bitlen(count) + 20.  So the
 direct sum stays within N * eps of the exact sum on its inputs for
 every N the term budget admits, and is the ground truth every other
-evaluation path is tested against.
+evaluation path is tested against.  That budget, ``DEFAULT_MAX_TERMS``,
+is kept by the loop alone: it refuses a longer run before its first
+term, for the oracle, both routes' short sums and the curlicue alike.
 """
 
 from __future__ import annotations
@@ -142,12 +144,14 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     phase p_k = x k^2 + 2 theta k then advances by two masked integer
     adds per term, d += 2x and p += d, so every p_k is exact mod 2 for
     the inputs as read: nothing drifts, and no phase loses bits to its
-    size.  p_k is split at its nearest half-integer h/2, the quarter
-    turn i^h becomes a sign and a swap, and cos/sin of pi times the
-    remainder (|.| <= pi/4) come from libmp's ``cos_sin_basecase`` at B
-    bits, the step ``mpf_cos_sin`` takes after its own reduction (a
-    private libmp function, mpmath 1.3).  The two sums are integers,
-    rounded once per yielded partial sum.
+    size.  p_k is split at its nearest half-integer h/2, and cos/sin of
+    pi times the remainder (|.| <= pi/4) come from libmp's
+    ``cos_sin_basecase`` at B bits, the step ``mpf_cos_sin`` takes after
+    its own reduction (a private libmp function, mpmath 1.3).  They are
+    summed in integers by h mod 4, and the quarter turns i^h, signs and
+    a swap, combine those sums once per yielded partial sum before its
+    one rounding.  More than ``DEFAULT_MAX_TERMS`` terms raise
+    ResourceBudgetError before the first.
 
     Error of each yielded S_j before that rounding, at most
     j 2^(8-B) < 2^(-prec-12) in modulus:
@@ -164,6 +168,9 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     last partial sum, the curlicue export every stride-th one; terms past
     the last multiple of stride are never yielded.
     """
+    if count > DEFAULT_MAX_TERMS:
+        raise ResourceBudgetError(
+            f"phase loop: {count} terms exceed the budget of {DEFAULT_MAX_TERMS} terms")
     prec = mp.prec
     B = prec + count.bit_length() + 20
     F = B + 2 * count.bit_length() + 4
@@ -172,7 +179,8 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     xf = _fixed_mod2(mp.mpf(x), F, mask)
     two_x = (2 * xf) & mask
     d = (_fixed_mod2(2 * mp.mpf(theta), F, mask) - xf) & mask  # p_1 - p_0 - 2x
-    p = re = im = 0
+    p = 0
+    cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
     pi = pi_fixed(B)
     for j in range(stride, count + 1, stride):
         for _ in range(stride):
@@ -180,19 +188,10 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
             p = (p + d) & mask
             h = (p + quarter) >> half
             c, s = cos_sin_basecase(((p - (h << half)) * pi) >> F, B)
-            h &= 3
-            if h == 0:
-                re += c
-                im += s
-            elif h == 1:
-                re -= s
-                im += c
-            elif h == 2:
-                re -= c
-                im -= s
-            else:
-                re += s
-                im -= c
+            cs[h & 3] += c
+            ss[h & 3] += s
+        re = cs[0] - ss[1] - cs[2] + ss[3]
+        im = ss[0] + cs[1] - ss[2] - cs[3]
         yield j, mp.make_mpc((from_man_exp(re, -B, prec, round_nearest),
                               from_man_exp(im, -B, prec, round_nearest)))
 
@@ -220,13 +219,10 @@ def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
     The ground-truth oracle: the phase loop's error on the stored x and
     theta is at most N 2^(8-B) < 2^(-prec-12), B = prec + bitlen(N) + 20
     (``_phase_partial_sums`` derives it), plus one rounding at the working
-    precision, so well within N * eps.  Raises ResourceBudgetError when N
-    exceeds ``DEFAULT_MAX_TERMS``.
+    precision, so well within N * eps.  The loop raises
+    ResourceBudgetError when N exceeds ``DEFAULT_MAX_TERMS``.
     """
     ctx = ctx or params.ctx
-    if params.N > DEFAULT_MAX_TERMS:
-        raise ResourceBudgetError(
-            f"direct_sum: N={params.N} exceeds the budget of {DEFAULT_MAX_TERMS} terms")
     value = phase_sum(params.x, params.theta, params.N, ctx.mp)
     return ensure_finite(ctx.mp, value, "direct_sum")
 

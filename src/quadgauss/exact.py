@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _WINDOW = 16  # the most explicit kernel pairs k = 1..k0 per boundary series
-_MAX_SHORT_TERMS = 10**6  # budget of the renormalized short sum's length M
 _LN_PI, _LN_2PI = math.log(math.pi), math.log(2 * math.pi)
 
 
@@ -180,14 +179,14 @@ def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
                      ctx: PrecisionContext | None = None):
     """(value, edge-N series, edge-0 series) for the representation above.
 
-    Raises ResourceBudgetError when the short sum would exceed 10^6 terms.
+    Raises ResourceBudgetError when the short sum would exceed the phase
+    loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
     mp = ctx.mp
     split = split_nearest(params)
-    renorm, boundary, e_term = _skeleton(params, split, phase_term(params.N, params, ctx),
-                                         _MAX_SHORT_TERMS, ctx)
+    renorm, boundary, e_term = _skeleton(params, split, phase_term(params.N, params, ctx), ctx)
     upper = boundary_series(params.N, params, policy, ctx)
     lower = boundary_series(0, params, policy, ctx)
     rot = mp.expjpi(mp.mpf(1) / 4)

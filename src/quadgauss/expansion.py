@@ -52,9 +52,8 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
-from .core import (DEFAULT_MAX_TERMS, GaussParams, NearestSplit, direct_sum, phase_sum,
-                   phase_term, split_nearest)
-from .errors import DomainError, ResourceBudgetError
+from .core import GaussParams, NearestSplit, direct_sum, phase_sum, phase_term, split_nearest
+from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
 
@@ -167,7 +166,7 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     ``bounds[n-1]`` equals this bit for bit: strictly positive, independent
     of N, and without the theta half at theta = 0.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
     _, _, bound = next(itertools.islice(_series(x, frac, theta, ctx), n - 1, None))
     return bound
@@ -213,23 +212,19 @@ def _signed_kernel(t, x, ctx: PrecisionContext):
     return erfc_kernel(t, x, ctx)
 
 
-def _skeleton(params: GaussParams, split: NearestSplit, fN, max_terms: int,
-              ctx: PrecisionContext):
+def _skeleton(params: GaussParams, split: NearestSplit, fN, ctx: PrecisionContext):
     """(renorm, (f(N) - 1)/2, E-term): the part of S_N both routes share.
 
-    Refuses a short sum of more than ``max_terms`` phases before any term
-    is computed.
+    The short sum comes first, so a run past the phase loop's budget is
+    refused before any phase or kernel is evaluated.
     """
-    if split.whole > max_terms:
-        raise ResourceBudgetError(
-            f"renormalized sum: M={split.whole} exceeds the budget of "
-            f"{max_terms} terms")
     mp = ctx.mp
+    renorm = _renorm_term(params, split, mp)
     rot = mp.expjpi(mp.mpf(1) / 4)
     e_term = rot / (2 * mp.sqrt(params.x)) * (
         _signed_kernel(params.theta, params.x, ctx)
         - fN * _signed_kernel(split.frac, params.x, ctx))
-    return _renorm_term(params, split, mp), (fN - 1) / 2, e_term
+    return renorm, (fN - 1) / 2, e_term
 
 
 def asymptotic_sum(params: GaussParams, n: int | None = None,
@@ -240,8 +235,8 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     remainder_bound certifies |direct oracle - value| up to the oracle's
     own O(N eps) noise; the bound stays true for any valid parameters but
     is only *useful* in the small-x regime it was built for.  Raises
-    ResourceBudgetError when the short sum would exceed
-    ``core.DEFAULT_MAX_TERMS`` terms.
+    ResourceBudgetError when the short sum would exceed the phase loop's
+    budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
     mp = ctx.mp
@@ -249,10 +244,10 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     opt = optimal_truncation(params.x, split.frac)
     if n is None:
         n = min(10, opt)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
     fN = phase_term(params.N, params, ctx)
-    renorm, boundary, e_term = _skeleton(params, split, fN, DEFAULT_MAX_TERMS, ctx)
+    renorm, boundary, e_term = _skeleton(params, split, fN, ctx)
 
     rot = mp.expjpi(mp.mpf(1) / 4)
     terms, bounds = [], []

@@ -50,11 +50,7 @@ class PrecisionContext:
 
 
 def ensure_finite(mp, value, what: str):
-    """Reject NaN/inf escaping a numeric kernel."""
-    if hasattr(value, "imag"):
-        ok = mp.isfinite(value.real) and mp.isfinite(value.imag)
-    else:
-        ok = mp.isfinite(value)
-    if not ok:
+    """Reject NaN/inf escaping a numeric kernel, in either part of an mpc."""
+    if not mp.isfinite(value):
         raise PrecisionError(f"{what}: non-finite result")
     return value

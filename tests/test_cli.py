@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import quadgauss
-from quadgauss import PrecisionContext
+from quadgauss import (GaussParams, PrecisionContext, ResourceBudgetError, asymptotic_sum,
+                       cli, core, direct_sum, exact_sum_detail)
 from quadgauss.cli import _emit, build_parser, main
 
 from _utils import _expjpi_sums, sig3
@@ -231,6 +232,36 @@ def test_bench_small_report_well_formed(capsys):
                                 "abs_error", "bound", "certified"]
     assert doc["certified"] is True
     assert doc["direct_ns"] > 0 and doc["expansion_ns"] > 0
+
+
+def test_bench_refuses_a_value_outside_its_certificate(monkeypatch, capsys):
+    def off_by_one(*args):
+        report = asymptotic_sum(*args)
+        return report._replace(value=report.value + 1)
+
+    monkeypatch.setattr(cli, "asymptotic_sum", off_by_one)
+    code, out, err = run_cli(capsys, "bench", "--x", "0.017", "--theta", "0.25",
+                             "--N", "1000", "--n", "6", "--digits", "30")
+    assert code == 4 and out == ""
+    assert "exceeds bound+noise" in err and "Traceback" not in err
+
+
+def test_one_term_budget_for_every_phase_loop(monkeypatch, capsys):
+    # the phase loop keeps the only term budget: lowered to 50, the oracle,
+    # both routes' short sums (M = N/2) and the curlicue run 40 terms and
+    # refuse 60
+    monkeypatch.setattr(core, "DEFAULT_MAX_TERMS", 50)
+    entries = (lambda m: direct_sum(GaussParams("0.5", "0.1", m, CTX)),
+               lambda m: asymptotic_sum(GaussParams("0.5", "0.1", 2 * m, CTX), 2),
+               lambda m: exact_sum_detail(GaussParams("0.5", "0.1", 2 * m, CTX)))
+    for entry in entries:
+        entry(40)
+        with pytest.raises(ResourceBudgetError):
+            entry(60)
+    code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", "40")
+    assert code == 0 and len(json.loads(out)) == 41
+    code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", "60")
+    assert code == 4 and out == ""
 
 
 def test_exit_codes(capsys):

@@ -11,6 +11,7 @@ from quadgauss import (
     DomainError,
     GaussParams,
     PrecisionContext,
+    PrecisionError,
     ResourceBudgetError,
     direct_sum,
     normalize_params,
@@ -19,6 +20,7 @@ from quadgauss import (
     split_nearest,
 )
 from quadgauss.core import DEFAULT_MAX_TERMS, _phase_partial_sums
+from quadgauss.precision import ensure_finite
 
 from _utils import _expjpi_sums
 
@@ -40,6 +42,17 @@ def test_params_validation():
         GaussParams("0.5", 0, 2.0, CTX30)
     GaussParams("0.5", "0.5", 1, CTX30)
     GaussParams("0.5", "-0.5", 1, CTX30)
+    for digits in (30.0, True):
+        with pytest.raises(DomainError):
+            PrecisionContext(digits)
+
+
+def test_ensure_finite_rejects_either_part():
+    mp = CTX30.mp
+    for value in (mp.mpf("nan"), mp.mpc(1, mp.inf)):
+        with pytest.raises(PrecisionError):
+            ensure_finite(mp, value, "test")
+    assert ensure_finite(mp, mp.mpc(1, 2), "test") == mp.mpc(1, 2)
 
 
 def test_term_trivials():

@@ -137,9 +137,13 @@ def test_tol_above_the_cap_ceiling_met_at_the_cap(monkeypatch):
     assert series.tail_bound < tol
 
 
-def test_short_sum_budget_refused_before_any_term():
-    # M = N x = 5e7 phases exceed the short sum's budget of 10^6
-    p = GaussParams("0.5", 0, 10**8, CTX30)
+def test_short_sum_budget_refused_before_any_term(monkeypatch):
+    # M = N x = 5e11 phases exceed core.DEFAULT_MAX_TERMS
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran before the budget check")
+
+    monkeypatch.setattr(quadgauss.expansion, "erfc_kernel", no_kernel)
+    p = GaussParams("0.5", 0, 10**12, CTX30)
     with pytest.raises(ResourceBudgetError):
         exact_sum_detail(p)
 

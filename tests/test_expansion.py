@@ -168,6 +168,13 @@ def test_remainder_bound_positive_and_validated():
     assert remainder_bound(3, "0.01", "0.5", "-0.5", ctx) > 0
     with pytest.raises(DomainError):
         remainder_bound(0, "0.01", "0.1", "0.1", ctx)
+    with pytest.raises(DomainError):
+        remainder_bound(True, "0.01", "0.1", "0.1", ctx)
+    # asymptotic_sum refuses the same n, a bool too, as GaussParams a bool N
+    p = GaussParams("0.01", "0.1", 100, ctx)
+    for n in (0, True):
+        with pytest.raises(DomainError):
+            asymptotic_sum(p, n)
 
 
 def test_expansion_reference_errors_col1():
@@ -338,6 +345,10 @@ def test_optimal_truncation_values():
     assert optimal_truncation(x, split_nearest(p).frac) == 589
     assert optimal_truncation("0.01", 0) == round(3.141592653589793 / 0.01)
     assert optimal_truncation("0.01", "0.5") == round(3.141592653589793 / 0.04)
+    with pytest.raises(DomainError):
+        optimal_truncation(1, 0)
+    with pytest.raises(DomainError):
+        optimal_truncation("0.01", "-0.51")
 
 
 def test_tiny_x_below_double_range():
@@ -387,8 +398,12 @@ def test_negative_theta_at_tiny_x_agrees_with_direct_sum(xs, theta, N):
     assert abs(S - rep.value) <= allow
 
 
-def test_short_sum_budget_refused_before_any_term():
+def test_short_sum_budget_refused_before_any_term(monkeypatch):
     # M = N x = 5e11 phases exceed core.DEFAULT_MAX_TERMS
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran before the budget check")
+
+    monkeypatch.setattr(expansion, "erfc_kernel", no_kernel)
     p = GaussParams("0.5", 0, 10**12, CTX40)
     with pytest.raises(ResourceBudgetError):
         asymptotic_sum(p, 2)

@@ -124,6 +124,10 @@ def test_kernel_domain():
         erfc_kernel_asym(-2, "0.01", 3, CTX30)
     with pytest.raises(DomainError):
         erfc_kernel_asym(1, "0.01", 0, CTX30)
+    with pytest.raises(DomainError):
+        erfc_kernel(CTX30.mp.inf, "0.01", CTX30)
+    with pytest.raises(DomainError):
+        erfc_kernel_asym(1, 1, 3, CTX30)
 
 
 def test_kernel_series_first_order_example():
@@ -475,6 +479,8 @@ def test_pair_domain():
         hzeta_sum(0, "0.3", CTX30)
     with pytest.raises(DomainError):
         hzeta_diff(-1, "0.3", CTX30)
+    with pytest.raises(DomainError):
+        hzeta_sum(1, "-1", CTX30)
 
 
 def test_machin_pi_cross_check():
