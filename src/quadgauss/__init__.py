@@ -42,16 +42,7 @@ from .expansion import (
 )
 from .exprs import NumberExpr, eval_number_expr, format_expr, parse_number_expr
 from .precision import PrecisionContext
-from .special import (
-    BoundedValue,
-    cot_pi_reg,
-    erfc_complex,
-    erfc_kernel,
-    erfc_kernel_asym,
-    hurwitz_zeta_odd,
-    hzeta_diff,
-    hzeta_sum,
-)
+from .special import cot_pi_reg, erfc_kernel
 
 __version__ = "0.1.0"
 

@@ -14,9 +14,9 @@ rows whose reals are raw mpf values, and ``_emit`` formats each real once
 and writes each row as it comes: a JSON number at --digits <= 17, a
 decimal string beyond (so consumers cannot truncate it), scientific
 notation in CSV.  The rows go to a temporary file that is published only
-on success.  Exit codes: 2 usage, 3 domain error, 4 precision/resource
-error, 141 (the shell's SIGPIPE status) when the reader closes stdout
-early.
+on success.  Exit codes: 2 usage (an --out that cannot be written too),
+3 domain error, 4 precision/resource error, 141 (the shell's SIGPIPE
+status) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -143,7 +143,8 @@ def _emit(rows, args, mp, fh):
 @contextlib.contextmanager
 def _staged(path):
     """A file for the output, published only if the block succeeds: copied
-    to stdout when path is None, else renamed over path."""
+    to stdout when path is None, else renamed over path.  A path that
+    cannot be written (a missing directory, a directory) is a UsageError."""
     if path is None:
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as fh:
             yield fh
@@ -151,11 +152,17 @@ def _staged(path):
             shutil.copyfileobj(fh, sys.stdout)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="ascii", newline="")
+    try:
+        fh = open(tmp, "x", encoding="ascii", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
     except BaseException:
         os.unlink(tmp)
         raise

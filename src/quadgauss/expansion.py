@@ -160,7 +160,9 @@ def _series(x, frac, theta, ctx: PrecisionContext):
 
 
 def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
-    """((1/2)_n / (2 pi)) (x/pi)^n [hzeta_sum(n, frac) + hzeta_sum(n, theta)].
+    """((1/2)_n / (2 pi)) (x/pi)^n [D_n(frac) + D_n(theta)] with
+    D_n(u) = zeta(2n+1, 1+u) + zeta(2n+1, 1-u), for 0 < x < 1 and
+    |frac|, |theta| <= 1/2; DomainError outside that domain.
 
     The n-th bound of the walk ``asymptotic_sum`` reports, so its
     ``bounds[n-1]`` equals this bit for bit: strictly positive, independent
@@ -168,6 +170,12 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
+    mp = ctx.mp
+    if not 0 < mp.mpf(x) < 1:
+        raise DomainError(f"remainder_bound: x must lie in (0, 1), got {x}")
+    for name, a in (("frac", frac), ("theta", theta)):
+        if not abs(mp.convert(a)) <= 0.5:
+            raise DomainError(f"remainder_bound: |{name}| must be <= 1/2, got {a}")
     _, _, bound = next(itertools.islice(_series(x, frac, theta, ctx), n - 1, None))
     return bound
 

@@ -1,13 +1,8 @@
 """Extended-precision special functions on the quarter-turn rays.
 
-The evaluation engine needs four primitives.  Hand-rolled code is kept
-only where it buys a certified bound, freedom from phase round-off or a
-measured gain in speed and accuracy; everything else is mpmath's own:
-
-* ``erfc_complex`` -- complementary error function of a complex argument,
-  mpmath's ``erfc`` at the context's working precision behind a
-  finite-argument check.  No route calls it; the kernel below does not
-  need it.
+The routes need three engines.  Hand-rolled code is kept only where it
+buys a certified bound, freedom from phase round-off or a measured gain
+in speed and accuracy; everything else is mpmath's own:
 
 * ``erfc_kernel`` -- E(t) = exp(-pi i t^2/x) erfc(omega t sqrt(pi/x)) with
   omega = exp(-i pi/4): the boundary kernel of the continuum approximation
@@ -16,29 +11,22 @@ measured gain in speed and accuracy; everything else is mpmath's own:
   t > 0, z^2 = -i r2 exactly, r2 = pi t^2/x, so E(t) = e^{z^2} erfc(z) is
   a function of r2 alone, summed in fixed-point integers: Kummer's series
   up to r2 = prec ln 2 or so, at as many extra bits as its terms cancel,
-  and the large-t series of ``erfc_kernel_asym`` beyond, which never forms
-  the oscillatory factor, so no phase round-off enters however large
-  t^2/x grows.
-
-* ``erfc_kernel_asym`` -- the large-t series of E with a certified tail
-  bound: for t > 0 and n >= 1,
-
-      E(t) = pi^(-1/2) sum_{r<n} (-1)^r (1/2)_r (i x/(pi t^2))^(r+1/2) + T_n,
-      |T_n| <= ((1/2)_n / sqrt(pi)) (x/(pi t^2))^(n+1/2),
-
-  the bound being the standard first-omitted-term estimate for erfc on
-  |arg z| <= pi/4 (DLMF 7.12(i)).  ``erfc_kernel`` sums the same series
-  in the same loop, stopped by the same bound.
+  and the large-t series (``_large_t``) beyond, which never forms the
+  oscillatory factor, so no phase round-off enters however large t^2/x
+  grows.  That series stops at the first-omitted-term bound for erfc on
+  |arg z| <= pi/4 (DLMF 7.12(i)).
 
 * ``zeta_odd_orders`` -- zeta(3, a), zeta(5, a), ... from one fixed-point
   integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
   a^s (so the sum is >= 1 and keeps full relative accuracy at the edge
   layers' arguments k0 + 1 -+ a), one more order per multiplication of the
   running powers, and Bernoulli corrections from a process-wide cache of
-  B_2m/(2m)! ratios.  ``hurwitz_zeta_odd`` is its order r, so the edge
-  layers, the remainder certificate and the regularized cotangent
-  ``cot_pi_reg`` with the reflection pairs ``hzeta_sum`` / ``hzeta_diff``
-  (the closed forms kept as the layers' reference) share one engine.
+  B_2m/(2m)! ratios.  The edge layers and the remainder certificate read
+  every order they need from one walk per argument.
+
+* ``cot_pi_reg`` -- the regularized cotangent pi cot(pi lam) - 1/lam, the
+  order-0 layer's closed form, with guard bits near its removable
+  singularity.
 
 All routines are pure functions of (arguments, context) and return values
 rounded to the context's working precision; the Bernoulli cache holds
@@ -49,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_pi, mpf_div,
                           mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
@@ -59,45 +46,15 @@ from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
-    "BoundedValue",
-    "erfc_complex",
     "erfc_kernel",
-    "erfc_kernel_asym",
-    "hurwitz_zeta_odd",
     "cot_pi_reg",
-    "hzeta_diff",
-    "hzeta_sum",
 ]
-
-
-class BoundedValue(NamedTuple):
-    """A value paired with a rigorous absolute-error bound (>= 0)."""
-
-    value: object
-    bound: object
 
 
 # Bits the fixed-point loops (the kernel's two series, the Hurwitz-zeta
 # walk) carry beyond the working precision prec; the walk and the large-t
 # series drop terms below 2^-(prec + _GUARD/2).
 _GUARD = 32
-
-
-# ---------------------------------------------------------------------------
-# complementary error function
-# ---------------------------------------------------------------------------
-
-def erfc_complex(z, ctx: PrecisionContext):
-    """erfc(z) for complex z: mpmath's erfc at the working precision.
-
-    Public for callers of the library; neither route uses it, since
-    ``erfc_kernel`` sums E(t) = e^{z^2} erfc(z) directly.
-    """
-    mp = ctx.mp
-    z = mp.mpc(z)
-    if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
-        raise DomainError("erfc_complex: argument must be finite")
-    return ensure_finite(mp, mp.erfc(z), "erfc_complex")
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +79,14 @@ def _switch(prec: int) -> float:
     return (prec + _GUARD // 2) * _LN2 + 1
 
 
-def _large_t(q, prec: int, n=None):
-    """(re, im) of pi^(-1/2) sum_{r<n} (-1)^r (1/2)_r (i/r2)^(r+1/2),
+def _large_t(q, prec: int):
+    """(re, im) of pi^(-1/2) sum_r (-1)^r (1/2)_r (i/r2)^(r+1/2),
     r2 = pi q > 0, q an mpf tuple, rounded to prec bits.
 
     The sum is e^{i pi/4} (pi r2)^(-1/2) sum_r c_r (-i)^r with c_0 = 1 and
     c_r = c_(r-1) (2r - 1)/(2 r2), summed in integers in units of 2^-Q,
-    Q = prec + 2 _GUARD, one running sum per power of -i.  With n None it
-    stops before the first c_r below 2^-(prec + _GUARD/2), the
+    Q = prec + 2 _GUARD, one running sum per power of -i.  It stops
+    before the first c_r below 2^-(prec + _GUARD/2), the
     first-omitted-term bound relative to the leading term (DLMF 7.12(i));
     ``_switch`` makes sure that happens.  Over T terms the floors, and
     that of 1/(2 r2), cost at most T^3 units, below that bound for
@@ -139,9 +96,9 @@ def _large_t(q, prec: int, n=None):
     F = prec + _GUARD
     pi = mpf_pi(F)
     w = to_fixed(mpf_div(fone, mpf_shift(mpf_mul(q, pi, F), 1), Q), Q)  # 1/(2 r2)
-    stop = 1 << (Q - prec - _GUARD // 2) if n is None else 1
+    stop = 1 << (Q - prec - _GUARD // 2)
     c, sums, r = 1 << Q, [0, 0, 0, 0], 0
-    while c >= stop and r != n:
+    while c >= stop:
         sums[r & 3] += c
         r += 1
         c = (c * w >> Q) * (2 * r - 1)
@@ -239,52 +196,9 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
     return ensure_finite(mp, mp.make_mpc(value), "erfc_kernel")
 
 
-def erfc_kernel_asym(t, x, n: int, ctx: PrecisionContext) -> BoundedValue:
-    """Large-t series of E(t) truncated after n terms, with certified bound.
-
-    Requires t > 0 (callers reflect negative arguments themselves), x in
-    (0, 1), n >= 1.  The value is ``erfc_kernel``'s own large-t sum
-    (``_large_t``) stopped at n terms; the bound (1/2)_n (x/(pi t^2))^{n+1/2}
-    / sqrt(pi) dominates |E(t) - value| for every t > 0.
-    """
-    mp = ctx.mp
-    x = mp.mpf(x)
-    t = mp.mpf(t)
-    if not (0 < x < 1):
-        raise DomainError(f"erfc_kernel_asym: x must lie in (0, 1), got {x}")
-    if t <= 0:
-        raise DomainError("erfc_kernel_asym: t must be positive")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"erfc_kernel_asym: n must be a positive integer, got {n}")
-    q = mpf_div(mp.fmul(t, t, exact=True)._mpf_, x._mpf_, mp.prec + _GUARD, round_nearest)
-    value = mp.make_mpc(_large_t(q, mp.prec, n))
-    w = x / (mp.pi * t * t)
-    half = mp.mpf(1) / 2
-    bound = mp.rf(half, n) * w ** (n + half) / mp.sqrt(mp.pi)
-    return BoundedValue(ensure_finite(mp, value, "erfc_kernel_asym"), bound)
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz zeta at odd integer arguments, regularized cotangent
 # ---------------------------------------------------------------------------
-
-
-def hurwitz_zeta_odd(r: int, a, ctx: PrecisionContext):
-    """zeta(2r+1, a) = sum_{k>=0} (k+a)^(-2r-1) for integer r >= 1, finite a > 0.
-
-    Order r of ``zeta_odd_orders``, bit for bit: a caller that walks the
-    orders and one that asks for a single order read the same value.  Each
-    call walks orders 1..r, so a caller that needs many orders should walk
-    ``zeta_odd_orders`` once.
-    """
-    mp = ctx.mp
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"hurwitz_zeta_odd: r must be an integer >= 1, got {r}")
-    a = mp.mpf(a)
-    if not (a > 0 and mp.isfinite(a)):
-        raise DomainError(f"hurwitz_zeta_odd: a must be positive and finite, got {a}")
-    return next(itertools.islice(zeta_odd_orders(a, ctx), r - 1, None))
-
 
 # The head starts with one term per _HEAD_BITS bits of working precision.
 _HEAD_BITS = 6
@@ -416,39 +330,3 @@ def cot_pi_reg(lam, ctx: PrecisionContext):
     with mp.extraprec(max(0, -2 * mp.mag(lam)) + 10):
         res = mp.pi * mp.cospi(lam) / mp.sinpi(lam) - 1 / lam
     return +res
-
-
-def hzeta_diff(r: int, lam, ctx: PrecisionContext):
-    """Reflection difference: pi*cot(pi*lam) - 1/lam for r = 0, else
-    zeta(2r+1, 1+lam) - zeta(2r+1, 1-lam).  Odd in lam, zero at lam = 0.
-
-    Each call walks ``zeta_odd_orders`` through orders 1..r at both
-    arguments, so a caller that needs many orders should walk them once.
-    """
-    mp = ctx.mp
-    lam = mp.mpf(lam)
-    if not abs(lam) < 1:
-        raise DomainError(f"hzeta_diff: |lam| must be < 1, got {lam}")
-    if not isinstance(r, int) or r < 0:
-        raise DomainError(f"hzeta_diff: r must be an integer >= 0, got {r}")
-    if r == 0:
-        return cot_pi_reg(lam, ctx)
-    if lam == 0:
-        return mp.mpf(0)
-    return hurwitz_zeta_odd(r, 1 + lam, ctx) - hurwitz_zeta_odd(r, 1 - lam, ctx)
-
-
-def hzeta_sum(r: int, lam, ctx: PrecisionContext):
-    """Reflection sum zeta(2r+1, 1+lam) + zeta(2r+1, 1-lam), r >= 1.
-
-    Even in lam and strictly positive; equals 2*zeta(2r+1) at lam = 0.
-    Each call walks ``zeta_odd_orders`` through orders 1..r at both
-    arguments, so a caller that needs many orders should walk them once.
-    """
-    mp = ctx.mp
-    lam = mp.mpf(lam)
-    if not abs(lam) < 1:
-        raise DomainError(f"hzeta_sum: |lam| must be < 1, got {lam}")
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"hzeta_sum: r must be an integer >= 1, got {r}")
-    return hurwitz_zeta_odd(r, 1 + lam, ctx) + hurwitz_zeta_odd(r, 1 - lam, ctx)

@@ -1,7 +1,5 @@
 """Shared test helpers: independent oracles and formatting."""
 
-import mpmath
-
 from quadgauss import PrecisionContext
 
 
@@ -109,12 +107,6 @@ def machin_pi(ctx):
     return +val
 
 
-def mp_reference_erfc(z, digits):
-    """mpmath's own erfc at elevated precision, as a cross-check oracle."""
-    with mpmath.workdps(digits + 15):
-        return mpmath.erfc(mpmath.mpc(z.real, z.imag))
-
-
 def ctx_at(digits) -> PrecisionContext:
     return PrecisionContext(digits)
 
@@ -141,6 +133,25 @@ def _kernel(mp, t, x):
         return phase * mp.erfc(mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x)))
     half = mp.mpf(1) / 2
     return mp.hyperu(half, half, mp.mpc(0, -r2)) / mp.sqrt(mp.pi)
+
+
+def kernel_large_t(mp, t, x, n):
+    """(value, bound) of the large-t series of E(t), t > 0, cut after n terms
+    (DLMF 7.12(i)):
+
+        E(t) = pi^(-1/2) sum_{r<n} (-1)^r (1/2)_r (i w)^(r+1/2) + T_n,
+        |T_n| <= ((1/2)_n / sqrt(pi)) w^(n+1/2),   w = x/(pi t^2),
+
+    in mpmath arithmetic with guard digits, rounded to mp's precision.  The
+    independent reference for the series ``special.erfc_kernel`` sums.
+    """
+    with mp.extradps(10):
+        w = mp.mpf(x) / (mp.pi * mp.mpf(t) ** 2)
+        half = mp.mpf(1) / 2
+        value = mp.fsum((-1) ** r * mp.rf(half, r) * mp.mpc(0, w) ** (r + half)
+                        for r in range(n)) / mp.sqrt(mp.pi)
+        bound = mp.rf(half, n) * w ** (n + half) / mp.sqrt(mp.pi)
+    return +value, +bound
 
 
 def _expjpi_sums(x, theta, count, mp, stride):

@@ -18,20 +18,17 @@ from quadgauss import (
     asymptotic_sum,
     cot_pi_reg,
     direct_sum,
-    erfc_complex,
     erfc_kernel,
-    erfc_kernel_asym,
     exact_sum,
-    hurwitz_zeta_odd,
-    hzeta_diff,
-    hzeta_sum,
     phase_sum,
     reduced_sum_pair,
     remainder_bound,
     split_nearest,
 )
 
-from _utils import sig3
+from quadgauss.special import zeta_odd_orders
+
+from _utils import kernel_large_t, sig3
 
 TABLE1_NS = (1, 2, 3, 4, 6, 8, 10)
 TABLE2_NS = (1, 2, 4, 6, 8, 10)
@@ -189,50 +186,33 @@ def test_criterion_7_special_function_suite():
     for digits in (15, 30, 50):
         ctx = PrecisionContext(digits)
         mp = ctx.mp
-        rng = random.Random(digits)
-        # erfc reflection
-        for _ in range(30):
-            r = 10 ** rng.uniform(-1, 1.69897)
-            phi = rng.uniform(-3.14159, 3.14159)
-            z = mp.mpc(r, 0) * mp.expjpi(mp.mpf(phi) / mp.pi)
-            v = erfc_complex(z, ctx)
-            assert abs(v + erfc_complex(-z, ctx) - 2) <= 10 * ctx.eps * max(1, abs(v))
         # kernel reflection
         t, x = mp.mpf("0.7"), mp.mpf("0.01")
         resid = abs(erfc_kernel(-t, x, ctx)
                     - (2 * mp.expjpi(-(t * t / x)) - erfc_kernel(t, x, ctx)))
         assert resid <= 10 * ctx.eps
-        # kernel series containment (working-precision floor allowed on top)
+        # kernel series containment against the DLMF 7.12 partial sum and
+        # bound (working-precision floor allowed on top)
         floor = mp.mpf(10) ** (-(mp.dps - 2))
         for t in ("0.5", "2", "9"):
             for n in (1, 3, 7, 12):
-                bv = erfc_kernel_asym(t, "0.05", n, ctx)
-                err = abs(erfc_kernel(t, "0.05", ctx) - bv.value)
-                assert err <= bv.bound + floor, (digits, t, n)
-        # zeta shift recurrence
-        for s in range(3, 23, 2):
-            r = (s - 1) // 2
-            for a in ("0.25", "0.75", "1"):
-                av = mp.mpf(a)
-                z = hurwitz_zeta_odd(r, av, ctx)
-                assert abs(z - av ** (-s) - hurwitz_zeta_odd(r, av + 1, ctx)) \
-                    <= 10 * ctx.eps * z
-        # reflection-pair parity
-        for lam in ("0.125", "0.49"):
-            for r in range(4):
-                d = hzeta_diff(r, lam, ctx)
-                assert abs(hzeta_diff(r, "-" + lam, ctx) + d) \
-                    <= 10 * ctx.eps * max(1, abs(d))
-                if r:
-                    s = hzeta_sum(r, lam, ctx)
-                    assert abs(hzeta_sum(r, "-" + lam, ctx) - s) <= 10 * ctx.eps * s
+                value, bound = kernel_large_t(mp, t, "0.05", n)
+                err = abs(erfc_kernel(t, "0.05", ctx) - value)
+                assert err <= bound + floor, (digits, t, n)
+        # zeta shift recurrence over the walks at a and a + 1, orders 1..10
+        for a in ("0.25", "0.75", "1"):
+            av = mp.mpf(a)
+            walks = zip(zeta_odd_orders(av, ctx), zeta_odd_orders(av + 1, ctx))
+            for s, (z, z_next) in zip(range(3, 23, 2), walks):
+                assert abs(z - av ** (-s) - z_next) <= 10 * ctx.eps * z
         # cotangent seam
         for lam in ("0.09999999", "0.1", "0.10000001"):
             lam = mp.mpf(lam)
             direct = mp.pi * mp.cospi(lam) / mp.sinpi(lam) - 1 / lam
             assert abs(cot_pi_reg(lam, ctx) - direct) <= 10 * ctx.eps
-    print("\n[acceptance] criterion 7: PASS -- special-function identities hold "
-          "at digits 15, 30 and 50")
+    print("\n[acceptance] criterion 7: PASS -- kernel reflection, kernel series "
+          "containment, zeta shift recurrence and cotangent seam hold at digits "
+          "15, 30 and 50")
 
 
 def test_criterion_8_rational_reciprocity():

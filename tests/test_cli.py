@@ -338,6 +338,15 @@ def test_no_partial_output_on_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, "table1", "--x", "2", "--N", "4", *out_args)
         assert code == 3 and out == ""
         assert list(tmp_path.iterdir()) == []
+    # an --out that cannot be written, in a missing directory or naming a
+    # directory, is a usage error in one line, and leaves no temporary file
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    for path in (tmp_path / "missing" / "out.json", directory):
+        code, out, err = run_cli(capsys, "sum", "--x", "0.5", "--N", "4", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [directory] and list(directory.iterdir()) == []
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Parameter handling, the direct oracle, splitting, normalization."""
 
+import importlib
+import pkgutil
 import random
 
 import mpmath
@@ -328,7 +330,15 @@ def test_split_never_negative_whole():
 
 
 def test_public_names_resolve():
+    # a name deleted from a module but left in an __all__ would break the
+    # star import of that module, or of the package
     import quadgauss
 
-    for name in quadgauss.__all__:
-        assert hasattr(quadgauss, name), name
+    modules = ["quadgauss"] + [f"quadgauss.{m.name}"
+                               for m in pkgutil.iter_modules(quadgauss.__path__)]
+    for module in modules:
+        names = {}
+        exec(f"from {module} import *", names)
+        exported = getattr(importlib.import_module(module), "__all__", ())
+        assert set(exported) <= names.keys(), module
+    assert "quadgauss.special" in modules

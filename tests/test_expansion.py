@@ -17,9 +17,6 @@ from quadgauss import (
     direct_sum,
     exact_sum,
     exact_sum_detail,
-    hurwitz_zeta_odd,
-    hzeta_diff,
-    hzeta_sum,
     optimal_truncation,
     phase_term,
     reduced_sum_pair,
@@ -71,7 +68,7 @@ def test_coeff_r0_closed_form():
 
 
 def test_coeff_near_integer_regression():
-    # frac ~ 1e-9 must stay finite and close to -hzeta_diff(theta)
+    # frac ~ 1e-9 must stay finite and close to -cot_pi_reg(theta)
     ctx = CTX40
     mp = ctx.mp
     n = 1024
@@ -85,11 +82,22 @@ def test_coeff_near_integer_regression():
     assert abs(c0 + cot_pi_reg(theta, ctx)) < mp.mpf("1e-8")
 
 
+def _zeta_pair(r, a, sign, digits):
+    """zeta(2r+1, 1+a) + sign zeta(2r+1, 1-a) from mpmath far above the
+    working precision, and pi cot(pi a) - 1/a for the difference at r = 0."""
+    with mpmath.workdps(3 * digits + 30):
+        a = mpmath.mpf(a)
+        if r == 0:
+            return mpmath.pi * mpmath.cot(mpmath.pi * a) - 1 / a
+        return mpmath.zeta(2 * r + 1, 1 + a) + sign * mpmath.zeta(2 * r + 1, 1 - a)
+
+
 @pytest.mark.parametrize("case", ["col1", "col2", "near_integer"])
 def test_edge_layers_match_coefficient_form(case):
     # at k0 = 0 the layers are the expansion terms: e^{i pi/4} T_r(a) is
-    # (1/2)_r (x/(pi i))^r hzeta_diff(r, a) / (2 pi i), with cot_pi_reg at
-    # r = 0, and bound_r is the hzeta_sum form of the remainder bound
+    # (1/2)_r (x/(pi i))^r D_r(a) / (2 pi i), D_r(a) = zeta(2r+1, 1+a) -
+    # zeta(2r+1, 1-a) and pi cot(pi a) - 1/a at r = 0, and bound_r is the
+    # zeta-sum form of the remainder bound
     ctx = CTX40
     mp = ctx.mp
     if case == "near_integer":
@@ -104,10 +112,11 @@ def test_edge_layers_match_coefficient_form(case):
             if r == 10:
                 break
             poch = mp.rf(mp.mpf(1) / 2, r)
-            want = poch * (p.x / (mp.pi * 1j)) ** r * hzeta_diff(r, a, ctx) / (2j * mp.pi)
+            diff = mp.mpf(_zeta_pair(r, a, -1, ctx.digits))
+            want = poch * (p.x / (mp.pi * 1j)) ** r * diff / (2j * mp.pi)
             assert abs(rot * term - want) <= 10 * ctx.eps * max(abs(want), mp.mpf("1e-30"))
             want_bound = (mp.rf(mp.mpf(1) / 2, r + 1) / (2 * mp.pi) * (p.x / mp.pi) ** (r + 1)
-                          * hzeta_sum(r + 1, a, ctx))
+                          * mp.mpf(_zeta_pair(r + 1, a, 1, ctx.digits)))
             assert abs(bound - want_bound) <= 10 * ctx.eps * want_bound
     rep = asymptotic_sum(p, 10)
     for n in (1, 4, 10):
@@ -159,7 +168,9 @@ def test_remainder_bound_symbolic_specialization():
     mp = ctx.mp
     x = mp.mpf("0.004")
     got = remainder_bound(1, x, 0, 0, ctx)
-    want = x * hurwitz_zeta_odd(1, 1, ctx) / (2 * mp.pi ** 2)
+    with mpmath.workdps(3 * ctx.digits + 30):
+        zeta3 = mp.mpf(mpmath.zeta(3))
+    want = x * zeta3 / (2 * mp.pi ** 2)
     assert abs(got - want) <= 10 * ctx.eps * want
 
 
@@ -170,6 +181,12 @@ def test_remainder_bound_positive_and_validated():
         remainder_bound(0, "0.01", "0.1", "0.1", ctx)
     with pytest.raises(DomainError):
         remainder_bound(True, "0.01", "0.1", "0.1", ctx)
+    # outside the domain optimal_truncation refuses, the bound was negative,
+    # zero or a number with no meaning
+    for x, frac, theta in (("-0.01", "0.1", "0.1"), ("0", "0.1", "0.1"), ("1", "0.1", "0.1"),
+                           ("0.01", "0.9", "0.1"), ("0.01", "0.1", "-0.5000001")):
+        with pytest.raises(DomainError):
+            remainder_bound(3, x, frac, theta, ctx)
     # asymptotic_sum refuses the same n, a bool too, as GaussParams a bool N
     p = GaussParams("0.01", "0.1", 100, ctx)
     for n in (0, True):
@@ -284,7 +301,7 @@ def test_reassembly_is_exact():
 
 def test_classical_equals_general_at_theta_zero():
     # theta = 0 is the limit of nearby theta, except that the bound drops
-    # the hzeta_sum(n, theta) half of the edge-0 series
+    # the zeta(2n+1, 1 +- theta) half of the edge-0 series
     ctx = CTX40
     mp = ctx.mp
     p0 = GaussParams("0.0023", 0, 6000, ctx)
@@ -294,7 +311,7 @@ def test_classical_equals_general_at_theta_zero():
     frac = split_nearest(p0).frac
     poch = mp.rf(mp.mpf(1) / 2, 5)
     frac_only = (poch / (2 * mp.pi) * (mp.mpf("0.0023") / mp.pi) ** 5
-                 * hzeta_sum(5, frac, ctx))
+                 * mp.mpf(_zeta_pair(5, frac, 1, ctx.digits)))
     assert abs(rep_0.remainder_bound - frac_only) <= 10 * ctx.eps * frac_only
     assert rep_0.remainder_bound < rep_t.remainder_bound
 

@@ -1,98 +1,30 @@
-"""Special-function layer: erfc, the kernel E, Hurwitz zeta, cotangent."""
+"""Special-function layer: the three engines the routes run (the kernel E,
+the odd-order Hurwitz-zeta walk, the regularized cotangent) and the
+reflection pairs the edge layers build from them."""
 
 import itertools
-import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgauss import (
-    DomainError,
-    PrecisionContext,
-    cot_pi_reg,
-    erfc_complex,
-    erfc_kernel,
-    erfc_kernel_asym,
-    hurwitz_zeta_odd,
-    hzeta_diff,
-    hzeta_sum,
-)
+from quadgauss import DomainError, PrecisionContext, cot_pi_reg, erfc_kernel
 
 from quadgauss import special
+from quadgauss.expansion import edge_layers
 from quadgauss.special import zeta_odd_orders
 
-from _utils import (_hzeta, _kernel, erfc_quadrature, machin_pi, mp_reference_erfc,
+from _utils import (_hzeta, _kernel, erfc_quadrature, kernel_large_t, machin_pi,
                     zeta_series_oracle)
 
 CTX30 = PrecisionContext(30)
 CTX50 = PrecisionContext(50)
 
 
-# ---------------------------------------------------------------------------
-# erfc
-# ---------------------------------------------------------------------------
-
-
-def test_erfc_zero_is_one():
-    assert erfc_complex(0, CTX30) == CTX30.mp.mpc(1)
-
-
-def test_erfc_reflection_example():
-    mp = CTX30.mp
-    z = mp.expjpi(mp.mpf(-1) / 4) * 3
-    resid = abs(erfc_complex(-z, CTX30) - (2 - erfc_complex(z, CTX30)))
-    assert resid < 10 * CTX30.eps
-
-
-def test_erfc_quadrature_oracle_on_ray():
-    ctx = CTX30
-    mp = ctx.mp
-    z = mp.expjpi(mp.mpf(-1) / 4) * 2
-    ref = erfc_quadrature(z, ctx)
-    assert abs(erfc_complex(z, ctx) - ref) < mp.mpf("1e-20")
-
-
-def test_erfc_reflection_random_sweep():
-    ctx = CTX30
-    mp = ctx.mp
-    rng = random.Random(1905)
-    for _ in range(200):
-        r = 10 ** rng.uniform(-1, 1.69897)  # |z| in [0.1, 50]
-        phi = rng.uniform(-3.14159, 3.14159)
-        z = mp.mpc(r * mpmath.cos(phi), r * mpmath.sin(phi))
-        v = erfc_complex(z, ctx)
-        resid = abs(v + erfc_complex(-z, ctx) - 2)
-        assert resid <= 10 * ctx.eps * max(1, abs(v))
-
-
-@pytest.mark.parametrize("re,im", [
-    (2.9, -2.9), (2.9, 2.9), (-2.9, 2.9),          # rays, series branch
-    (3.9, -3.9), (4.1, -4.1), (2.84, 2.86),        # series/fraction seam
-    (12.0, -12.0), (-30.0, 30.0), (700.0, -700.0),  # fraction branch
-    (1.0, 9.0), (0.5, 40.0), (0.0, 25.0),          # near-imaginary wedge
-    (7000.0, -7000.0), (0.1, 9999.0),              # |z| ~ 1e4
-])
-def test_erfc_against_mpmath(re, im):
-    for ctx in (CTX30, CTX50):
-        z = ctx.mp.mpc(re, im)
-        got = erfc_complex(z, ctx)
-        ref = mp_reference_erfc(z, ctx.digits)
-        assert abs(got - ref) <= 10 * ctx.eps * abs(ref)
-
-
-def test_erfc_rejects_nonfinite():
-    mp = CTX30.mp
-    with pytest.raises(DomainError):
-        erfc_complex(mp.mpc(mp.inf, 0), CTX30)
-    with pytest.raises(DomainError):
-        erfc_complex(mp.mpc(0, mp.nan), CTX30)
-
-
-def test_erfc_deterministic():
-    z = CTX30.mp.mpc("1.375", "-2.25")
-    assert erfc_complex(z, CTX30) == erfc_complex(z, CTX30)
+def zeta_order(r, a, ctx):
+    """zeta(2r+1, a): order r of one ``zeta_odd_orders`` walk."""
+    return next(itertools.islice(zeta_odd_orders(a, ctx), r - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +51,7 @@ def test_kernel_domain():
     with pytest.raises(DomainError):
         erfc_kernel(1, "1.5", CTX30)
     with pytest.raises(DomainError):
-        erfc_kernel_asym(0, "0.01", 3, CTX30)
-    with pytest.raises(DomainError):
-        erfc_kernel_asym(-2, "0.01", 3, CTX30)
-    with pytest.raises(DomainError):
-        erfc_kernel_asym(1, "0.01", 0, CTX30)
-    with pytest.raises(DomainError):
         erfc_kernel(CTX30.mp.inf, "0.01", CTX30)
-    with pytest.raises(DomainError):
-        erfc_kernel_asym(1, 1, 3, CTX30)
-
-
-def test_kernel_series_first_order_example():
-    # value = e^{i pi/4} sqrt(0.01/pi)/sqrt(pi), bound = Gamma(3/2)/pi (0.01/pi)^{3/2}
-    ctx = CTX30
-    mp = ctx.mp
-    bv = erfc_kernel_asym(1, "0.01", 1, ctx)
-    want = mp.expjpi(mp.mpf(1) / 4) * mp.sqrt(mp.mpf("0.01") / mp.pi) / mp.sqrt(mp.pi)
-    assert abs(bv.value - want) <= 10 * ctx.eps
-    want_bound = mp.gamma(mp.mpf(3) / 2) / mp.pi * (mp.mpf("0.01") / mp.pi) ** mp.mpf("1.5")
-    assert abs(bv.bound - want_bound) <= 10 * ctx.eps * want_bound
-    # containment against the exact kernel
-    assert abs(erfc_kernel(1, "0.01", ctx) - bv.value) <= bv.bound
-
-
-def test_kernel_series_bound_decreases_in_t():
-    ctx = CTX30
-    prev = None
-    for t in ("0.5", "1", "2", "7", "31"):
-        b = erfc_kernel_asym(t, "0.01", 4, ctx).bound
-        if prev is not None:
-            assert b < prev
-        prev = b
 
 
 def test_kernel_containment_offset_sweep():
@@ -161,8 +62,8 @@ def test_kernel_containment_offset_sweep():
     theta = mp.mpf("0.3")
     for k in range(1, 51):
         for t in (k - theta, k + theta):
-            bv = erfc_kernel_asym(t, x, 3, ctx)
-            assert abs(erfc_kernel(t, x, ctx) - bv.value) <= bv.bound
+            value, bound = kernel_large_t(mp, t, x, 3)
+            assert abs(erfc_kernel(t, x, ctx) - value) <= bound
 
 
 def test_kernel_containment_grid():
@@ -174,15 +75,15 @@ def test_kernel_containment_grid():
     for x in ("0.1", "0.01", "0.005"):
         for t in ("0.5", "1", "3.7", "10"):
             for n in (1, 2, 5, 12):
-                bv = erfc_kernel_asym(t, x, n, ctx)
-                err = abs(erfc_kernel(t, mp.mpf(x), ctx) - bv.value)
-                assert err <= bv.bound + floor
+                value, bound = kernel_large_t(mp, t, x, n)
+                err = abs(erfc_kernel(t, mp.mpf(x), ctx) - value)
+                assert err <= bound + floor
 
 
 def test_kernel_self_consistency_via_series():
     ctx = CTX30
-    bv = erfc_kernel_asym(1, "0.01", 5, ctx)
-    assert abs(erfc_kernel(1, "0.01", ctx) - bv.value) <= bv.bound
+    value, bound = kernel_large_t(ctx.mp, 1, "0.01", 5)
+    assert abs(erfc_kernel(1, "0.01", ctx) - value) <= bound
 
 
 @pytest.mark.parametrize("ctx", [CTX30, CTX50], ids=["d30", "d50"])
@@ -257,22 +158,22 @@ def test_kernel_within_two_ulps_below_the_old_series_radius(digits):
 
 
 def test_zeta_apery():
-    got = hurwitz_zeta_odd(1, 1, CTX30)
+    got = zeta_order(1, 1, CTX30)
     want = CTX30.mp.mpf("1.2020569031595942853997381615114")
     assert abs(got - want) <= CTX30.eps * want
 
 
 def test_zeta_shift_recurrence_value():
-    z1 = hurwitz_zeta_odd(1, 1, CTX30)
-    z2 = hurwitz_zeta_odd(1, 2, CTX30)
+    z1 = zeta_order(1, 1, CTX30)
+    z2 = zeta_order(1, 2, CTX30)
     assert abs(z2 - (z1 - 1)) <= 10 * CTX30.eps
 
 
 def test_zeta_half_identity():
     # zeta(s, 1/2) = (2^s - 1) zeta(s) at s = 5
     ctx = CTX30
-    lhs = hurwitz_zeta_odd(2, "0.5", ctx)
-    rhs = 31 * hurwitz_zeta_odd(2, 1, ctx)
+    lhs = zeta_order(2, "0.5", ctx)
+    rhs = 31 * zeta_order(2, 1, ctx)
     assert abs(lhs - rhs) <= 10 * ctx.eps * rhs
     oracle, err = zeta_series_oracle(5, ctx.mp.mpf("0.5"), ctx, k0=30000)
     assert abs(lhs - oracle) <= err + 10 * ctx.eps * rhs
@@ -282,7 +183,7 @@ def test_zeta_direct_series_oracle_grid():
     ctx = CTX30
     mp = ctx.mp
     for s, a in [(3, "0.6505"), (3, "1.3495"), (5, "0.875"), (7, "2"), (21, "0.3")]:
-        got = hurwitz_zeta_odd((s - 1) // 2, mp.mpf(a), ctx)
+        got = zeta_order((s - 1) // 2, mp.mpf(a), ctx)
         oracle, err = zeta_series_oracle(s, mp.mpf(a), ctx, k0=30000)
         assert abs(got - oracle) <= err + 10 * ctx.eps * abs(got)
 
@@ -294,8 +195,8 @@ def test_zeta_recurrence_grid():
         r = (s - 1) // 2
         for a in ("0.0625", "0.25", "0.5", "0.75", "1"):
             a = mp.mpf(a)
-            z = hurwitz_zeta_odd(r, a, ctx)
-            resid = abs(z - a ** (-s) - hurwitz_zeta_odd(r, a + 1, ctx))
+            z = zeta_order(r, a, ctx)
+            resid = abs(z - a ** (-s) - zeta_order(r, a + 1, ctx))
             assert resid <= 10 * ctx.eps * z
 
 
@@ -305,19 +206,10 @@ def test_zeta_against_mpmath():
     ctx = CTX50
     for s, a in [(3, "0.01"), (3, "1.99"), (9, "0.5"), (13, "1.3"),
                  (13, "509.81184"), (9, "462.038")]:
-        got = hurwitz_zeta_odd((s - 1) // 2, a, ctx)
+        got = zeta_order((s - 1) // 2, a, ctx)
         with mpmath.workdps(3 * ctx.digits + 30):
             ref = mpmath.zeta(s, mpmath.mpf(a))
         assert abs(got - ctx.mp.mpf(ref)) <= 10 * ctx.eps * abs(got)
-
-
-def test_zeta_domain():
-    with pytest.raises(DomainError):
-        hurwitz_zeta_odd(0, 1, CTX30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta_odd(1, 0, CTX30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta_odd(1, -2, CTX30)
 
 
 def _rel_err(got, ref):
@@ -340,7 +232,7 @@ def test_zeta_orders_within_eight_working_eps_of_mpmath(a, digits):
 
 def test_zeta_lazy_walk_matches_islice_bit_for_bit():
     # two walks pulled in step, with other work at a raised precision in
-    # between, give the same bits as islice and as hurwitz_zeta_odd
+    # between, give the same bits as islice
     ctx = CTX30
     mp = ctx.mp
     for lo, hi in (("0.6505", "1.3495"), ("16.6505", "17.3495"), ("509.81184", "0.0625")):
@@ -352,7 +244,6 @@ def test_zeta_lazy_walk_matches_islice_bit_for_bit():
                 mp.zeta(3)
         for a, got in zip((lo, hi), zip(*lazy)):
             assert list(got) == list(itertools.islice(zeta_odd_orders(a, ctx), 12))
-            assert list(got) == [hurwitz_zeta_odd(r, a, ctx) for r in range(1, 13)]
 
 
 def test_zeta_deep_orders_against_reference_pass():
@@ -433,26 +324,21 @@ def test_cot_reg_domain():
 
 
 def test_pair_diff_zero_for_all_r():
-    for r in range(11):
-        assert hzeta_diff(r, 0, CTX30) == 0
-
-
-def test_pair_parity_grid():
-    ctx = CTX30
-    for lam in ("0.01", "0.125", "0.3", "0.49", "0.8"):
-        for r in range(4):
-            d = hzeta_diff(r, lam, ctx)
-            assert abs(hzeta_diff(r, "-" + lam, ctx) + d) <= 10 * ctx.eps * max(1, abs(d))
-            if r >= 1:
-                s = hzeta_sum(r, lam, ctx)
-                assert s > 0
-                assert abs(hzeta_sum(r, "-" + lam, ctx) - s) <= 10 * ctx.eps * s
+    # at a = 0 both walks read one argument and the cotangent vanishes: every
+    # layer of the edge series is exactly 0, whatever the window
+    for k0 in (0, 16):
+        layers = itertools.islice(edge_layers("0.01", 0, k0, CTX30), 11)
+        assert all(term == 0 for term, _ in layers), k0
 
 
 def test_pair_sum_at_zero():
-    got = hzeta_sum(1, 0, CTX30)
-    assert abs(got - 2 * hurwitz_zeta_odd(1, 1, CTX30)) <= 10 * CTX30.eps
-    assert abs(got - CTX30.mp.mpf("2.4041138063191885708")) <= CTX30.mp.mpf("1e-15")
+    # the first layer's bound (x/pi)/(4 pi) [zeta(3, 1+a) + zeta(3, 1-a)]
+    # holds 2 zeta(3) at a = 0
+    mp = CTX30.mp
+    x = mp.mpf("0.01")
+    _, bound = next(edge_layers(x, 0, 0, CTX30))
+    got = bound / (x / (4 * mp.pi ** 2))
+    assert abs(got - mp.mpf("2.4041138063191885708")) <= mp.mpf("1e-15")
 
 
 def test_pair_values_from_series_oracle():
@@ -461,26 +347,15 @@ def test_pair_values_from_series_oracle():
     lam = mp.mpf("0.3495")
     d1m, e1 = zeta_series_oracle(3, 1 + lam, ctx, k0=30000)
     d1p, e2 = zeta_series_oracle(3, 1 - lam, ctx, k0=30000)
-    got = hzeta_diff(1, lam, ctx)
+    zm, zp = zeta_order(1, 1 + lam, ctx), zeta_order(1, 1 - lam, ctx)
+    got = zm - zp
     assert abs(got - (d1m - d1p)) <= e1 + e2 + 10 * ctx.eps
     assert f"{float(got):.2e}" == "-3.41e+00"
-    got_sum = hzeta_sum(1, lam, ctx)
+    got_sum = zm + zp
     assert abs(got_sum - (d1m + d1p)) <= e1 + e2 + 10 * ctx.eps
     assert f"{float(got_sum):.3g}" == "4.5"
-    got_eighth = hzeta_sum(1, "-0.125", ctx)
-    assert abs(got_eighth - hzeta_sum(1, "0.125", ctx)) <= 10 * ctx.eps
+    got_eighth = zeta_order(1, "1.125", ctx) + zeta_order(1, "0.875", ctx)
     assert f"{float(got_eighth):.3g}" == "2.61"
-
-
-def test_pair_domain():
-    with pytest.raises(DomainError):
-        hzeta_diff(1, 1, CTX30)
-    with pytest.raises(DomainError):
-        hzeta_sum(0, "0.3", CTX30)
-    with pytest.raises(DomainError):
-        hzeta_diff(-1, "0.3", CTX30)
-    with pytest.raises(DomainError):
-        hzeta_sum(1, "-1", CTX30)
 
 
 def test_machin_pi_cross_check():
