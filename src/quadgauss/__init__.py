@@ -8,13 +8,10 @@ error carries a computable, N-independent bound.
 
 from .core import (
     GaussParams,
-    NearestSplit,
-    NormalizationRecord,
     direct_sum,
     normalize_params,
     phase_sum,
     phase_term,
-    split_nearest,
 )
 from .errors import (
     DomainError,
@@ -40,7 +37,7 @@ from .expansion import (
     reduced_sum_pair,
     remainder_bound,
 )
-from .exprs import NumberExpr, eval_number_expr, format_expr, parse_number_expr
+from .exprs import eval_number_expr, parse_number_expr
 from .precision import PrecisionContext
 from .special import cot_pi_reg, erfc_kernel
 
@@ -68,9 +65,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
-    "NumberExpr",
     "parse_number_expr",
     "eval_number_expr",
-    "format_expr",
     "__version__",
 ]

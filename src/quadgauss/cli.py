@@ -13,10 +13,15 @@ irrational inputs enter at full working precision.  Each handler returns
 rows whose reals are raw mpf values, and ``_emit`` formats each real once
 and writes each row as it comes: a JSON number at --digits <= 17, a
 decimal string beyond (so consumers cannot truncate it), scientific
-notation in CSV.  The rows go to a temporary file that is published only
-on success.  Exit codes: 2 usage (an --out that cannot be written too),
-3 domain error, 4 precision/resource error, 141 (the shell's SIGPIPE
-status) when the reader closes stdout early.
+notation in CSV.  A nonzero real outside the normal double range is a
+decimal string in JSON at any --digits: a double would print it as 0 or
+as Infinity, which is not JSON.  Raw parameters are folded into the
+canonical ranges exactly (``normalize_params``), and a value computed
+for the conjugate parameters is conjugated back.  The rows go to a
+temporary file that is published only on success.  Exit codes: 2 usage
+(an --out that cannot be written too), 3 domain error, 4
+precision/resource error, 141 (the shell's SIGPIPE status) when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -114,10 +119,15 @@ def _emit(rows, args, mp, fh):
         # the empty fixed-exponent window [1, 0) forces scientific form
         real = functools.partial(mp.nstr, n=max(17, args.digits), min_fixed=1,
                                  max_fixed=0, show_zero_exponent=True, strip_zeros=False)
-    elif args.digits <= 17:
-        real = float
     else:
-        real = functools.partial(mp.nstr, n=args.digits, strip_zeros=False)
+        text = functools.partial(mp.nstr, n=args.digits, strip_zeros=False)
+        if args.digits <= 17:
+            def real(v):
+                # JSON has no Infinity, and a double would flush to 0 below its range
+                normal = not v or sys.float_info.min <= abs(v) <= sys.float_info.max
+                return float(v) if normal else text(v)
+        else:
+            real = text
     out = ({k: real(mp.mpf(v)) if isinstance(v, mp.mpf) else v for k, v in row.items()}
            for row in rows)
     if args.format == "csv":
@@ -198,7 +208,7 @@ def _given(args):
 
 def _cmd_value(args, ctx):
     """sum, exact or asym: one row with the value and, but for sum, its bound."""
-    params, record = _params_from(args, ctx)
+    params, conjugated = _params_from(args, ctx)
     row = {"method": args.command, **_given(args)}
     cert = {}
     t0 = time.perf_counter_ns()
@@ -215,7 +225,8 @@ def _cmd_value(args, ctx):
         print(f"quadgauss: warning: n={report.n_used} is at or past the "
               f"optimal truncation index {report.optimal_n}; the divergent "
               "series has stopped gaining accuracy", file=sys.stderr)
-    value = record.unapply(value)
+    if conjugated:
+        value = value.conjugate()
     return [{**row, "value_re": value.real, "value_im": value.imag, **cert,
              "elapsed_ns": elapsed}]
 

@@ -13,6 +13,11 @@ term-wise identities:
     S_N(x, theta + 1) = S_N(x, theta)
     S_N(-x, -theta)   = conj(S_N(x, theta))
 
+``normalize_params`` applies them with exact subtractions, so only
+``GaussParams`` rounds, once.  ``GaussParams`` also carries the pair both
+certified routes are built on: ``whole``, the nearest integer M to
+N x + theta, and ``frac`` = N x + theta - M, both from the exact sum.
+
 ``phase_term`` forms one phase x t^2 + 2 theta t exactly and hands it
 to mpmath's ``expjpi``.  The phase loop behind the oracle, the
 renormalized short sum and the curlicue (``_phase_partial_sums``) reads
@@ -30,9 +35,7 @@ term, for the oracle, both routes' short sums and the curlicue alike.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
+from mpmath.libmp import fhalf, from_man_exp, pi_fixed, round_nearest
 from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .errors import DomainError, ResourceBudgetError
@@ -40,12 +43,9 @@ from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
     "GaussParams",
-    "NearestSplit",
-    "NormalizationRecord",
     "phase_term",
     "phase_sum",
     "direct_sum",
-    "split_nearest",
     "normalize_params",
 ]
 
@@ -57,16 +57,22 @@ class GaussParams:
 
     Accepts anything ``mpf`` accepts (decimal strings keep all digits);
     derived quantities must use these stored values, never re-read
-    truncated decimal forms.
+    truncated decimal forms.  ``whole`` and ``frac`` split N x + theta,
+    formed once and exactly in integers however large N is, into its
+    nearest integer and the rest, frac in (-1/2, 1/2] with the tie
+    m + 1/2 kept as whole = m, frac = 1/2.  whole >= 0, since
+    N x + theta > -1/2.  frac keeps every bit: it feeds phases frac^2/x
+    of size up to 1/(4x), which a frac rounded from N x + theta would
+    throw off by up to ~N eps.
     """
 
-    __slots__ = ("x", "theta", "N", "ctx")
+    __slots__ = ("x", "theta", "N", "ctx", "whole", "frac")
 
     def __init__(self, x, theta, N: int, ctx: PrecisionContext):
         mp = ctx.mp
         x = mp.mpf(x)
         theta = mp.mpf(theta)
-        half = mp.mpf(1) / 2
+        half = mp.make_mpf(fhalf)
         if not (0 < x < 1):
             raise DomainError(f"GaussParams: x must lie in (0, 1), got {x}")
         if not (-half <= theta <= half):
@@ -77,39 +83,18 @@ class GaussParams:
         self.theta = theta
         self.N = N
         self.ctx = ctx
+        # N x + theta = v 2^e exactly, in integers (e < 0, as x < 1)
+        _, mx, ex, _ = x._mpf_
+        st, mt, et, _ = theta._mpf_
+        e = min(ex, et) if mt else ex
+        v = (N * mx << ex - e) + ((-mt if st else mt) << et - e)
+        self.whole = -((1 << -e - 1) - v >> -e)  # ceil(v 2^e - 1/2)
+        self.frac = mp.make_mpf(from_man_exp(v - (self.whole << -e), e))
 
     def __repr__(self):
         mp = self.ctx.mp
         return (f"GaussParams(x={mp.nstr(self.x, 12)}, "
                 f"theta={mp.nstr(self.theta, 12)}, N={self.N})")
-
-
-class NearestSplit(NamedTuple):
-    """N*x + theta split as value = whole + frac, frac in (-1/2, 1/2].
-
-    At the tie value = m + 1/2 the split keeps whole = m, frac = 1/2.
-    """
-
-    value: object
-    whole: int
-    frac: object
-
-
-class NormalizationRecord(NamedTuple):
-    """Exact transform that carried raw (x, theta) into canonical ranges.
-
-    ``x_shift`` counts multiples of 2 removed from x, ``theta_shift``
-    integers removed from theta; both leave the sum unchanged.  When
-    ``conjugated`` the normalized sum is the conjugate of the raw one.
-    """
-
-    conjugated: bool
-    x_shift: int
-    theta_shift: int
-
-    def unapply(self, value):
-        """Map a sum over normalized parameters back to raw parameters."""
-        return value.conjugate() if self.conjugated else value
 
 
 def phase_term(t, params: GaussParams, ctx: PrecisionContext | None = None):
@@ -227,55 +212,30 @@ def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
     return ensure_finite(ctx.mp, value, "direct_sum")
 
 
-def split_nearest(params: GaussParams) -> NearestSplit:
-    """Split N*x + theta into nearest integer and signed fractional part.
-
-    The whole part is >= 0 automatically (N*x + theta > -1/2), and
-    frac lands in (-1/2, 1/2] with ties resolved upward to 1/2.  Both
-    come from the exact N*x + theta, so frac keeps every bit: it feeds
-    phases frac^2/x of size up to 1/(4x), which a frac rounded from
-    N*x + theta would throw off by up to ~N eps.  ``value`` is the exact
-    sum rounded once, so value == whole + frac at working precision.
-    """
-    mp = params.ctx.mp
-    exact = mp.fadd(mp.fmul(params.N, params.x, exact=True), params.theta,
-                    exact=True)
-    whole = int(mp.ceil(mp.fsub(exact, mp.mpf(1) / 2, exact=True)))
-    frac = mp.fsub(exact, whole, exact=True)
-    return NearestSplit(value=+exact, whole=whole, frac=frac)
-
-
 def normalize_params(x_raw, theta_raw, N: int, ctx: PrecisionContext):
-    """Fold arbitrary real (x, theta) into the canonical ranges.
+    """Fold arbitrary real (x, theta) into the canonical ranges, exactly.
 
-    Applies x -> x mod 2; conjugation (x, theta) -> (2 - x, -theta) when
-    the reduced x lies in (1, 2); theta -> theta mod 1 into (-1/2, 1/2].
-    Raw x reducing to 0 or 1 mod 2 degenerates to a geometric sum and is
-    rejected.  Returns (GaussParams, NormalizationRecord) such that
-    ``record.unapply(direct_sum(normalized))`` equals the raw sum.
+    Applies x -> x - 2k into [-1, 1], k the nearest integer to x/2;
+    conjugation (x, theta) -> (-x, -theta) when that x is negative;
+    theta -> theta - l into (-1/2, 1/2], l the nearest integer.  Each
+    step is an exact subtraction of an integer, so the canonical image
+    is exact and ``GaussParams`` rounds it once: a tiny negative x keeps
+    every bit.  Raw x reducing to 0 or 1 mod 2 degenerates to a
+    geometric sum and is rejected.  Returns (GaussParams, conjugated):
+    the raw sum is ``direct_sum(params)``, conjugated when ``conjugated``.
     """
     mp = ctx.mp
-    x_raw = mp.mpf(x_raw)
-    theta_raw = mp.mpf(theta_raw)
-    half = mp.mpf(1) / 2
-    x_shift = mp.floor(x_raw / 2)
-    x_mod = x_raw - 2 * x_shift
-    if x_mod == 0 or x_mod == 1:
+    x = mp.mpf(x_raw)
+    theta = mp.mpf(theta_raw)
+    x = mp.fsub(x, 2 * mp.nint(x / 2), exact=True)
+    if x == 0 or abs(x) == 1:
         raise DomainError(
-            f"normalize_params: x={x_raw} reduces to {x_mod} mod 2; the sum "
+            f"normalize_params: x={x_raw} reduces to {abs(x)} mod 2; the sum "
             "degenerates to a geometric series outside this evaluator's domain")
-    if x_mod > 1:
-        conjugated = True
-        x_norm = 2 - x_mod
-        theta_pre = -theta_raw
-    else:
-        conjugated = False
-        x_norm = x_mod
-        theta_pre = theta_raw
-    theta_shift = mp.ceil(theta_pre - half)
-    theta_norm = theta_pre - theta_shift
-    params = GaussParams(x_norm, theta_norm, N, ctx)
-    record = NormalizationRecord(conjugated=conjugated,
-                                 x_shift=int(x_shift),
-                                 theta_shift=int(theta_shift))
-    return params, record
+    conjugated = x < 0
+    if conjugated:
+        x, theta = mp.fneg(x, exact=True), mp.fneg(theta, exact=True)
+    theta = mp.fsub(theta, mp.nint(theta), exact=True)
+    if theta == -0.5:
+        theta = -theta
+    return GaussParams(x, theta, N, ctx), conjugated

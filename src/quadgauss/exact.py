@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import GaussParams, phase_term, split_nearest
+from .core import GaussParams, phase_term
 from .errors import DomainError, TruncationError
 from .expansion import _MP, _skeleton, edge_layers
 from .precision import PrecisionContext, ensure_finite
@@ -148,7 +148,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         raise DomainError(f"boundary_series: edge must be 0 or N={params.N}, got {edge}")
     tol = policy.resolve_tol(ctx)
     x = params.x
-    a = params.theta if edge == 0 else split_nearest(params).frac
+    a = params.theta if edge == 0 else params.frac
     if a == 0:
         # every pair cancels identically
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
@@ -185,8 +185,7 @@ def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
     mp = ctx.mp
-    split = split_nearest(params)
-    renorm, boundary, e_term = _skeleton(params, split, phase_term(params.N, params, ctx), ctx)
+    renorm, boundary, e_term = _skeleton(params, phase_term(params.N, params, ctx), ctx)
     upper = boundary_series(params.N, params, policy, ctx)
     lower = boundary_series(0, params, policy, ctx)
     rot = mp.expjpi(mp.mpf(1) / 4)

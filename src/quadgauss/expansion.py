@@ -52,7 +52,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
-from .core import GaussParams, NearestSplit, direct_sum, phase_sum, phase_term, split_nearest
+from .core import GaussParams, direct_sum, phase_sum, phase_term
 from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
@@ -180,7 +180,7 @@ def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
     return bound
 
 
-def _renorm_term(params: GaussParams, split: NearestSplit, mp):
+def _renorm_term(params: GaussParams, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
     + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
     else M.
@@ -195,11 +195,11 @@ def _renorm_term(params: GaussParams, split: NearestSplit, mp):
     round digits away.
     """
     first = 0 if params.theta < 0 else 1
-    last = split.whole - 1 if split.frac < 0 else split.whole
+    last = params.whole - 1 if params.frac < 0 else params.whole
     if last < first:
         return mp.mpc(0)
     x = params.x
-    with mp.extraprec(max(0, mp.mag(max(1, split.whole) ** 2 / x))):
+    with mp.extraprec(max(0, mp.mag(max(1, params.whole) ** 2 / x))):
         short = phase_sum(-1 / x, params.theta / x, last, mp)
         if first == 0:
             short += 1
@@ -220,18 +220,18 @@ def _signed_kernel(t, x, ctx: PrecisionContext):
     return erfc_kernel(t, x, ctx)
 
 
-def _skeleton(params: GaussParams, split: NearestSplit, fN, ctx: PrecisionContext):
+def _skeleton(params: GaussParams, fN, ctx: PrecisionContext):
     """(renorm, (f(N) - 1)/2, E-term): the part of S_N both routes share.
 
     The short sum comes first, so a run past the phase loop's budget is
     refused before any phase or kernel is evaluated.
     """
     mp = ctx.mp
-    renorm = _renorm_term(params, split, mp)
+    renorm = _renorm_term(params, mp)
     rot = mp.expjpi(mp.mpf(1) / 4)
     e_term = rot / (2 * mp.sqrt(params.x)) * (
         _signed_kernel(params.theta, params.x, ctx)
-        - fN * _signed_kernel(split.frac, params.x, ctx))
+        - fN * _signed_kernel(params.frac, params.x, ctx))
     return renorm, (fN - 1) / 2, e_term
 
 
@@ -248,18 +248,17 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     """
     ctx = ctx or params.ctx
     mp = ctx.mp
-    split = split_nearest(params)
-    opt = optimal_truncation(params.x, split.frac)
+    opt = optimal_truncation(params.x, params.frac)
     if n is None:
         n = min(10, opt)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
     fN = phase_term(params.N, params, ctx)
-    renorm, boundary, e_term = _skeleton(params, split, fN, ctx)
+    renorm, boundary, e_term = _skeleton(params, fN, ctx)
 
     rot = mp.expjpi(mp.mpf(1) / 4)
     terms, bounds = [], []
-    walk = _series(params.x, split.frac, params.theta, ctx)
+    walk = _series(params.x, params.frac, params.theta, ctx)
     for t_up, t_lo, bound in itertools.islice(walk, n):
         terms.append(rot * (fN * t_up - t_lo))
         bounds.append(bound)

@@ -11,7 +11,8 @@ The walk replaces each literal by a Name holding its source text, so
 "0.125" is exactly 1/8 and every literal is rounded once.  Evaluation is
 bottom-up at context precision with correctly rounded arithmetic, so
 evaluating the same tree at digits d and d + 10 agrees to 10^(2-d)
-relative.
+relative.  The module only parses and evaluates: ``parse_number_expr``
+gives the checked tree, ``eval_number_expr`` its value.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ import re
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from .precision import PrecisionContext
 
-__all__ = ["NumberExpr", "parse_number_expr", "eval_number_expr", "format_expr"]
-
-NumberExpr = ast.Expression
+__all__ = ["parse_number_expr", "eval_number_expr"]
 
 _LITERAL = re.compile(r"\d+\.?\d*|\.\d+")
-# operator: (text, function, binding level)
-_BINARY = {ast.Add: ("+", operator.add, 1), ast.Sub: ("-", operator.sub, 1),
-           ast.Mult: ("*", operator.mul, 2), ast.Div: ("/", operator.truediv, 2)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def _guarded(walk, *args):
@@ -71,7 +69,7 @@ def _admit(node, src: str, lead: int):
     raise ExprSyntaxError(f"unsupported syntax {text!r}", offset)
 
 
-def parse_number_expr(src: str) -> NumberExpr:
+def parse_number_expr(src: str) -> ast.Expression:
     """Parse a number expression; errors carry the byte offset."""
     if not isinstance(src, str) or not src:
         raise ExprSyntaxError("empty expression", 0)
@@ -103,34 +101,10 @@ def _value(node, mp):
     left, right = _value(node.left, mp), _value(node.right, mp)
     if isinstance(node.op, ast.Div) and right == 0:
         raise DomainError("division by zero in number expression")
-    return _BINARY[type(node.op)][1](left, right)
+    return _BINARY[type(node.op)](left, right)
 
 
-def eval_number_expr(expr: NumberExpr, ctx: PrecisionContext):
+def eval_number_expr(expr: ast.Expression, ctx: PrecisionContext):
     """Evaluate a tree from ``parse_number_expr`` to an mpf at context precision."""
     return _guarded(_value, expr.body, ctx.mp)
 
-
-def _text(node, floor=0) -> str:
-    """The node's text, parenthesized if it binds more loosely than floor."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Call):
-        return f"sqrt({_text(node.args[0])})"
-    if isinstance(node, ast.UnaryOp):
-        return "-" + _text(node.operand, 3)  # above every binary level
-    symbol, _, level = _BINARY[type(node.op)]
-    text = _text(node.left, level) + symbol + _text(node.right, level + 1)
-    return f"({text})" if level < floor else text
-
-
-def format_expr(expr: NumberExpr) -> str:
-    """Canonical rendering with only the parentheses precedence needs.
-
-    A binary operation's left operand is parenthesized when it binds more
-    loosely, its right operand also when it binds as loosely (operators
-    associate to the left), and unary minus parenthesizes a binary
-    operand: 1-(2-3), 1-2-3, -(1+2), -2*3, 1--2.  The text re-parses to an
-    equal tree while its parentheses nest at most 200 deep, Python's limit.
-    """
-    return _guarded(_text, expr.body)

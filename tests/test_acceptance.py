@@ -23,7 +23,6 @@ from quadgauss import (
     phase_sum,
     reduced_sum_pair,
     remainder_bound,
-    split_nearest,
 )
 
 from quadgauss.special import zeta_odd_orders
@@ -64,7 +63,7 @@ def _column_data(which, digits):
     ctx = PrecisionContext(digits)
     params = _col_params(ctx, which)
     report, reference = reduced_sum_pair(params, 10, ctx)
-    split = split_nearest(params)
+    split = params
     errors, bounds = {}, {}
     series = ctx.mp.mpc(0)
     for n in range(1, 11):
@@ -168,7 +167,7 @@ def test_criterion_6_certificate_containment_sweep():
     n_near, n_half = 0, 0
     for x, theta, n_terms, depth in cases:
         params = GaussParams(x, theta, n_terms, ctx)
-        split = split_nearest(params)
+        split = params
         if abs(split.frac) <= mp.mpf("1e-3"):
             n_near += 1
         if split.frac == half:

@@ -25,10 +25,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_not_json)
 
 
 SCALAR_KEYS = ["method", "x", "theta", "N", "digits", "value_re", "value_im",
@@ -85,6 +89,40 @@ def test_normalization_applies_to_raw_cli_parameters(capsys):
         assert abs(float(base[key]) - float(shifted[key])) < 1e-24
     assert abs(float(base["value_re"]) - float(conj["value_re"])) < 1e-24
     assert abs(float(base["value_im"]) + float(conj["value_im"])) < 1e-24
+
+
+def test_tiny_negative_x_folds_exactly(capsys):
+    # x = -1e-50 and -1e-20 (no exponents in number expressions): the
+    # conjugate parameters give the conjugate value, bit for bit
+    tiny = "0." + "0" * 49 + "1"
+    assert run_cli(capsys, "sum", f"--x=-{tiny}", "--theta", "0.25", "--N", "3")[0] == 0
+    x = "0." + "0" * 19 + "1"
+    raw = run_json(capsys, "asym", f"--x=-{x}", "--theta", "0.1", "--N", str(10**12))
+    conj = run_json(capsys, "asym", "--x", x, "--theta=-0.1", "--N", str(10**12))
+    mp = CTX.mp
+    assert mp.mpf(raw["value_re"]) == mp.mpf(conj["value_re"])
+    assert mp.mpf(raw["value_im"]) == -mp.mpf(conj["value_im"])
+    assert raw["bound"] == conj["bound"]
+
+
+def test_json_writes_reals_outside_the_double_range_as_text(capsys):
+    # x = 1e-700 and 1e-800 (no exponents in number expressions): a double
+    # would print the bound 3.9e-7007 as 0.0 and parts of a value past 1e399 as Infinity
+    mp = CTX.mp
+    for k, theta, N, text_keys in ((700, "0.3", 10, {"bound"}),
+                                   (800, "0", 10**400, {"value_re", "value_im", "bound"})):
+        args = ["asym", "--x", "0." + "0" * (k - 1) + "1", "--theta", theta,
+                "--N", str(N), "--digits", "17"]
+        doc = run_json(capsys, *args)
+        row = next(csv.DictReader(io.StringIO(run_cli(capsys, *args, "--format", "csv")[1])))
+        for key in ("value_re", "value_im", "bound"):
+            want = mp.mpf(row[key])
+            assert want != 0
+            if key in text_keys:
+                assert isinstance(doc[key], str) and mp.mpf(doc[key]) == want
+            else:
+                assert isinstance(doc[key], float)
+                assert abs(doc[key] - want) <= 1e-15 * abs(want)
 
 
 def test_table1_col1_reproduces_published_errors(capsys):
@@ -262,6 +300,15 @@ def test_one_term_budget_for_every_phase_loop(monkeypatch, capsys):
     assert code == 0 and len(json.loads(out)) == 41
     code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", "60")
     assert code == 4 and out == ""
+
+
+def test_routes_refuse_a_huge_short_sum_as_a_budget_error(capsys):
+    # N x + theta = 10^400 + 0.1, far above 2^prec: both routes refuse the
+    # short sum of exactly 10^400 terms, not a domain error on frac
+    for command in ("asym", "exact"):
+        code, out, err = run_cli(capsys, command, "--x", "0.5", "--theta", "0.1",
+                                 "--N", str(2 * 10**400))
+        assert code == 4 and out == "" and f"{10**400} terms" in err
 
 
 def test_exit_codes(capsys):

@@ -19,7 +19,6 @@ from quadgauss import (
     normalize_params,
     phase_sum,
     phase_term,
-    split_nearest,
 )
 from quadgauss.core import DEFAULT_MAX_TERMS, _phase_partial_sums
 from quadgauss.precision import ensure_finite
@@ -244,17 +243,40 @@ def test_normalization_identities():
     mp = ctx.mp
     base = direct_sum(GaussParams("0.3", "0.2", 50, ctx))
     # period 2 in x
-    p, rec = normalize_params(mp.mpf("0.3") + 2, "0.2", 50, ctx)
-    assert not rec.conjugated and rec.x_shift == 1
-    assert abs(rec.unapply(direct_sum(p)) - base) <= 1000 * ctx.eps
+    p, conjugated = normalize_params(mp.mpf("0.3") + 2, "0.2", 50, ctx)
+    assert not conjugated
+    assert abs(direct_sum(p) - base) <= 1000 * ctx.eps
     # period 1 in theta
-    p, rec = normalize_params("0.3", mp.mpf("0.2") + 1, 50, ctx)
-    assert rec.theta_shift == 1
-    assert abs(rec.unapply(direct_sum(p)) - base) <= 1000 * ctx.eps
+    p, conjugated = normalize_params("0.3", mp.mpf("0.2") + 1, 50, ctx)
+    assert not conjugated
+    assert abs(direct_sum(p) - base) <= 1000 * ctx.eps
     # conjugation
-    p, rec = normalize_params("-0.3", "-0.2", 50, ctx)
-    assert rec.conjugated
-    assert abs(rec.unapply(direct_sum(p)) - base.conjugate()) <= 1000 * ctx.eps
+    p, conjugated = normalize_params("-0.3", "-0.2", 50, ctx)
+    assert conjugated
+    assert abs(direct_sum(p).conjugate() - base.conjugate()) <= 1000 * ctx.eps
+
+
+def test_normalization_of_tiny_negative_x_is_exact():
+    ctx = CTX30
+    mp = ctx.mp
+    for k in range(1, 401):
+        m = mp.mpf(10) ** -k
+        p, conjugated = normalize_params(-m, "0.25", 3, ctx)
+        assert conjugated and p.x == m and p.theta == mp.mpf("-0.25")
+
+
+def test_normalization_keeps_canonical_inputs():
+    ctx = PrecisionContext(50)
+    mp = ctx.mp
+    rng = random.Random(5)
+    xs = [1 / (250 * mp.sqrt(mp.pi)), 1 / (500 * mp.sqrt(3)), mp.mpf("1e-300")]
+    ts = [mp.mpf("-0.125"), mp.mpf("0.25"), mp.mpf(0), mp.mpf("0.5")]
+    xs += [mp.mpf(rng.random()) for _ in range(20)]
+    ts += [mp.mpf(rng.random()) - mp.mpf(1) / 2 for _ in range(20)]
+    for x, theta in zip(xs, ts):
+        p, conjugated = normalize_params(x, theta, 10, ctx)
+        assert not conjugated
+        assert (p.x._mpf_, p.theta._mpf_) == (x._mpf_, theta._mpf_)
 
 
 def test_normalization_roundtrip_random():
@@ -266,11 +288,12 @@ def test_normalization_roundtrip_random():
         ts = mp.mpf(f"{rng.uniform(-3, 3):.15f}")
         n = rng.randint(1, 300)
         try:
-            p, rec = normalize_params(xs, ts, n, ctx)
+            p, conjugated = normalize_params(xs, ts, n, ctx)
         except DomainError:
             continue  # x landed on an integer mod 2
         raw = phase_sum(xs, ts, n, mp)
-        assert abs(rec.unapply(direct_sum(p)) - raw) <= 1000 * ctx.eps * n
+        value = direct_sum(p).conjugate() if conjugated else direct_sum(p)
+        assert abs(value - raw) <= 1000 * ctx.eps * n
 
 
 def test_normalization_degenerate():
@@ -286,25 +309,23 @@ def test_split_reference_case():
     ctx = PrecisionContext(40)
     mp = ctx.mp
     x = 1 / (250 * mp.sqrt(mp.pi))
-    s = split_nearest(GaussParams(x, "-0.125", 7300, ctx))
-    assert s.whole == 16
-    assert abs(s.value - mp.mpf("16.349336")) < mp.mpf("1e-6")
-    assert abs(s.frac - mp.mpf("0.349336")) < mp.mpf("1e-6")
-    assert s.value == s.whole + s.frac
+    p = GaussParams(x, "-0.125", 7300, ctx)
+    assert p.whole == 16
+    assert abs(p.frac - mp.mpf("0.349336")) < mp.mpf("1e-6")
 
 
 def test_split_tie_keeps_half():
     # N x + theta = 16.5 exactly (dyadic): whole 16, frac +1/2
     ctx = CTX30
-    s = split_nearest(GaussParams("0.5", 0, 33, ctx))
-    assert (s.whole, s.frac) == (16, ctx.mp.mpf("0.5"))
+    p = GaussParams("0.5", 0, 33, ctx)
+    assert (p.whole, p.frac) == (16, ctx.mp.mpf("0.5"))
 
 
 def test_split_whole_zero_branch():
     ctx = CTX30
-    s = split_nearest(GaussParams("0.001", 0, 300, ctx))
-    assert s.whole == 0
-    assert abs(s.frac - ctx.mp.mpf("0.3")) <= 10 * ctx.eps
+    p = GaussParams("0.001", 0, 300, ctx)
+    assert p.whole == 0
+    assert abs(p.frac - ctx.mp.mpf("0.3")) <= 10 * ctx.eps
 
 
 def test_split_adversarial_near_tie():
@@ -316,17 +337,27 @@ def test_split_adversarial_near_tie():
         target = 7 + half + mp.mpf(delta)
         n = 1024
         x = (target - mp.mpf("0.25")) / n
-        s = split_nearest(GaussParams(x, "0.25", n, ctx))
-        assert -half < s.frac <= half
-        assert s.value == s.whole + s.frac
-        assert abs(s.value - target) <= 4 * abs(target) * mp.eps
+        p = GaussParams(x, "0.25", n, ctx)
+        assert -half < p.frac <= half
+        assert abs(p.whole + p.frac - target) <= 4 * abs(target) * mp.eps
+
+
+def test_split_is_exact_past_the_working_precision():
+    # N x + theta = 3e399 + 0.1 needs far more than 30 digits
+    ctx = CTX30
+    mp = ctx.mp
+    n = 10**400 + 7
+    p = GaussParams("0.3", "0.1", n, ctx)
+    exact = mp.fadd(mp.fmul(n, p.x, exact=True), p.theta, exact=True)
+    assert -mp.mpf(1) / 2 < p.frac <= mp.mpf(1) / 2
+    assert mp.fadd(p.whole, p.frac, exact=True) == exact
 
 
 def test_split_never_negative_whole():
     ctx = CTX30
-    s = split_nearest(GaussParams("0.001", "-0.5", 1, ctx))
-    assert s.whole == 0
-    assert s.frac < 0
+    p = GaussParams("0.001", "-0.5", 1, ctx)
+    assert p.whole == 0
+    assert p.frac < 0
 
 
 def test_public_names_resolve():

@@ -20,7 +20,6 @@ from quadgauss import (
     exact_sum,
     exact_sum_detail,
 )
-from quadgauss.core import split_nearest
 from quadgauss.exact import _log_layer_ceiling
 from quadgauss.expansion import edge_layers
 
@@ -217,7 +216,7 @@ def _exact_vs_oracle(p, ctx):
 def _least_window(p, edge, ctx):
     """The least window whose layer ceiling is below the default tol, less
     2^-20, at this edge."""
-    a = p.theta if edge == 0 else split_nearest(p).frac
+    a = p.theta if edge == 0 else p.frac
     log_tol = float(ctx.mp.log(TailPolicy().resolve_tol(ctx))) - 2.0 ** -20
     return next(k0 for k0 in range(17) if _log_layer_ceiling(p.x, a, k0) < log_tol)
 

@@ -21,7 +21,6 @@ from quadgauss import (
     phase_term,
     reduced_sum_pair,
     remainder_bound,
-    split_nearest,
 )
 from quadgauss import expansion
 from quadgauss.expansion import edge_layers
@@ -52,17 +51,15 @@ def test_coeff_zero_when_both_fractions_vanish():
     # dyadic x makes N x an exact integer, so frac = 0 and theta = 0
     ctx = CTX40
     p = GaussParams("0.03125", 0, 512, ctx)
-    s = split_nearest(p)
-    assert s.frac == 0 and s.whole == 16
+    assert p.frac == 0 and p.whole == 16
     assert all(term == 0 for term in asymptotic_sum(p, 6).terms)
 
 
 def test_coeff_r0_closed_form():
     ctx = CTX40
     p = _params(ctx, COL1)
-    s = split_nearest(p)
     fN = phase_term(p.N, p)
-    want = fN * cot_pi_reg(s.frac, ctx) - cot_pi_reg(p.theta, ctx)
+    want = fN * cot_pi_reg(p.frac, ctx) - cot_pi_reg(p.theta, ctx)
     c0 = 2j * ctx.mp.pi * asymptotic_sum(p, 1).terms[0]  # term 0 is C_0/(2 pi i)
     assert abs(c0 - want) <= 10 * ctx.eps * abs(want)
 
@@ -75,8 +72,7 @@ def test_coeff_near_integer_regression():
     theta = mp.mpf("0.25")
     x = (3 + mp.mpf("1e-9") - theta) / n
     p = GaussParams(x, theta, n, ctx)
-    s = split_nearest(p)
-    assert abs(s.frac) < mp.mpf("1.1e-9")
+    assert abs(p.frac) < mp.mpf("1.1e-9")
     c0 = 2j * mp.pi * asymptotic_sum(p, 1).terms[0]
     assert ctx.mp.isfinite(c0.real) and ctx.mp.isfinite(c0.imag)
     assert abs(c0 + cot_pi_reg(theta, ctx)) < mp.mpf("1e-8")
@@ -105,9 +101,8 @@ def test_edge_layers_match_coefficient_form(case):
         p = GaussParams((3 + mp.mpf("1e-9") - theta) / 1024, theta, 1024, ctx)
     else:
         p = _params(ctx, COL1 if case == "col1" else COL2)
-    s = split_nearest(p)
     rot = mp.expjpi(mp.mpf(1) / 4)
-    for a in (s.frac, p.theta):
+    for a in (p.frac, p.theta):
         for r, (term, bound) in enumerate(edge_layers(p.x, a, 0, ctx)):
             if r == 10:
                 break
@@ -120,7 +115,7 @@ def test_edge_layers_match_coefficient_form(case):
             assert abs(bound - want_bound) <= 10 * ctx.eps * want_bound
     rep = asymptotic_sum(p, 10)
     for n in (1, 4, 10):
-        assert rep.bounds[n - 1] == remainder_bound(n, p.x, s.frac, p.theta, ctx)
+        assert rep.bounds[n - 1] == remainder_bound(n, p.x, p.frac, p.theta, ctx)
     assert rep.remainder_bound == rep.bounds[-1]
 
 
@@ -156,9 +151,8 @@ def test_digamma_gap_matches_digamma_pair(k0):
 def test_remainder_bound_reference_values():
     ctx = CTX50
     p = _params(ctx, COL1)
-    s = split_nearest(p)
-    assert sig3(remainder_bound(1, p.x, s.frac, p.theta, ctx)) == "4.06e-04"
-    assert sig3(remainder_bound(10, p.x, s.frac, p.theta, ctx)) == "3.10e-23"
+    assert sig3(remainder_bound(1, p.x, p.frac, p.theta, ctx)) == "4.06e-04"
+    assert sig3(remainder_bound(10, p.x, p.frac, p.theta, ctx)) == "3.10e-23"
 
 
 def test_remainder_bound_symbolic_specialization():
@@ -245,8 +239,7 @@ def test_bound_is_n_independent():
     x = mp.mpf(3) / 256
     p1 = GaussParams(x, "0.125", 100, ctx)
     p2 = GaussParams(x, "0.125", 356, ctx)  # N differs by 256, frac identical
-    s1, s2 = split_nearest(p1), split_nearest(p2)
-    assert s1.frac == s2.frac and s1.whole != s2.whole
+    assert p1.frac == p2.frac and p1.whole != p2.whole
     b1 = asymptotic_sum(p1, 5).remainder_bound
     b2 = asymptotic_sum(p2, 5).remainder_bound
     assert b1 == b2
@@ -308,7 +301,7 @@ def test_classical_equals_general_at_theta_zero():
     rep_0 = asymptotic_sum(p0, 5)
     rep_t = asymptotic_sum(GaussParams("0.0023", "1e-50", 6000, ctx), 5)
     assert abs(rep_0.value - rep_t.value) <= 10 * ctx.eps * abs(rep_t.value)
-    frac = split_nearest(p0).frac
+    frac = p0.frac
     poch = mp.rf(mp.mpf(1) / 2, 5)
     frac_only = (poch / (2 * mp.pi) * (mp.mpf("0.0023") / mp.pi) ** 5
                  * mp.mpf(_zeta_pair(5, frac, 1, ctx.digits)))
@@ -359,7 +352,7 @@ def test_optimal_truncation_values():
     mp = ctx.mp
     x = 1 / (250 * mp.sqrt(mp.pi))
     p = GaussParams(x, "-0.125", 7300, ctx)
-    assert optimal_truncation(x, split_nearest(p).frac) == 589
+    assert optimal_truncation(x, p.frac) == 589
     assert optimal_truncation("0.01", 0) == round(3.141592653589793 / 0.01)
     assert optimal_truncation("0.01", "0.5") == round(3.141592653589793 / 0.04)
     with pytest.raises(DomainError):
