@@ -27,16 +27,9 @@ from .exact import (
     BoundarySeries,
     TailPolicy,
     boundary_series,
-    exact_sum,
     exact_sum_detail,
 )
-from .expansion import (
-    ExpansionReport,
-    asymptotic_sum,
-    optimal_truncation,
-    reduced_sum_pair,
-    remainder_bound,
-)
+from .expansion import ExpansionReport, asymptotic_sum
 from .exprs import eval_number_expr, parse_number_expr
 from .precision import PrecisionContext
 from .special import cot_pi_reg, erfc_kernel
@@ -44,14 +37,15 @@ from .special import cot_pi_reg, erfc_kernel
 __version__ = "0.1.0"
 
 # The advertised surface: parameters, context, the three routes and their
-# reports, the errors and the expression entry points.  The helper names
-# imported above stay importable from the package without being listed.
+# reports, the errors and the expression entry points.  One entry point per
+# route, and its report carries every bound.  The helpers imported above
+# (phase_sum, phase_term, boundary_series, erfc_kernel, cot_pi_reg) stay
+# importable from the package without being listed.
 __all__ = [
     "GaussParams",
     "PrecisionContext",
     "normalize_params",
     "direct_sum",
-    "exact_sum",
     "exact_sum_detail",
     "asymptotic_sum",
     "ExpansionReport",

@@ -36,7 +36,6 @@ __all__ = [
     "TailPolicy",
     "BoundarySeries",
     "boundary_series",
-    "exact_sum",
     "exact_sum_detail",
 ]
 
@@ -177,7 +176,8 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
 
 def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
                      ctx: PrecisionContext | None = None):
-    """(value, edge-N series, edge-0 series) for the representation above.
+    """(value, edge-N series, edge-0 series) for the representation above:
+    S_N via the erfc representation, |value - direct| <= 2 tol + roundoff.
 
     Raises ResourceBudgetError when the short sum would exceed the phase
     loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
@@ -190,11 +190,4 @@ def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
     lower = boundary_series(0, params, policy, ctx)
     rot = mp.expjpi(mp.mpf(1) / 4)
     value = renorm + boundary + e_term + rot * (upper.value - lower.value)
-    return ensure_finite(mp, value, "exact_sum"), upper, lower
-
-
-def exact_sum(params: GaussParams, policy: TailPolicy | None = None,
-              ctx: PrecisionContext | None = None):
-    """S_N via the erfc representation; |exact - direct| <= 2 tol + roundoff."""
-    value, _, _ = exact_sum_detail(params, policy, ctx)
-    return value
+    return ensure_finite(mp, value, "exact_sum_detail"), upper, lower

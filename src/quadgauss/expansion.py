@@ -52,7 +52,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
-from .core import GaussParams, direct_sum, phase_sum, phase_term
+from .core import GaussParams, phase_sum, phase_term
 from .errors import DomainError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
@@ -60,10 +60,7 @@ from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
 __all__ = [
     "ExpansionReport",
     "edge_layers",
-    "remainder_bound",
     "asymptotic_sum",
-    "reduced_sum_pair",
-    "optimal_truncation",
 ]
 
 
@@ -159,27 +156,6 @@ def _series(x, frac, theta, ctx: PrecisionContext):
         yield t_up, t_lo, b_up + b_lo
 
 
-def remainder_bound(n: int, x, frac, theta, ctx: PrecisionContext):
-    """((1/2)_n / (2 pi)) (x/pi)^n [D_n(frac) + D_n(theta)] with
-    D_n(u) = zeta(2n+1, 1+u) + zeta(2n+1, 1-u), for 0 < x < 1 and
-    |frac|, |theta| <= 1/2; DomainError outside that domain.
-
-    The n-th bound of the walk ``asymptotic_sum`` reports, so its
-    ``bounds[n-1]`` equals this bit for bit: strictly positive, independent
-    of N, and without the theta half at theta = 0.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"remainder_bound: n must be a positive integer, got {n}")
-    mp = ctx.mp
-    if not 0 < mp.mpf(x) < 1:
-        raise DomainError(f"remainder_bound: x must lie in (0, 1), got {x}")
-    for name, a in (("frac", frac), ("theta", theta)):
-        if not abs(mp.convert(a)) <= 0.5:
-            raise DomainError(f"remainder_bound: |{name}| must be <= 1/2, got {a}")
-    _, _, bound = next(itertools.islice(_series(x, frac, theta, ctx), n - 1, None))
-    return bound
-
-
 def _renorm_term(params: GaussParams, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
     + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
@@ -235,6 +211,11 @@ def _skeleton(params: GaussParams, fN, ctx: PrecisionContext):
     return renorm, (fN - 1) / 2, e_term
 
 
+# Double precision with an unbounded exponent range; its precision is never
+# changed, so sharing it between calls is safe.
+_MP = MPContext()
+
+
 def asymptotic_sum(params: GaussParams, n: int | None = None,
                    ctx: PrecisionContext | None = None) -> ExpansionReport:
     """Evaluate S_N by the certified expansion, truncated after n terms.
@@ -248,7 +229,10 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     """
     ctx = ctx or params.ctx
     mp = ctx.mp
-    opt = optimal_truncation(params.x, params.frac)
+    # the index of the smallest series term, about pi (1 - |frac|)^2 / x, in
+    # double precision whose unbounded exponent range gives every x an index
+    opt = max(1, int(_MP.nint(_MP.pi * (1 - abs(_MP.mpf(params.frac))) ** 2
+                              / _MP.mpf(params.x))))
     if n is None:
         n = min(10, opt)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -278,37 +262,3 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
         optimal_n=opt,
         beyond_optimal=n >= opt,
     )
-
-
-def reduced_sum_pair(params: GaussParams, n: int, ctx: PrecisionContext | None = None):
-    """(report, oracle-side reference) for the reduced sum the series targets.
-
-    The reference subtracts renorm, boundary and kernel terms from the
-    direct oracle; |reference - report.script_S| is the empirical |R_n|,
-    and the partial sums of report.terms give it for every smaller n.
-    """
-    ctx = ctx or params.ctx
-    report = asymptotic_sum(params, n, ctx)
-    oracle = direct_sum(params, ctx)
-    reference = oracle - report.renorm_term - report.boundary_term - report.E_term
-    return report, reference
-
-
-# Double precision with an unbounded exponent range; its precision is never
-# changed, so sharing it between calls is safe.
-_MP = MPContext()
-
-
-def optimal_truncation(x, frac) -> int:
-    """Index of the smallest series term, about pi (1 - |frac|)^2 / x.
-
-    Evaluated in mp arithmetic at double precision, whose exponent range
-    is unbounded, so every x the parameters accept gets a finite index.
-    """
-    x = _MP.mpf(x)
-    if not (0 < x < 1):
-        raise DomainError(f"optimal_truncation: x must lie in (0, 1), got {x}")
-    frac = abs(_MP.mpf(frac))
-    if frac > 0.5:
-        raise DomainError(f"optimal_truncation: |frac| must be <= 1/2, got {frac}")
-    return max(1, int(_MP.nint(_MP.pi * (1 - frac) ** 2 / x)))

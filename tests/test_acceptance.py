@@ -19,10 +19,8 @@ from quadgauss import (
     cot_pi_reg,
     direct_sum,
     erfc_kernel,
-    exact_sum,
+    exact_sum_detail,
     phase_sum,
-    reduced_sum_pair,
-    remainder_bound,
 )
 
 from quadgauss.special import zeta_odd_orders
@@ -62,14 +60,15 @@ def _column_data(which, digits):
     """(n -> |R_n|, n -> bound) for a study column, oracle derived fresh."""
     ctx = PrecisionContext(digits)
     params = _col_params(ctx, which)
-    report, reference = reduced_sum_pair(params, 10, ctx)
-    split = params
+    report = asymptotic_sum(params, 10, ctx)
+    reference = (direct_sum(params, ctx) - report.renorm_term - report.boundary_term
+                 - report.E_term)
     errors, bounds = {}, {}
     series = ctx.mp.mpc(0)
     for n in range(1, 11):
         series += report.terms[n - 1]
         errors[n] = abs(reference - series)
-        bounds[n] = remainder_bound(n, params.x, split.frac, params.theta, ctx)
+        bounds[n] = report.bounds[n - 1]
     return errors, bounds
 
 
@@ -129,7 +128,8 @@ def test_criterion_5_exact_vs_direct_randomized():
         theta = mp.mpf(f"{rng.uniform(-0.5, 0.5):.15f}")
         n = rng.randint(1, 2000)
         params = GaussParams(x, theta, n, ctx)
-        diff = abs(exact_sum(params, TailPolicy(tol)) - direct_sum(params))
+        value, _, _ = exact_sum_detail(params, TailPolicy(tol))
+        diff = abs(value - direct_sum(params))
         budget = 2 * tol + 1000 * ctx.eps * n
         assert diff <= budget, (x, theta, n)
         worst = max(worst, diff)

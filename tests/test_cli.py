@@ -11,7 +11,8 @@ import pytest
 
 import quadgauss
 from quadgauss import (GaussParams, PrecisionContext, ResourceBudgetError, asymptotic_sum,
-                       cli, core, direct_sum, exact_sum_detail)
+                       cli, core, direct_sum, eval_number_expr, exact_sum_detail,
+                       parse_number_expr)
 from quadgauss.cli import _emit, build_parser, main
 
 from _utils import _expjpi_sums, sig3
@@ -133,9 +134,15 @@ def test_table1_col1_reproduces_published_errors(capsys):
     assert [int(r["n"]) for r in rows] == [1, 2, 3, 4, 6, 8, 10]
     published = ["2.216e-4", "5.642e-7", "2.346e-9", "1.369e-11",
                  "9.569e-16", "1.334e-19", "3.096e-23"]
+    # abs_error is the error of the whole expansion truncated after n terms
+    ctx = PrecisionContext(40)
+    x = eval_number_expr(parse_number_expr(cli.PRESETS["col1"]["x"]), ctx)
+    p = GaussParams(x, "-0.125", 7300, ctx)
+    oracle = direct_sum(p)
     for row, want in zip(rows, published):
         assert sig3(row["abs_error"]) == sig3(want)
-        assert row["abs_error"] == row["abs_Rn"]
+        err = abs(oracle - asymptotic_sum(p, int(row["n"])).value)
+        assert abs(ctx.mp.mpf(row["abs_error"]) - err) <= 10 * ctx.eps, row["n"]
         assert float(row["abs_Rn"]) <= float(row["bound"])
         assert float(row["ratio"]) >= 1
 
@@ -148,6 +155,19 @@ def test_table2_rows_and_determinism(capsys):
     assert [row["n"] for row in doc] == [1, 2, 4, 6, 8, 10]
     assert sig3(doc[0]["abs_Rn"]) == sig3("1.200e-4")
     assert sig3(doc[0]["bound"]) == sig3("3.272e-4")
+
+
+def test_table_of_conjugate_parameters_has_the_same_rows(capsys):
+    # table columns are moduli, so the conjugate parameters (-x, -theta)
+    # give the same rows; only the echoed x and theta differ
+    args = ["--N", "6000", "--digits", "40"]
+    base = run_json(capsys, "table2", "--x", "1/(500*sqrt(3))", "--theta", "0.125", *args)
+    conj = run_json(capsys, "table2", "--x=-1/(500*sqrt(3))", "--theta=-0.125", *args)
+    assert [row.pop("x") for row in conj] == ["-1/(500*sqrt(3))"] * 6
+    assert [row.pop("theta") for row in conj] == ["-0.125"] * 6
+    for row in base:
+        del row["x"], row["theta"]
+    assert conj == base
 
 
 def test_table_requires_preset_or_params(capsys):

@@ -17,7 +17,6 @@ from quadgauss import (
     TruncationError,
     boundary_series,
     direct_sum,
-    exact_sum,
     exact_sum_detail,
 )
 from quadgauss.exact import _log_layer_ceiling
@@ -149,28 +148,28 @@ def test_short_sum_budget_refused_before_any_term(monkeypatch):
 
 def test_exact_matches_hand_value():
     ctx = CTX30
-    got = exact_sum(GaussParams("0.5", 0, 4, ctx), TailPolicy("1e-24"))
+    got, _, _ = exact_sum_detail(GaussParams("0.5", 0, 4, ctx), TailPolicy("1e-24"))
     assert abs(got - ctx.mp.mpc(2, 2)) <= ctx.mp.mpf("1e-23")
 
 
 def test_exact_matches_oracle_reference_case():
     ctx = CTX30
     p = GaussParams("0.01", "0.3", 100, ctx)
-    got = exact_sum(p, TailPolicy("1e-22"))
+    got, _, _ = exact_sum_detail(p, TailPolicy("1e-22"))
     assert abs(got - direct_sum(p)) <= ctx.mp.mpf("1e-20")
 
 
 def test_exact_at_theta_boundary():
     ctx = CTX30
     p = GaussParams("0.02", "0.5", 57, ctx)
-    got = exact_sum(p, TailPolicy("1e-22"))
+    got, _, _ = exact_sum_detail(p, TailPolicy("1e-22"))
     assert abs(got - direct_sum(p)) <= ctx.mp.mpf("1e-20")
 
 
 def test_exact_default_policy():
     ctx = CTX30
     p = GaussParams("0.07", "-0.2", 64, ctx)
-    got = exact_sum(p)
+    got, _, _ = exact_sum_detail(p)
     tol = 10 * ctx.eps
     assert abs(got - direct_sum(p)) <= 2 * tol + 1000 * ctx.eps * p.N
 
@@ -182,7 +181,7 @@ def test_exact_at_high_digits():
     for digits, tol, budget in ((50, "1e-45", "1e-43"), (80, "1e-75", "1e-77")):
         ctx = PrecisionContext(digits)
         p = GaussParams("0.01", "0.3", 100, ctx)
-        got = exact_sum(p, TailPolicy(tol), ctx)
+        got, _, _ = exact_sum_detail(p, TailPolicy(tol), ctx)
         assert abs(got - direct_sum(p, ctx)) <= ctx.mp.mpf(budget), digits
 
 

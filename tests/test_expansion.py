@@ -15,12 +15,8 @@ from quadgauss import (
     asymptotic_sum,
     cot_pi_reg,
     direct_sum,
-    exact_sum,
     exact_sum_detail,
-    optimal_truncation,
     phase_term,
-    reduced_sum_pair,
-    remainder_bound,
 )
 from quadgauss import expansion
 from quadgauss.expansion import edge_layers
@@ -114,8 +110,6 @@ def test_edge_layers_match_coefficient_form(case):
                           * mp.mpf(_zeta_pair(r + 1, a, 1, ctx.digits)))
             assert abs(bound - want_bound) <= 10 * ctx.eps * want_bound
     rep = asymptotic_sum(p, 10)
-    for n in (1, 4, 10):
-        assert rep.bounds[n - 1] == remainder_bound(n, p.x, p.frac, p.theta, ctx)
     assert rep.remainder_bound == rep.bounds[-1]
 
 
@@ -150,18 +144,20 @@ def test_digamma_gap_matches_digamma_pair(k0):
 
 def test_remainder_bound_reference_values():
     ctx = CTX50
-    p = _params(ctx, COL1)
-    assert sig3(remainder_bound(1, p.x, p.frac, p.theta, ctx)) == "4.06e-04"
-    assert sig3(remainder_bound(10, p.x, p.frac, p.theta, ctx)) == "3.10e-23"
+    rep = asymptotic_sum(_params(ctx, COL1), 10)
+    assert sig3(rep.bounds[0]) == "4.06e-04"
+    assert sig3(rep.bounds[9]) == "3.10e-23"
 
 
 def test_remainder_bound_symbolic_specialization():
     # frac = theta = 0, n = 1, where the theta half drops:
-    # (1/(4 pi)) (x/pi) 2 zeta(3) = x zeta(3)/(2 pi^2)
+    # (1/(4 pi)) (x/pi) 2 zeta(3) = x zeta(3)/(2 pi^2); N x = 1 exactly
     ctx = CTX40
     mp = ctx.mp
-    x = mp.mpf("0.004")
-    got = remainder_bound(1, x, 0, 0, ctx)
+    x = mp.mpf(1) / 256
+    p = GaussParams(x, 0, 256, ctx)
+    assert p.frac == 0 and p.theta == 0
+    got = asymptotic_sum(p, 1).bounds[0]
     with mpmath.workdps(3 * ctx.digits + 30):
         zeta3 = mp.mpf(mpmath.zeta(3))
     want = x * zeta3 / (2 * mp.pi ** 2)
@@ -170,18 +166,11 @@ def test_remainder_bound_symbolic_specialization():
 
 def test_remainder_bound_positive_and_validated():
     ctx = CTX40
-    assert remainder_bound(3, "0.01", "0.5", "-0.5", ctx) > 0
-    with pytest.raises(DomainError):
-        remainder_bound(0, "0.01", "0.1", "0.1", ctx)
-    with pytest.raises(DomainError):
-        remainder_bound(True, "0.01", "0.1", "0.1", ctx)
-    # outside the domain optimal_truncation refuses, the bound was negative,
-    # zero or a number with no meaning
-    for x, frac, theta in (("-0.01", "0.1", "0.1"), ("0", "0.1", "0.1"), ("1", "0.1", "0.1"),
-                           ("0.01", "0.9", "0.1"), ("0.01", "0.1", "-0.5000001")):
-        with pytest.raises(DomainError):
-            remainder_bound(3, x, frac, theta, ctx)
-    # asymptotic_sum refuses the same n, a bool too, as GaussParams a bool N
+    # N x + theta = 1/2 exactly: frac = 1/2 and theta = -1/2, both edges
+    p = GaussParams(ctx.mp.mpf(1) / 128, "-0.5", 128, ctx)
+    assert p.frac == 0.5 and p.whole == 0
+    assert asymptotic_sum(p, 3).bounds[2] > 0
+    # asymptotic_sum refuses n = 0 and a bool n, as GaussParams a bool N
     p = GaussParams("0.01", "0.1", 100, ctx)
     for n in (0, True):
         with pytest.raises(DomainError):
@@ -214,12 +203,18 @@ def test_expansion_whole_zero_branch():
     assert err <= rep.remainder_bound + 1e4 * ctx.eps * p.N
 
 
+def _reduced_pair(p, n):
+    """(report, oracle less the report's renorm, boundary and kernel terms):
+    the reduced sum the series targets, as table1/table2 form it."""
+    rep = asymptotic_sum(p, n)
+    return rep, direct_sum(p) - rep.renorm_term - rep.boundary_term - rep.E_term
+
+
 def test_reduced_pair_reference_values():
     ctx = CTX50
-    rep, ref_s = reduced_sum_pair(_params(ctx, COL1), 6)
-    assert sig3(abs(ref_s - rep.script_S)) == sig3(COL1_ERRORS[6])
-    rep, ref_s = reduced_sum_pair(_params(ctx, COL2), 8)
-    assert sig3(abs(ref_s - rep.script_S)) == sig3(COL2_ERRORS[8])
+    for col, n, want in ((COL1, 6, COL1_ERRORS[6]), (COL2, 8, COL2_ERRORS[8])):
+        rep, ref_s = _reduced_pair(_params(ctx, col), n)
+        assert sig3(abs(ref_s - rep.script_S)) == sig3(want)
 
 
 def test_reduced_pair_degenerate_series():
@@ -227,7 +222,7 @@ def test_reduced_pair_degenerate_series():
     # sits inside the remainder bound
     ctx = CTX40
     p = GaussParams("0.03125", 0, 512, ctx)
-    rep, ref_s = reduced_sum_pair(p, 4)
+    rep, ref_s = _reduced_pair(p, 4)
     assert rep.script_S == 0
     assert abs(ref_s) <= rep.remainder_bound + 1e4 * ctx.eps * p.N
 
@@ -352,13 +347,11 @@ def test_optimal_truncation_values():
     mp = ctx.mp
     x = 1 / (250 * mp.sqrt(mp.pi))
     p = GaussParams(x, "-0.125", 7300, ctx)
-    assert optimal_truncation(x, p.frac) == 589
-    assert optimal_truncation("0.01", 0) == round(3.141592653589793 / 0.01)
-    assert optimal_truncation("0.01", "0.5") == round(3.141592653589793 / 0.04)
-    with pytest.raises(DomainError):
-        optimal_truncation(1, 0)
-    with pytest.raises(DomainError):
-        optimal_truncation("0.01", "-0.51")
+    assert asymptotic_sum(p, 1).optimal_n == 589
+    # N x + theta = 1 and 1/2 up to the rounding of x: |frac| = 0 and 1/2
+    for theta, want in ((0, 3.141592653589793 / 0.01), ("-0.5", 3.141592653589793 / 0.04)):
+        p = GaussParams("0.01", theta, 100, ctx)
+        assert asymptotic_sum(p, 1).optimal_n == round(want)
 
 
 def test_tiny_x_below_double_range():
@@ -435,7 +428,7 @@ def test_no_route_reflects_the_kernel(monkeypatch):
     for xs, theta, n in (("0.003", "-0.45", 700), ("0.37", "-0.2", 100), ("0.9", "0.3", 50)):
         p = GaussParams(xs, theta, n, CTX40)
         asymptotic_sum(p, 4)
-        exact_sum(p)
+        exact_sum_detail(p)
     assert args and min(args) >= 0
 
 
