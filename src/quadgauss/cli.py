@@ -219,10 +219,10 @@ def _cmd_value(args, ctx):
         cert["bound"] = upper.tail_bound + lower.tail_bound
     else:
         report = asymptotic_sum(params, args.n, ctx)
-        value, row["n"], cert["bound"] = report.value, report.n_used, report.remainder_bound
+        value, row["n"], cert["bound"] = report.value, len(report.terms), report.remainder_bound
     elapsed = time.perf_counter_ns() - t0
     if args.command == "asym" and report.beyond_optimal:
-        print(f"quadgauss: warning: n={report.n_used} is at or past the "
+        print(f"quadgauss: warning: n={len(report.terms)} is at or past the "
               f"optimal truncation index {report.optimal_n}; the divergent "
               "series has stopped gaining accuracy", file=sys.stderr)
     if conjugated:
@@ -282,7 +282,7 @@ def _cmd_bench(args, ctx):
         raise PrecisionError(
             f"bench: |error|={ctx.mp.nstr(err, 6)} exceeds bound+noise="
             f"{ctx.mp.nstr(report.remainder_bound + allowance, 6)}")
-    return [{"method": "bench", **_given(args), "n": report.n_used,
+    return [{"method": "bench", **_given(args), "n": len(report.terms),
              "direct_ns": direct_ns, "expansion_ns": expansion_ns,
              "speedup": round(direct_ns / max(expansion_ns, 1), 3),
              "abs_error": err, "bound": report.remainder_bound, "certified": True}]

@@ -1,25 +1,17 @@
-"""The exact route: the erfc representation, certified to a tolerance.
+"""The exact route: ``expansion``'s decomposition with each edge series
+f(j) T(a) walked to a tolerance.
 
-Contour deformation turns the sum into (valid on all of 0 < x < 1)
-
-    S_N = (f(N) - 1)/2 + J_N + e^{i pi/4} (I_N - I_0),
-    J_N = e^{i pi/4} / (2 sqrt(x)) * { E(theta) - f(N) E(N x + theta) },
-    I_j = f(j) / (2 sqrt(x)) * sum_{k>=1} { E(k - a) - E(k + a) },  a = j x + theta.
-
-Re-indexed about the nearest integer M of N x + theta, this is the
-decomposition of ``expansion``: renorm, boundary and kernel terms plus
-e^{i pi/4} (f(N) T(frac) - T(theta)).  ``boundary_series`` evaluates
-f(j) T(a) at the reduced offset a = frac (j = N) or theta (j = 0) as
-``edge_layers`` at a window k0, every kernel argument positive, deepened
-until the leftover bound undercuts the policy tolerance.  The window is
-the least k0 in 0..16 at which a proven ceiling on the least layer bound
-is below the tolerance, so the walk is sure to reach it; that least bound
-is about exp(-pi (k0 + 1 - |a|)^2 / x), so small x takes k0 = 0 and
-x = 0.9 at tol 1e-28 about 4.  At the cap k0 = 16 the layers' small
-parameter is x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking
-for more than 855 orders, to about e^-855 ~ 1e-371; a tolerance below
-the cap's ceiling raises TruncationError before the first layer.  The
-work is O(M + k0 + layers); ``direct_sum`` stays the independent check.
+``boundary_series`` runs ``edge_layers`` at a window k0, every kernel
+argument positive, and stops at the first layer whose leftover bound
+undercuts the policy tolerance.  The window is the least k0 in 0..16 at
+which a proven ceiling on the least layer bound is below the tolerance,
+so the walk is sure to reach it; that least bound is about
+exp(-pi (k0 + 1 - |a|)^2 / x), so small x takes k0 = 0 and x = 0.9 at tol
+1e-28 about 4.  At the cap k0 = 16 the layers' small parameter is
+x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking for more
+than 855 orders, to about e^-855 ~ 1e-371; a tolerance below the cap's
+ceiling raises TruncationError before the first layer.  The work is
+O(M + k0 + layers); ``direct_sum`` stays the independent check.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from typing import NamedTuple
 
 from .core import GaussParams, phase_term
 from .errors import DomainError, TruncationError
-from .expansion import _MP, _skeleton, edge_layers
+from .expansion import _MP, _evaluate, edge_layers
 from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
@@ -176,18 +168,19 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
 
 def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
                      ctx: PrecisionContext | None = None):
-    """(value, edge-N series, edge-0 series) for the representation above:
-    S_N via the erfc representation, |value - direct| <= 2 tol + roundoff.
+    """(value, edge-N series, edge-0 series): S_N by ``expansion``'s
+    decomposition, each edge series a ``boundary_series``, so
+    |value - direct| <= 2 tol + roundoff.
 
     Raises ResourceBudgetError when the short sum would exceed the phase
     loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
-    mp = ctx.mp
-    renorm, boundary, e_term = _skeleton(params, phase_term(params.N, params, ctx), ctx)
-    upper = boundary_series(params.N, params, policy, ctx)
-    lower = boundary_series(0, params, policy, ctx)
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    value = renorm + boundary + e_term + rot * (upper.value - lower.value)
-    return ensure_finite(mp, value, "exact_sum_detail"), upper, lower
+
+    def walk(j, f):
+        series = boundary_series(j, params, policy, ctx)
+        return (series.value,), series
+
+    value, *_, upper, lower = _evaluate(params, walk, ctx)
+    return value, upper, lower

@@ -7,20 +7,26 @@ Write xi = N x + theta = M + frac with M the nearest integer and frac in
           + e^{i pi/4} { f(N) T(frac) - T(theta) },
 
 with renorm the rotated short sum of M or so phases exp(-pi i (j - theta)^2/x)
-(``_renorm_term``), K the signed erfc kernel (``_signed_kernel``) and T
-the edge series at an offset |a| <= 1/2,
+(``_renorm_term``), K the signed erfc kernel, K(t) = E(t) for t >= 0 and
+-E(-t) for t < 0, and T the edge series at an offset |a| <= 1/2,
 
     T(a) = 1/(2 sqrt(x)) sum_{k>=1} [E(k - a) - E(k + a)].
 
-This is the erfc representation S_N = (f(N) - 1)/2 + J_N
-+ e^{i pi/4} (I_N - I_0) (see ``exact``) re-indexed: by the reflection
-E(-t) = 2 e^{-pi i t^2/x} - E(t), the pairs of I_N below xi and J_N's
-E(xi) become the phases j = 1..M of the short sum, the kernel term at
-frac and T(frac); a negative theta or frac moves the phase j = 0 or
-j = M between the short sum and K.  The reflected phases are summed
-there rather than left to cancel after the 1/(2 sqrt(x)) prefactor,
-which would leave eps/sqrt(x) of round-off, so no route evaluates the
-kernel at a negative argument.
+This is the erfc representation obtained by contour deformation,
+
+    S_N = (f(N) - 1)/2 + J_N + e^{i pi/4} (I_N - I_0),
+    J_N = e^{i pi/4} / (2 sqrt(x)) * { E(theta) - f(N) E(N x + theta) },
+    I_j = f(j) / (2 sqrt(x)) * sum_{k>=1} { E(k - a) - E(k + a) },  a = j x + theta,
+
+re-indexed: by the reflection E(-t) = 2 e^{-pi i t^2/x} - E(t), the pairs
+of I_N below xi and J_N's E(xi) become the phases j = 1..M of the short
+sum, the kernel term at frac and T(frac); a negative theta or frac moves
+the phase j = 0 or j = M between the short sum and K.  The reflected
+phases are summed there rather than left to cancel after the
+1/(2 sqrt(x)) prefactor, which would leave eps/sqrt(x) of round-off, so
+no route evaluates the kernel at a negative argument.  K(theta) and
+K(frac) always go through the exact kernel: for frac = o(sqrt(x)) their
+large-t series is invalid.
 
 ``edge_layers`` is all of T(a) at any window k0: the pairs k <= k0
 through the kernel, then the large-t series of E over k > k0 order by
@@ -29,14 +35,12 @@ leftover after n layers bounded by
 
     ((1/2)_n / (2 pi)) (x/pi)^n [zeta(2n+1, k0+1-a) + zeta(2n+1, k0+1+a)].
 
-k0 sets the cost, not the sum, so the routes differ only in the window
-and the stopping rule.  ``asym`` takes k0 = 0 and n layers of both edges
-(``_series``): the paper's series in powers of x/pi and its N-independent
-remainder bound, whose theta half drops at theta = 0, where T(theta)
-vanishes.  ``exact`` takes the least k0 <= 16 its tolerance needs and
-deepens the layers to it.
-K(theta) and K(frac) always go through the exact kernel: for
-frac = o(sqrt(x)) their large-t series is invalid.
+k0 sets the cost, not the sum, so the routes differ only in how they
+walk the two edges; ``_evaluate`` forms everything else once for both.
+``asym`` takes k0 = 0 and n layers of each edge: the paper's series in
+powers of x/pi and its N-independent remainder bound, whose theta half
+drops at theta = 0, where T(theta) vanishes.  ``exact`` takes the least
+proven window k0 <= 16 and deepens the layers to its tolerance.
 
 The series of ``asym`` is divergent; its optimal truncation index is
 about pi (1 - |frac|)^2 / x, far beyond the n ~ 10 used in practice.
@@ -67,24 +71,30 @@ __all__ = [
 class ExpansionReport(NamedTuple):
     """Everything one evaluation of the expansion produced.
 
-    ``value`` reassembles exactly as renorm_term + boundary_term + E_term
-    + sum(terms); ``script_S`` is the truncated series alone (the part the
-    remainder bound certifies); ``bounds[n-1]`` is the bound after n terms;
-    ``beyond_optimal`` flags n >= optimal_n, where the divergent series has
-    stopped gaining accuracy.
+    ``value`` is renorm_term + boundary_term + E_term + fsum(terms),
+    rounded once more at each addition; ``terms[r]`` is layer r of the
+    series e^{i pi/4} (f(N) T(frac) - T(theta)) and ``bounds[r]`` bounds
+    what the first r + 1 terms leave out.  ``remainder_bound`` is the
+    bound after all of them, and ``beyond_optimal`` flags
+    len(terms) >= optimal_n, where the divergent series has stopped
+    gaining accuracy.
     """
 
     value: object
-    script_S: object
     terms: tuple
     bounds: tuple
-    remainder_bound: object
     renorm_term: object
     boundary_term: object
     E_term: object
-    n_used: int
     optimal_n: int
-    beyond_optimal: bool
+
+    @property
+    def remainder_bound(self):
+        return self.bounds[-1]
+
+    @property
+    def beyond_optimal(self) -> bool:
+        return len(self.terms) >= self.optimal_n
 
 
 def _digamma_gap(a, k0: int, ctx: PrecisionContext):
@@ -145,17 +155,6 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
                             mpf_neg(part) if neg_im else part))
 
 
-def _series(x, frac, theta, ctx: PrecisionContext):
-    """Yield (term_r of T(frac), term_r of T(theta), bound_r) at k0 = 0, with
-    bound_r the two edges' bounds summed.  At theta = 0 the edge-0 series
-    vanishes identically, so its terms are 0 and its half of the bound is
-    left out."""
-    lower = (edge_layers(x, theta, 0, ctx) if ctx.mp.convert(theta) != 0
-             else itertools.repeat((0, 0)))
-    for (t_up, b_up), (t_lo, b_lo) in zip(edge_layers(x, frac, 0, ctx), lower):
-        yield t_up, t_lo, b_up + b_lo
-
-
 def _renorm_term(params: GaussParams, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
     + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
@@ -184,31 +183,31 @@ def _renorm_term(params: GaussParams, mp):
     return +res
 
 
-def _signed_kernel(t, x, ctx: PrecisionContext):
-    """K(t) = E(t) for t >= 0, -E(-t) for t < 0: E(t) less the reflected
-    unit phase 2 e^{-pi i t^2/x} that ``_renorm_term`` carries.
+def _evaluate(params: GaussParams, edge, ctx: PrecisionContext):
+    """(value, terms, renorm, (f(N) - 1)/2, E-term, cert_N, cert_0): S_N by
+    the decomposition above, one walk of each edge series left to the route.
 
-    The negation is exact, so a t carrying more than the working precision
-    (the exact frac) keeps every bit.
+    ``edge(j, f)`` walks f T(a) at j = N (f = f(N), a = frac) and j = 0
+    (f = 1, a = theta) and returns (terms, cert): the terms sum to f T(a),
+    and cert is whatever certifies them, handed back as it came.  The
+    edges' terms are paired as e^{i pi/4} (upper - lower).  The short sum
+    comes first, so a run past the phase loop's budget is refused before
+    any kernel is evaluated.
     """
-    if t < 0:
-        return -erfc_kernel(ctx.mp.fneg(t, exact=True), x, ctx)
-    return erfc_kernel(t, x, ctx)
-
-
-def _skeleton(params: GaussParams, fN, ctx: PrecisionContext):
-    """(renorm, (f(N) - 1)/2, E-term): the part of S_N both routes share.
-
-    The short sum comes first, so a run past the phase loop's budget is
-    refused before any phase or kernel is evaluated.
-    """
-    mp = ctx.mp
+    mp, x = ctx.mp, params.x
+    fN = phase_term(params.N, params, ctx)
     renorm = _renorm_term(params, mp)
     rot = mp.expjpi(mp.mpf(1) / 4)
-    e_term = rot / (2 * mp.sqrt(params.x)) * (
-        _signed_kernel(params.theta, params.x, ctx)
-        - fN * _signed_kernel(params.frac, params.x, ctx))
-    return renorm, (fN - 1) / 2, e_term
+    # K(t); the negation is exact, so the exact frac keeps every bit
+    k_theta, k_frac = (-erfc_kernel(mp.fneg(t, exact=True), x, ctx) if t < 0
+                       else erfc_kernel(t, x, ctx) for t in (params.theta, params.frac))
+    e_term = rot / (2 * mp.sqrt(x)) * (k_theta - fN * k_frac)
+    (upper, cert_N), (lower, cert_0) = edge(params.N, fN), edge(0, 1)
+    terms = [rot * (u - l) for u, l in zip(upper, lower)]
+    boundary = (fN - 1) / 2
+    value = renorm + boundary + e_term + mp.fsum(terms)
+    return (ensure_finite(mp, value, "S_N"), terms, renorm, boundary, e_term,
+            cert_N, cert_0)
 
 
 # Double precision with an unbounded exponent range; its precision is never
@@ -228,7 +227,6 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
-    mp = ctx.mp
     # the index of the smallest series term, about pi (1 - |frac|)^2 / x, in
     # double precision whose unbounded exponent range gives every x an index
     opt = max(1, int(_MP.nint(_MP.pi * (1 - abs(_MP.mpf(params.frac))) ** 2
@@ -237,28 +235,17 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
         n = min(10, opt)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
-    fN = phase_term(params.N, params, ctx)
-    renorm, boundary, e_term = _skeleton(params, fN, ctx)
 
-    rot = mp.expjpi(mp.mpf(1) / 4)
-    terms, bounds = [], []
-    walk = _series(params.x, params.frac, params.theta, ctx)
-    for t_up, t_lo, bound in itertools.islice(walk, n):
-        terms.append(rot * (fN * t_up - t_lo))
-        bounds.append(bound)
-    series = mp.fsum(terms)
+    def walk(j, f):
+        # T(theta) vanishes identically at theta = 0: no terms, no bound
+        if j == 0 and params.theta == 0:
+            return (0,) * n, (0,) * n
+        a = params.frac if j else params.theta
+        layers = list(itertools.islice(edge_layers(params.x, a, 0, ctx), n))
+        return [f * term for term, _ in layers], [bound for _, bound in layers]
 
-    value = renorm + boundary + e_term + series
-    return ExpansionReport(
-        value=ensure_finite(mp, value, "asymptotic_sum"),
-        script_S=series,
-        terms=tuple(terms),
-        bounds=tuple(bounds),
-        remainder_bound=bounds[-1],
-        renorm_term=renorm,
-        boundary_term=boundary,
-        E_term=e_term,
-        n_used=n,
-        optimal_n=opt,
-        beyond_optimal=n >= opt,
-    )
+    value, terms, renorm, boundary, e_term, b_N, b_0 = _evaluate(params, walk, ctx)
+    return ExpansionReport(value=value, terms=tuple(terms),
+                           bounds=tuple(u + l for u, l in zip(b_N, b_0)),
+                           renorm_term=renorm, boundary_term=boundary, E_term=e_term,
+                           optimal_n=opt)

@@ -1,6 +1,6 @@
 """Shared test helpers: independent oracles and formatting."""
 
-from quadgauss import PrecisionContext
+from quadgauss import PrecisionContext, phase_sum
 
 
 def sig3(value) -> str:
@@ -171,3 +171,29 @@ def _expjpi_sums(x, theta, count, mp, stride):
         total += mp.expjpi(x * (j * j) + two_theta * j)
         if j % stride == 0:
             yield j, total
+
+
+def periodic_sum(p, k, theta, N, ctx):
+    """S_N(p/2^k, theta) for any N from two phase sums of at most 2^k terms.
+
+    With L = 2^k, x (2 j L + L^2) = 2 p j + p 2^k is even, so f(j + L) =
+    e^{2 pi i u} f(j) with u = theta L, and with N = Q L + R, 0 <= R < L,
+
+        S_N = S_L G(Q) + e^{2 pi i u Q} S_R,
+        G(c) = sum_{m<c} e^{2 pi i u m} = e^{i pi u (c-1)} sin(pi u c) / sin(pi u),
+
+    with G(c) = c when sin(pi u) = 0.  It shares only the phase loop with
+    the routes: no skeleton, kernel or zeta walk.  u Q is formed exactly,
+    so the rounding is that of the two phase sums and a few products.
+    """
+    mp = ctx.mp
+    L = 1 << k
+    x = mp.mpf(p) / L
+    theta = mp.mpf(theta)
+    u = theta * L  # a power-of-two scaling: exact
+    Q, R = divmod(N, L)
+    uQ = mp.fmul(u, Q, exact=True)
+    S_L, S_R = phase_sum(x, theta, L, mp), phase_sum(x, theta, R, mp)
+    s = mp.sinpi(u)
+    G = Q if s == 0 else mp.expjpi(mp.fsub(uQ, u, exact=True)) * mp.sinpi(uQ) / s
+    return S_L * G + mp.expjpi(mp.ldexp(uQ, 1)) * S_R

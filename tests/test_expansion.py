@@ -9,6 +9,7 @@ from mpmath.ctx_mp import MPContext
 
 from quadgauss import (
     DomainError,
+    ExpansionReport,
     GaussParams,
     PrecisionContext,
     ResourceBudgetError,
@@ -214,7 +215,7 @@ def test_reduced_pair_reference_values():
     ctx = CTX50
     for col, n, want in ((COL1, 6, COL1_ERRORS[6]), (COL2, 8, COL2_ERRORS[8])):
         rep, ref_s = _reduced_pair(_params(ctx, col), n)
-        assert sig3(abs(ref_s - rep.script_S)) == sig3(want)
+        assert sig3(abs(ref_s - ctx.mp.fsum(rep.terms))) == sig3(want)
 
 
 def test_reduced_pair_degenerate_series():
@@ -223,7 +224,7 @@ def test_reduced_pair_degenerate_series():
     ctx = CTX40
     p = GaussParams("0.03125", 0, 512, ctx)
     rep, ref_s = _reduced_pair(p, 4)
-    assert rep.script_S == 0
+    assert ctx.mp.fsum(rep.terms) == 0
     assert abs(ref_s) <= rep.remainder_bound + 1e4 * ctx.eps * p.N
 
 
@@ -320,7 +321,7 @@ def test_default_truncation_depth():
     ctx = CTX40
     p = _params(ctx, COL1)
     rep = asymptotic_sum(p)
-    assert rep.n_used == 10
+    assert len(rep.terms) == 10
     assert not rep.beyond_optimal
 
 
@@ -330,6 +331,17 @@ def test_beyond_optimal_flag():
     rep = asymptotic_sum(p, 8)
     assert rep.beyond_optimal
     assert rep.optimal_n <= 8
+
+
+def test_report_stores_only_what_it_cannot_derive():
+    assert ExpansionReport._fields == ("value", "terms", "bounds", "renorm_term",
+                                       "boundary_term", "E_term", "optimal_n")
+    # frac = -0.4 at x = 1/2: the optimal index is round(pi 0.36 / 0.5) = 2
+    p = GaussParams("0.5", "0.1", 3, CTX40)
+    below, at = asymptotic_sum(p, 1), asymptotic_sum(p, 2)
+    assert below.optimal_n == at.optimal_n == 2
+    assert not below.beyond_optimal and at.beyond_optimal
+    assert at.remainder_bound is at.bounds[-1] and len(at.bounds) == len(at.terms) == 2
 
 
 def test_results_bit_identical_across_fresh_contexts():

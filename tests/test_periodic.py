@@ -1,0 +1,89 @@
+"""Both certified routes against the periodicity oracle at dyadic x = p/2^k.
+
+``_utils.periodic_sum`` gives S_N at any N from two phase sums of at most
+2^k terms, sharing only the phase loop with the routes.  It runs 20
+digits above the routes, on their x and theta as rounded, and each route
+must land within its own certificate plus a rounding term stated in
+fixed terms: no N-scaled allowance.  M = N x stays at most 3 10^4 so
+that the short sums stay cheap.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadgauss import GaussParams, PrecisionContext, asymptotic_sum, direct_sum, exact_sum_detail
+
+from _utils import periodic_sum
+
+CTX = PrecisionContext(30)
+REF = PrecisionContext(50)
+MAX_M = 3 * 10**4
+
+
+def _rounding(S):
+    return 64 * CTX.mp.eps * max(1, abs(S))
+
+
+def _check_routes(p, k, params):
+    S = periodic_sum(p, k, params.theta, params.N, REF)
+    rep = asymptotic_sum(params)
+    assert abs(S - rep.value) <= rep.remainder_bound + _rounding(S)
+    value, upper, lower = exact_sum_detail(params)
+    assert abs(S - value) <= upper.tail_bound + lower.tail_bound + _rounding(S)
+
+
+@st.composite
+def _dyadic(draw, direct=False):
+    """(p, k, theta, N): odd p >= 3 with x = p/2^k < 1/8, a binary theta
+    and N up to 10^9 with N x <= MAX_M, or with ``direct``, 2^k <= N <= 10^5."""
+    k = draw(st.integers(8, 15))
+    # p below a random power of two, so that small x is drawn as often as large
+    p = 2 * draw(st.integers(1, 2 ** draw(st.integers(1, k - 4)) - 1)) + 1
+    theta = draw(st.floats(-0.5, 0.5))
+    if direct:
+        N = draw(st.integers(2**k, 10**5))
+    else:
+        # within a factor 2 below the cap over a power of two, so that
+        # large N is drawn as often as small
+        top = max(1, min(10**9, MAX_M * 2**k // p) >> draw(st.integers(0, 20)))
+        N = draw(st.integers(max(1, top // 2), top))
+    return p, k, theta, N
+
+
+def _params(p, k, theta, N):
+    return GaussParams(CTX.mp.mpf(p) / 2**k, theta, N, CTX)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(_dyadic())
+@example((3, 14, -0.17, 10**7 + 12345))
+@example((5, 15, 0.5, 196608))
+@example((3, 15, 0.3, 327670001))
+def test_routes_within_their_certificates_against_the_periodic_oracle(inp):
+    p, k, theta, N = inp
+    _check_routes(p, k, _params(p, k, theta, N))
+
+
+@pytest.mark.parametrize("frac", [0, 2.0**-30, -2.0**-30, 0.25, -0.25, 0.5])
+def test_frac_at_and_near_an_integer(frac):
+    # N x + theta exactly at, or 2^-30 from, an integer, and at a quarter
+    # and a half: x = 3/4096 puts N x 911/4096 above the integer 7324,
+    # and a dyadic theta moves frac exactly where it is asked to be
+    p, k, N = 3, 12, 10**7 + 5
+    mp = CTX.mp
+    theta = mp.mpf(frac) - mp.mpf(p * N % 2**k) / 2**k
+    params = _params(p, k, theta, N)
+    assert params.frac == frac
+    _check_routes(p, k, params)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(_dyadic(direct=True))
+@example((3, 8, 0.5, 3 * 2**8 + 7))
+def test_periodic_oracle_matches_direct_sum(inp):
+    # at least one whole period, against one direct sum
+    p, k, theta, N = inp
+    params = _params(p, k, theta, N)
+    S = periodic_sum(p, k, params.theta, N, CTX)
+    assert abs(S - direct_sum(params)) <= N * CTX.eps
