@@ -13,11 +13,13 @@ irrational inputs enter at full working precision.  Each handler returns
 rows whose reals are raw mpf values, and ``_emit`` formats each real once
 and writes each row as it comes: a JSON number at --digits <= 17, a
 decimal string beyond (so consumers cannot truncate it), scientific
-notation in CSV.  A nonzero real outside the normal double range is a
-decimal string in JSON at any --digits: a double would print it as 0 or
-as Infinity, which is not JSON.  Raw parameters are folded into the
-canonical ranges exactly (``normalize_params``), and a value computed
-for the conjugate parameters is conjugated back.  The rows go to a
+notation in CSV.  In JSON the one row of sum, exact, asym and bench is a
+bare object, and the rows of the other commands a list.  A nonzero real
+outside the normal double range is a decimal string in JSON at any
+--digits: a double would print it as 0 or as Infinity, which is not
+JSON.  Raw parameters are folded into the canonical ranges exactly
+(``normalize_params``), and a value computed for the conjugate
+parameters is conjugated back.  The rows go to a
 temporary file that is published only on success.  Exit codes: 2 usage
 (an --out that cannot be written too), 3 domain error, 4
 precision/resource error, 141 (the shell's SIGPIPE status) when the
@@ -135,16 +137,14 @@ def _emit(rows, args, mp, fh):
         csv.writer(fh, lineterminator="\r\n").writerows(
             itertools.chain([first.keys(), first.values()], (row.values() for row in out)))
         return
+    if args.command in ("sum", "exact", "asym", "bench"):  # one row: a bare object
+        fh.write(json.dumps(next(out), indent=2) + "\n")
+        return
     # the bytes json.dumps(list(rows), indent=2) gives, 64 rows at a time
     # (few rows held, and the same bytes): each chunk's document less its
     # "[\n" and "\n]"
-    chunks = iter(lambda: list(itertools.islice(out, 64)), [])
-    head = next(chunks)
-    if len(head) == 1:  # one row is a bare object
-        fh.write(json.dumps(head[0], indent=2) + "\n")
-        return
     sep = "[\n"
-    for chunk in itertools.chain([head], chunks):
+    for chunk in iter(lambda: list(itertools.islice(out, 64)), []):
         fh.write(sep + json.dumps(chunk, indent=2)[2:-2])
         sep = ",\n"
     fh.write("\n]\n")

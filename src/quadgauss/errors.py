@@ -9,7 +9,7 @@ CLI exit-code mapping) can discriminate without string matching:
                           (never silently degraded)
 * ResourceBudgetError  -- the work required exceeds a configured budget
 * TruncationError      -- a series truncation cannot meet the requested
-                          tolerance within its cap (reported, not silent)
+                          tolerance (reported, not silent)
 """
 
 
@@ -30,7 +30,7 @@ class ResourceBudgetError(QuadGaussError, RuntimeError):
 
 
 class TruncationError(QuadGaussError, RuntimeError):
-    """A truncated series cannot meet its tolerance within the cap."""
+    """A truncated series cannot meet its tolerance."""
 
 
 class ExprError(QuadGaussError, ValueError):

@@ -3,19 +3,18 @@ f(j) T(a) walked to a tolerance.
 
 ``boundary_series`` runs ``edge_layers`` at a window k0, every kernel
 argument positive, and stops at the first layer whose leftover bound
-undercuts the policy tolerance.  The window is the least k0 in 0..16 at
-which a proven ceiling on the least layer bound is below the tolerance,
-so the walk is sure to reach it; that least bound is about
+undercuts the policy tolerance.  The window is the least k0 at which a
+proven ceiling on the least layer bound is below the tolerance, so the
+walk is sure to reach it; that least bound is about
 exp(-pi (k0 + 1 - |a|)^2 / x), so small x takes k0 = 0 and x = 0.9 at tol
-1e-28 about 4.  At the cap k0 = 16 the layers' small parameter is
-x/(pi (k0 + 1/2)^2) < 1/855, so their bounds keep shrinking for more
-than 855 orders, to about e^-855 ~ 1e-371; a tolerance below the cap's
-ceiling raises TruncationError before the first layer.  The work is
-O(M + k0 + layers); ``direct_sum`` stays the independent check.
+1e-28 about 4, and every tolerance a working precision accepts has a
+window.  The work is O(M + k0 + layers); ``direct_sum`` stays the
+independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -31,7 +30,6 @@ __all__ = [
     "exact_sum_detail",
 ]
 
-_WINDOW = 16  # the most explicit kernel pairs k = 1..k0 per boundary series
 _LN_PI, _LN_2PI = math.log(math.pi), math.log(2 * math.pi)
 
 
@@ -106,18 +104,19 @@ def _log_layer_ceiling(x, a, k0: int) -> float:
     return best
 
 
-def _window(x, a, tol) -> int | None:
-    """The least k0 in 0.._WINDOW whose layer ceiling is below tol, or None
-    when no window's is.
+def _window(x, a, tol) -> int:
+    """The least k0 whose layer ceiling is below tol.
 
     tol is lowered by 2^-20 so that the walk's bounds, rounded at the
     working precision, fall below it too.  They shrink until their least
     value (zeta(s, b) is log-convex in s), so the walk at that window meets
-    tol without TruncationError.
+    tol without TruncationError.  The scan ends for 0 < x < 1 and any
+    finite ln tol: the ceiling falls like -pi (k0 + 1 - |a|)^2 / x, and
+    once ``_log_layer_ceiling``'s 1/q reaches its e^35 cap it still falls
+    like -s ln b.
     """
     log_tol = float(_MP.log(tol)) - 2.0 ** -20
-    return next((k0 for k0 in range(_WINDOW + 1)
-                 if _log_layer_ceiling(x, a, k0) < log_tol), None)
+    return next(k0 for k0 in itertools.count() if _log_layer_ceiling(x, a, k0) < log_tol)
 
 
 def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
@@ -126,11 +125,9 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
     ``edge_layers`` at the window ``_window`` chooses until the leftover
     bound is below the policy tolerance.
 
-    A window is chosen only where the walk is proven to reach the
-    tolerance.  When no window up to the cap of 16 is, raises
-    TruncationError before the first layer (possible only above about
-    370 digits, with x near 1).  The walk still raises it if its bounds
-    stop shrinking first, which the proof rules out.
+    The window is chosen where the walk is proven to reach the tolerance.
+    The walk still raises TruncationError if its bounds stop shrinking
+    first, which the proof rules out.
     """
     ctx = ctx or params.ctx
     policy = policy or TailPolicy()
@@ -145,12 +142,6 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
         return BoundarySeries(value=mp.mpc(0), k_stop=0, orders=0, tail_bound=mp.mpf(0))
 
     k0 = _window(x, a, tol)
-    if k0 is None:
-        ceiling = mp.exp(_log_layer_ceiling(x, a, _WINDOW))
-        raise TruncationError(
-            f"boundary_series: no window k0 <= {_WINDOW} provably reaches "
-            f"tol={mp.nstr(tol, 6)}; the least layer bound at k0={_WINDOW} is proven "
-            f"only below {mp.nstr(ceiling, 6)}")
     total, last = 0, mp.inf
     for orders, (term, bound) in enumerate(edge_layers(x, a, k0, ctx), 1):
         total += term

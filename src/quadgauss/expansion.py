@@ -40,10 +40,12 @@ walk the two edges; ``_evaluate`` forms everything else once for both.
 ``asym`` takes k0 = 0 and n layers of each edge: the paper's series in
 powers of x/pi and its N-independent remainder bound, whose theta half
 drops at theta = 0, where T(theta) vanishes.  ``exact`` takes the least
-proven window k0 <= 16 and deepens the layers to its tolerance.
+proven window k0 and deepens the layers to its tolerance.
 
 The series of ``asym`` is divergent; its optimal truncation index is
-about pi (1 - |frac|)^2 / x, far beyond the n ~ 10 used in practice.
+about pi (1 - max(|frac|, |theta|))^2 / x, where the layers of the edge
+with the larger offset stop shrinking, far beyond the n ~ 10 used in
+practice.
 Requests at or past the optimum are honoured but flagged.
 """
 
@@ -102,8 +104,10 @@ def _digamma_gap(a, k0: int, ctx: PrecisionContext):
     |a| <= 1/2.
 
     Both parts are odd in a and carry it as a factor, so a tiny a keeps its
-    relative accuracy; at k0 = 16 they cancel to about 1/27 of their size,
-    so the sum (in fixed point) and the cotangent run with guard bits.
+    relative accuracy.  They are each about 1.6 (k0 + 1) times the result,
+    so the sum (in fixed point) and the cotangent run with ``_GUARD`` = 32
+    guard bits, which cover that cancellation far past any window
+    ``exact`` reaches.
     """
     mp = ctx.mp
     with mp.extraprec(_GUARD):
@@ -227,10 +231,11 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
-    # the index of the smallest series term, about pi (1 - |frac|)^2 / x, in
-    # double precision whose unbounded exponent range gives every x an index
-    opt = max(1, int(_MP.nint(_MP.pi * (1 - abs(_MP.mpf(params.frac))) ** 2
-                              / _MP.mpf(params.x))))
+    # the index of the smallest series term, about pi (1 - |a|)^2 / x at the
+    # edge offset a = frac or theta of larger modulus, in double precision
+    # whose unbounded exponent range gives every x an index
+    a = max(abs(_MP.mpf(params.frac)), abs(_MP.mpf(params.theta)))
+    opt = max(1, int(_MP.nint(_MP.pi * (1 - a) ** 2 / _MP.mpf(params.x))))
     if n is None:
         n = min(10, opt)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

@@ -114,10 +114,11 @@ def ctx_at(digits) -> PrecisionContext:
 def _kernel(mp, t, x):
     """E(t) = exp(-pi i t^2/x) erfc(e^{-i pi/4} t sqrt(pi/x)) at mp's precision.
 
-    For t > 0: the phase times mpmath's erfc up to |z|^2 = pi t^2/x = 16, and
+    The phase times mpmath's erfc, with guard bits for the argument's
+    rounding, for t < 0 (at the negative argument itself, not through the
+    reflection the kernel uses) and for t > 0 up to |z|^2 = pi t^2/x = 16;
     U(1/2, 1/2, -i pi t^2/x)/sqrt(pi) by mpmath's hyperu beyond it (DLMF
-    13.6); t < 0 through E(-t) = 2 exp(-pi i t^2/x) - E(t).  The independent
-    reference for ``special.erfc_kernel``.
+    13.6).  The independent reference for ``special.erfc_kernel``.
     """
     x = mp.mpf(x)
     t = mp.convert(t)
@@ -126,11 +127,11 @@ def _kernel(mp, t, x):
     tt = mp.fmul(t, t, exact=True)
     with mp.extraprec(max(0, mp.mag(tt / x))):
         phase = mp.expjpi(-(tt / x))
-    if t < 0:
-        return 2 * phase - _kernel(mp, -t, x)
     r2 = mp.pi * tt / x
-    if r2 <= 16:
-        return phase * mp.erfc(mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x)))
+    if t < 0 or r2 <= 16:
+        with mp.extraprec(mp.mag(r2) + 20):
+            res = phase * mp.erfc(mp.expjpi(mp.mpf(-1) / 4) * (t * mp.sqrt(mp.pi / x)))
+        return +res
     half = mp.mpf(1) / 2
     return mp.hyperu(half, half, mp.mpc(0, -r2)) / mp.sqrt(mp.pi)
 

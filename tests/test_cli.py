@@ -242,13 +242,16 @@ def test_certified_commands_exit_cleanly_on_small_exact_inputs(capsys):
                     assert code in (0, 3, 4) and "Traceback" not in err, (argv, err)
 
 
-def test_exact_refuses_an_unreachable_tol_in_one_line(capsys):
-    # at digits 400 and x = 0.99 no window up to 16 provably reaches 1e-378
-    code, out, err = run_cli(capsys, "exact", "--x", "0.99", "--theta", "0.5", "--N", "3",
-                             "--digits", "400", "--tol", "1e-378")
-    assert code == 4 and out == ""
-    assert err.count("\n") == 1 and err.startswith("quadgauss: ")
-    assert "Traceback" not in err
+def test_exact_meets_a_tol_beyond_window_16(capsys):
+    # at digits 400 and x = 0.99 window 17 is the least that reaches 1e-378
+    args = ["--x", "0.99", "--theta", "0.5", "--N", "3", "--digits", "400"]
+    ref = run_json(capsys, "sum", *args)
+    doc = run_json(capsys, "exact", *args, "--tol", "1e-378")
+    mp = PrecisionContext(400).mp
+    assert mp.mpf(doc["bound"]) < 2 * mp.mpf("1e-378")
+    diff = abs(mp.mpc(mp.mpf(ref["value_re"]), mp.mpf(ref["value_im"]))
+               - mp.mpc(mp.mpf(doc["value_re"]), mp.mpf(doc["value_im"])))
+    assert diff <= mp.mpf(doc["bound"]) + 64 * mp.eps
 
 
 def test_curlicue_hand_computed_track(capsys):
@@ -438,13 +441,28 @@ def test_curlicue_json_is_one_document_across_chunks(capsys):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
 def test_emit_json_bytes_equal_one_dumps(n):
     # chunks of 64 rows write the bytes one json.dumps of every row gives;
-    # one row is a bare object
+    # a list command writes a list however few rows it has
     args = build_parser().parse_args(["curlicue", "--x", "0.37", "--theta", "0.1",
                                       "--N", str(n)])
     rows = [{"j": j, "re": j / 3, "im": -j / 7, "tag": None} for j in range(n)]
     fh = io.StringIO()
     _emit(iter(rows), args, CTX.mp, fh)
-    assert fh.getvalue() == json.dumps(rows if n > 1 else rows[0], indent=2) + "\n"
+    assert fh.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["sum", "exact", "asym", "bench"])
+def test_emit_one_row_command_writes_a_bare_object(command):
+    args = build_parser().parse_args([command, "--x", "0.37", "--N", "5"])
+    row = {"method": command, "value_re": 1 / 3, "tag": None}
+    fh = io.StringIO()
+    _emit(iter([row]), args, CTX.mp, fh)
+    assert fh.getvalue() == json.dumps(row, indent=2) + "\n"
+
+
+def test_curlicue_shorter_than_its_stride_is_a_list(capsys):
+    # N < stride leaves the one point j = 0
+    doc = run_json(capsys, "curlicue", "--x", "0.5", "--N", "5", "--stride", "10")
+    assert doc == [{"j": 0, "re": "0.0", "im": "0.0"}]
 
 
 def test_curlicue_prints_the_reference_loop_digits(capsys):

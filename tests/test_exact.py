@@ -1,7 +1,7 @@
 """The erfc-series representation against quadrature and the oracle."""
 
+import itertools
 import random
-import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,21 +86,31 @@ def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
         boundary_series(0, p, TailPolicy("1e-20"), CTX30)
 
 
-def test_unreachable_tol_refused_before_the_first_layer():
-    # at 450 digits the default tol (1e-449) is below every layer bound at
-    # x = 0.99 (the smallest is about 1e-377, after some 860 orders); no
-    # window's proven ceiling is below it, so it is refused at once instead
-    # of walking the orders to it
+def _least_window(x, a, tol, mp):
+    """The least window whose layer ceiling is below tol, less 2^-20."""
+    log_tol = float(mp.log(tol)) - 2.0 ** -20
+    return next(k0 for k0 in itertools.count() if _log_layer_ceiling(x, a, k0) < log_tol)
+
+
+def test_default_tol_at_450_digits_met_beyond_window_16():
+    # the default tol (1e-449) at x = 0.99 is below every layer bound up to
+    # window 16 (the least there is about 1e-377); window 18 is the least
+    # whose ceiling is below it, and both edges meet it there
     ctx = PrecisionContext(450)
+    mp = ctx.mp
     p = GaussParams("0.99", "0.5", 3, ctx)
-    start = time.perf_counter()
-    with pytest.raises(TruncationError):
-        boundary_series(0, p, None, ctx)
-    assert time.perf_counter() - start < 1
+    value, upper, lower = exact_sum_detail(p)
+    tol = TailPolicy().resolve_tol(ctx)
+    for series, a in ((upper, p.frac), (lower, p.theta)):
+        assert series.k_stop == _least_window(p.x, a, tol, mp) > 16
+        assert series.tail_bound < tol
+    S = direct_sum(p)
+    allow = upper.tail_bound + lower.tail_bound + 64 * mp.eps * max(1, abs(S))
+    assert abs(value - S) <= allow
 
 
-def _cap_case(monkeypatch):
-    """Edge 0 at digits 400, x = 0.99, theta = 0.5: (params, the cap's
+def _edge0_at_400_digits(monkeypatch):
+    """Edge 0 at digits 400, x = 0.99, theta = 0.5: (params, window 16's
     ceiling, the list of layers the series pulls)."""
     pulled = []
 
@@ -116,19 +126,20 @@ def _cap_case(monkeypatch):
     return GaussParams("0.99", "0.5", 3, ctx), ceiling, pulled
 
 
-def test_tol_below_the_cap_ceiling_refused_before_the_first_layer(monkeypatch):
-    # the least layer bound at the cap is about 8.54e-378 and its ceiling
-    # 8.62e-378: half the ceiling lies below the least bound, so no walk
-    # reaches it, and it is refused before a layer is pulled
-    p, ceiling, pulled = _cap_case(monkeypatch)
-    with pytest.raises(TruncationError):
-        boundary_series(0, p, TailPolicy(ceiling / 2))
-    assert pulled == []
+def test_tol_below_the_window_16_ceiling_met_at_window_17(monkeypatch):
+    # the least layer bound at window 16 is about 8.54e-378 and its ceiling
+    # 8.62e-378: half the ceiling lies below the least bound, so window 16
+    # cannot reach it, and window 17 does
+    p, ceiling, pulled = _edge0_at_400_digits(monkeypatch)
+    tol = ceiling / 2
+    series = boundary_series(0, p, TailPolicy(tol))
+    assert series.k_stop == _least_window(p.x, p.theta, tol, p.ctx.mp) == 17
+    assert series.orders == len(pulled) and series.tail_bound < tol
 
 
-def test_tol_above_the_cap_ceiling_met_at_the_cap(monkeypatch):
-    # 5% above the ceiling the cap provably reaches tol, after some 850 orders
-    p, ceiling, pulled = _cap_case(monkeypatch)
+def test_tol_above_the_window_16_ceiling_met_at_window_16(monkeypatch):
+    # 5% above the ceiling window 16 provably reaches tol, after some 850 orders
+    p, ceiling, pulled = _edge0_at_400_digits(monkeypatch)
     tol = ceiling * p.ctx.mp.mpf("1.05")
     series = boundary_series(0, p, TailPolicy(tol))
     assert series.k_stop == 16 and series.orders == len(pulled)
@@ -212,20 +223,12 @@ def _exact_vs_oracle(p, ctx):
     return abs(hi.mp.mpc(value) - S), allow, upper
 
 
-def _least_window(p, edge, ctx):
-    """The least window whose layer ceiling is below the default tol, less
-    2^-20, at this edge."""
-    a = p.theta if edge == 0 else p.frac
-    log_tol = float(ctx.mp.log(TailPolicy().resolve_tol(ctx))) - 2.0 ** -20
-    return next(k0 for k0 in range(17) if _log_layer_ceiling(p.x, a, k0) < log_tol)
-
-
 def test_exact_at_large_N_x():
     # N x + theta = 1800.3: the pairs below it are short-sum phases, so the
     # edge series at frac = 0.3 needs only a small window
     p = GaussParams("0.9", "0.3", 2000, CTX30)
     err, allow, upper = _exact_vs_oracle(p, CTX30)
-    assert upper.k_stop == _least_window(p, p.N, CTX30)
+    assert upper.k_stop == _least_window(p.x, p.frac, TailPolicy().resolve_tol(CTX30), CTX30.mp)
     assert err <= allow
 
 
@@ -236,7 +239,7 @@ def test_exact_at_200_digits():
     ctx = PrecisionContext(200)
     p = GaussParams("0.5", "0.2", 50, ctx)
     err, allow, upper = _exact_vs_oracle(p, ctx)
-    assert upper.k_stop == _least_window(p, p.N, ctx)
+    assert upper.k_stop == _least_window(p.x, p.frac, TailPolicy().resolve_tol(ctx), ctx.mp)
     assert err <= allow
 
 
@@ -301,10 +304,7 @@ def test_window_is_the_least_that_provably_meets_tol(x, a, digits):
     ctx = CTX30
     tol = ctx.mp.mpf(10) ** -digits
     series = boundary_series(0, GaussParams(x, a, 1, ctx), TailPolicy(tol), ctx)
-    log_tol = float(ctx.mp.log(tol)) - 2.0 ** -20
-    ceilings = [_log_layer_ceiling(x, a, k0) for k0 in range(series.k_stop + 1)]
-    assert all(c >= log_tol for c in ceilings[:-1])
-    assert ceilings[-1] < log_tol
+    assert series.k_stop == _least_window(x, a, tol, ctx.mp)
     assert 0 < series.tail_bound < tol and series.orders >= 1
 
 

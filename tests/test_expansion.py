@@ -366,6 +366,17 @@ def test_optimal_truncation_values():
         assert asymptotic_sum(p, 1).optimal_n == round(want)
 
 
+def test_optimal_index_follows_the_larger_edge_offset():
+    # frac = -0.01 alone would give n = 10, with bound 8.88; the theta edge
+    # at 0.49 turns first, so the default stops at its least bound
+    ctx = CTX40
+    p = GaussParams("0.3", "0.49", 5, ctx)
+    rep = asymptotic_sum(p)
+    assert rep.optimal_n == len(rep.terms) == 3
+    assert rep.remainder_bound == min(asymptotic_sum(p, 10).bounds)
+    assert abs(direct_sum(p) - rep.value) <= rep.remainder_bound
+
+
 def test_tiny_x_below_double_range():
     # x under the double-precision range still gets a truncation index
     ctx = PrecisionContext(30)

@@ -5,7 +5,9 @@
 digits above the routes, on their x and theta as rounded, and each route
 must land within its own certificate plus a rounding term stated in
 fixed terms: no N-scaled allowance.  M = N x stays at most 3 10^4 so
-that the short sums stay cheap.
+that the short sums stay cheap.  The two routes are also checked against
+each other, within the sum of their certificates, at dyadic x anywhere
+in (0, 1).
 """
 
 import pytest
@@ -76,6 +78,30 @@ def test_frac_at_and_near_an_integer(frac):
     params = _params(p, k, theta, N)
     assert params.frac == frac
     _check_routes(p, k, params)
+
+
+@st.composite
+def _any_dyadic(draw):
+    """(x, theta, N): x = p/2^k anywhere in (0, 1), a binary theta and
+    N x <= 500."""
+    k = draw(st.integers(1, 20))
+    p = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
+    N = draw(st.integers(1, max(1, 500 * 2**k // p)))
+    return CTX.mp.mpf(p) / 2**k, draw(st.floats(-0.5, 0.5)), N
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_any_dyadic())
+@example((CTX.mp.mpf(255) / 256, 0.5, 3))
+@example((CTX.mp.mpf(1) / 2**20, -0.5 + 2.0**-30, 2**28 + 1))
+def test_asym_and_exact_agree_within_their_certificates(inp):
+    # the two routes share the skeleton, so this checks the edge walks: n = 6
+    # layers at window 0 against the least proven window walked to tol
+    params = GaussParams(*inp, CTX)
+    rep = asymptotic_sum(params, 6)
+    value, upper, lower = exact_sum_detail(params)
+    allow = rep.remainder_bound + upper.tail_bound + lower.tail_bound + _rounding(value)
+    assert abs(rep.value - value) <= allow
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=4)
