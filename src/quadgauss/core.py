@@ -21,11 +21,13 @@ N x + theta, and ``frac`` = N x + theta - M, both from the exact sum.
 ``phase_term`` forms one phase x t^2 + 2 theta t exactly and hands it
 to mpmath's ``expjpi``.  The phase loop behind the oracle, the
 renormalized short sum and the curlicue (``_phase_partial_sums``) reads
-x and 2 theta once in fixed point, reduced mod 2, steps every phase by
-exact integer adds and takes cos/sin of pi times its distance to the
-nearest half-integer in fixed point: no phase loses bits to its size,
-and the loop's own error is at most count 2^(8-B) < 2^(-prec-12) before
-one rounding per partial sum, B = prec + bitlen(count) + 20.  So the
+every bit of x and 2 theta once in fixed point, reduced mod 2, and steps
+every phase by exact integer adds.  Each phase splits exactly at the
+nearest step of one shared table of cos/sin over a quarter turn; short
+Taylor series cover the rest, and one complex product turns them by the
+table entry, all in integers: no phase loses bits to its size, and the
+loop's own error is at most count 2^(8-B) < 2^(-prec-12) before one
+rounding per partial sum, B = prec + bitlen(count) + 20.  So the
 direct sum stays within N * eps of the exact sum on its inputs for
 every N the term budget admits, and is the ground truth every other
 evaluation path is tested against.  That budget, ``DEFAULT_MAX_TERMS``,
@@ -35,8 +37,7 @@ term, for the oracle, both routes' short sums and the curlicue alike.
 
 from __future__ import annotations
 
-from mpmath.libmp import fhalf, from_man_exp, pi_fixed, round_nearest
-from mpmath.libmp.libelefun import cos_sin_basecase
+from mpmath.libmp import fhalf, from_man_exp, mpf_cos_sin_pi, pi_fixed, round_nearest, to_fixed
 
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
@@ -119,39 +120,110 @@ def _fixed_mod2(v, F: int, mask: int) -> int:
     return (-n if sign else n) & mask
 
 
+# The phase loop's table steps by 2^-(_TABLE_BITS + 1) half-turns, so its
+# 2^_TABLE_BITS entries cover a quarter turn.
+_TABLE_BITS = 10
+
+# (W, cos, sin): the table of ``_quarter_turn`` at W bits, W the highest B
+# asked for so far; about 70 KB at W = 184.  Replaced whole, never changed
+# in place, so it is safe to share.
+_TABLE = (0, (), ())
+
+
+def _quarter_turn(B: int):
+    """(T, cos, sin): cos and sin of pi i 2^-(_TABLE_BITS + 1) for
+    i = 0 .. 2^_TABLE_BITS - 1 in fixed point at T bits, B <= T <= B + 32,
+    each within 2 units of 2^-T.
+
+    The first eighth turn is built once, at the highest B asked for so
+    far, as successive powers of one root of unity w at 16 guard bits.  w
+    is within 2 units of 2^-(B+16) per component (libmp's ``mpf_cos_sin_pi``
+    and a floor), and each power's floors add under sqrt(2) in modulus, so
+    the i-th power is within 5 i of them: the 512th within 2^12, under
+    1/16 unit of 2^-B.  The floor to B bits adds under one unit.  The
+    second eighth is the first one reflected, cos(pi/2 - a) = sin a,
+    sharing its integers.  A table up to 32 bits finer than B is used as
+    it is, which makes the loop's products at most one 30-bit digit longer
+    and costs less than shifting it; a finer one is shifted down to B,
+    under one more unit.
+    """
+    global _TABLE
+    have, cos_t, sin_t = _TABLE
+    if have < B:
+        guard = 16
+        W = B + guard
+        wc, ws = (to_fixed(v, W) for v in mpf_cos_sin_pi(from_man_exp(1, -_TABLE_BITS - 1), W))
+        c, s = 1 << W, 0
+        cos_t, sin_t = [c], [s]
+        for _ in range(1 << (_TABLE_BITS - 1)):
+            c, s = (c * wc - s * ws) >> W, (c * ws + s * wc) >> W
+            cos_t.append(c)
+            sin_t.append(s)
+        have = B
+        cos_t, sin_t = [v >> guard for v in cos_t], [v >> guard for v in sin_t]
+        cos_t, sin_t = tuple(cos_t + sin_t[-2:0:-1]), tuple(sin_t + cos_t[-2:0:-1])
+        _TABLE = (have, cos_t, sin_t)
+    if have - B <= 32:
+        return have, cos_t, sin_t
+    return B, [v >> have - B for v in cos_t], [v >> have - B for v in sin_t]
+
+
+def _taylor(B: int, F: int):
+    """Coefficients of cos(pi u) and of sin(pi u)/u as polynomials in u^2,
+    highest degree first, in fixed point at F bits, each within 2 units:
+    (-1)^j pi^(2j)/(2j)! and (-1)^j pi^(2j+1)/(2j+1)!, j < m.
+
+    m is the least for which the first omitted term, pi^(2m) |u|^(2m)/(2m)!
+    at |u| <= 2^-(_TABLE_BITS + 2), is under 2^(6-B); the one after it,
+    of sin, is smaller still.  At _TABLE_BITS = 10 that is m = 7 for
+    B <= 187.
+    """
+    P, step = F + 8, _TABLE_BITS + 2
+    pi = pi_fixed(P)
+    terms = [1 << P]  # pi^k/k! at P bits
+    # until a term of even degree k is under 2^(6-B) at |u| = 2^-step
+    while len(terms) % 2 == 0 or terms[-1] >> (len(terms) - 1) * step + P + 6 - B:
+        terms.append(terms[-1] * pi // (len(terms) << P))
+    signed = [(-v if k & 2 else v) >> 8 for k, v in enumerate(terms[:-1])]
+    return signed[-2::-2], signed[::-2]
+
+
 def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
     S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)).
 
-    The one phase loop, in fixed point.  x and 2 theta are read once
-    with F = B + 2 bitlen(count) + 4 fractional bits and reduced mod 2
-    by a mask, B = prec + bitlen(count) + 20, prec the context's.  The
-    phase p_k = x k^2 + 2 theta k then advances by two masked integer
-    adds per term, d += 2x and p += d, so every p_k is exact mod 2 for
-    the inputs as read: nothing drifts, and no phase loses bits to its
-    size.  p_k is split at its nearest half-integer h/2, and cos/sin of
-    pi times the remainder (|.| <= pi/4) come from libmp's
-    ``cos_sin_basecase`` at B bits, the step ``mpf_cos_sin`` takes after
-    its own reduction (a private libmp function, mpmath 1.3).  They are
-    summed in integers by h mod 4, and the quarter turns i^h, signs and
-    a swap, combine those sums once per yielded partial sum before its
-    one rounding.  More than ``DEFAULT_MAX_TERMS`` terms raise
-    ResourceBudgetError before the first.
+    The one phase loop, in fixed point.  x and 2 theta are read once, every
+    bit of an mpf argument (any other is converted at the working
+    precision first), with F = B + 2 bitlen(count) + 4 fractional bits and
+    reduced mod 2 by a mask, B = prec + bitlen(count) + 20, prec the
+    context's.  The phase p_k = x k^2 + 2 theta k then advances by two
+    masked integer adds per term, d += 2x and p += d, so every p_k is exact
+    mod 2 for the inputs as read: nothing drifts, and no phase loses bits
+    to its size.  p_k is kept offset by half a table step, so its top
+    _TABLE_BITS + 2 bits are the nearest table step k, a quarter turn q =
+    k >> _TABLE_BITS and an index i into a table of the quarter turn
+    (``_quarter_turn``), and the rest, less the offset, the exact remainder
+    u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.  cos(pi u) and sin(pi u)
+    are short Taylor series at F bits (``_taylor``, in Horner form), turned
+    by the table entry (at T >= B bits) in one complex product at F + T
+    bits, which is summed exactly into one of four integer sums by q.  The
+    quarter turns i^q, signs and a swap, combine those sums once per
+    yielded partial sum before its one rounding.  More than
+    ``DEFAULT_MAX_TERMS`` terms raise ResourceBudgetError before the first.
 
     Error of each yielded S_j before that rounding, at most
-    j 2^(8-B) < 2^(-prec-12) in modulus:
+    j 2^(8-B) < 2^(-prec-12) in modulus; per term, in units of 2^-B:
     - reading x and 2 theta moves p_k by under (k^2 + k) 2^-F
-      <= 2^(-B-4), so pi p_k by under 2^(-B-2);
-    - pi r is formed from a fixed pi good to 1 unit of 2^-B, |r| <= 1/4,
-      and floored: under 2 units;
-    - ``cos_sin_basecase`` sums a Taylor series with truncating integer
-      steps, about 2 units per series term, under 50 terms at B <= 400
-      (above 400 bits mpmath's ``exponential_series`` keeps its own guard
-      bits), plus its table entry and the final product: under 2^7 units
-      per component.
-    The rounding then adds at most 2^-prec |S_j|.  phase_sum takes the
-    last partial sum, the curlicue export every stride-th one; terms past
-    the last multiple of stride are never yielded.
+      <= 2^(-B-4), so pi p_k by under 2^(-B-2): under 1/4 unit;
+    - u is exact; the coefficients and Horner floors of each series add
+      under 2^5 units of 2^-F, under 2^(B-F+5) <= 1/2 unit, and what it
+      leaves out under 2^6 units;
+    - the table entry is within 2 units per component, and the product
+      and the sums are exact.
+    In all under 1/4 + sqrt(2) (2^6 + 1/2) + 2 sqrt(2) < 2^7 units.  The
+    rounding then adds at most 2^-prec |S_j|.  phase_sum takes the last
+    partial sum, the curlicue export every stride-th one; terms past the
+    last multiple of stride are never yielded.
     """
     if count > DEFAULT_MAX_TERMS:
         raise ResourceBudgetError(
@@ -160,25 +232,36 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     B = prec + count.bit_length() + 20
     F = B + 2 * count.bit_length() + 4
     mask = (1 << (F + 1)) - 1
-    half, quarter = F - 1, 1 << (F - 2)
-    xf = _fixed_mod2(mp.mpf(x), F, mask)
+    G = F - _TABLE_BITS - 1  # the bits below one table step
+    low, offset = (1 << G) - 1, 1 << (G - 1)
+    top, index = _TABLE_BITS, (1 << _TABLE_BITS) - 1
+    xf = _fixed_mod2(mp.convert(x), F, mask)
     two_x = (2 * xf) & mask
-    d = (_fixed_mod2(2 * mp.mpf(theta), F, mask) - xf) & mask  # p_1 - p_0 - 2x
-    p = 0
+    d = (_fixed_mod2(mp.convert(theta), F + 1, mask) - xf) & mask  # p_1 - p_0 - 2x
+    p = offset  # p_0 = 0, offset
+    T, cos_t, sin_t = _quarter_turn(B)
+    (c_top, s_top), *horner = zip(*_taylor(B, F))
     cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
-    pi = pi_fixed(B)
     for j in range(stride, count + 1, stride):
         for _ in range(stride):
             d = (d + two_x) & mask
             p = (p + d) & mask
-            h = (p + quarter) >> half
-            c, s = cos_sin_basecase(((p - (h << half)) * pi) >> F, B)
-            cs[h & 3] += c
-            ss[h & 3] += s
+            u = (p & low) - offset
+            u2 = u * u >> F
+            c, s = c_top, s_top
+            for a, b in horner:
+                c = a + (c * u2 >> F)
+                s = b + (s * u2 >> F)
+            s = s * u >> F
+            k = p >> G
+            i, q = k & index, k >> top
+            C, S = cos_t[i], sin_t[i]
+            cs[q] += c * C - s * S
+            ss[q] += s * C + c * S
         re = cs[0] - ss[1] - cs[2] + ss[3]
         im = ss[0] + cs[1] - ss[2] - cs[3]
-        yield j, mp.make_mpc((from_man_exp(re, -B, prec, round_nearest),
-                              from_man_exp(im, -B, prec, round_nearest)))
+        yield j, mp.make_mpc((from_man_exp(re, -F - T, prec, round_nearest),
+                              from_man_exp(im, -F - T, prec, round_nearest)))
 
 
 def phase_sum(x, theta, count: int, mp):

@@ -54,12 +54,12 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from mpmath.ctx_mp import MPContext
+from mpmath import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
 from .core import GaussParams, phase_sum, phase_term
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
 
@@ -166,20 +166,31 @@ def _renorm_term(params: GaussParams, mp):
 
     The j = 0 term is exactly 1; an empty range gives 0 exactly.  The
     phases reach M^2/x (~N M at large N) and the rotation theta^2/x.  The
-    phase loop reduces its arguments mod 2 exactly, but -1/x and theta/x
-    rounded at the working precision would move the phases by up to
-    M^2/x units of it, so they, the loop and the rotation run with that
-    many extra bits and the result is rounded once.  The rotation is two
+    phase loop reduces its arguments mod 2 exactly and reads every bit of
+    them, but -1/x and theta/x rounded at the working precision prec would
+    move the phases by up to M^2/x units of it, so they are formed with
+    E = mag(M^2/x) extra bits.  The loop itself runs at prec.  The
+    rotation, 1/sqrt(x), the j = 0 term and the product run with the E
+    extra bits and the result is rounded once.  The rotation is two
     factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
     round digits away.
+
+    Error budget of the short sum, relative to the one over the exact
+    -1/x and theta/x: the read-in moves phase j by under 2 j^2/x
+    2^-(prec+E) <= 2^(1-prec) half-turns; the loop over j = 1..j1 adds
+    under j1 2^(8-B) < 2^(-prec-12), B = prec + bitlen(j1) + 20, and its
+    rounding 2^-prec of the sum.
     """
     first = 0 if params.theta < 0 else 1
     last = params.whole - 1 if params.frac < 0 else params.whole
     if last < first:
         return mp.mpc(0)
     x = params.x
-    with mp.extraprec(max(0, mp.mag(max(1, params.whole) ** 2 / x))):
-        short = phase_sum(-1 / x, params.theta / x, last, mp)
+    extra = max(0, mp.mag(max(1, params.whole) ** 2 / x))
+    with mp.extraprec(extra):
+        a, b = -1 / x, params.theta / x
+    short = phase_sum(a, b, last, mp)
+    with mp.extraprec(extra):
         if first == 0:
             short += 1
         rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
@@ -218,6 +229,10 @@ def _evaluate(params: GaussParams, edge, ctx: PrecisionContext):
 # changed, so sharing it between calls is safe.
 _MP = MPContext()
 
+# asym walks and stores n layers of each edge: about 1 ms and 1 KB a layer
+# at 30 digits
+_MAX_LAYERS = 1000
+
 
 def asymptotic_sum(params: GaussParams, n: int | None = None,
                    ctx: PrecisionContext | None = None) -> ExpansionReport:
@@ -227,8 +242,9 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     remainder_bound certifies |direct oracle - value| up to the oracle's
     own O(N eps) noise; the bound stays true for any valid parameters but
     is only *useful* in the small-x regime it was built for.  Raises
-    ResourceBudgetError when the short sum would exceed the phase loop's
-    budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
+    ResourceBudgetError, before any layer or term, when n exceeds the
+    budget of ``_MAX_LAYERS`` = 1000 layers or the short sum the phase
+    loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
     # the index of the smallest series term, about pi (1 - |a|)^2 / x at the
@@ -240,6 +256,9 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
         n = min(10, opt)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"asymptotic_sum: n must be a positive integer, got {n}")
+    if n > _MAX_LAYERS:
+        raise ResourceBudgetError(
+            f"asymptotic_sum: n={n} exceeds the budget of {_MAX_LAYERS} layers")
 
     def walk(j, f):
         # T(theta) vanishes identically at theta = 0: no terms, no bound

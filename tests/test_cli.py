@@ -370,6 +370,9 @@ def test_exit_codes(capsys):
     # resource: the short sum of asym would need 5e11 phases
     code, out, _ = run_cli(capsys, "asym", "--x", "0.5", "--N", "1000000000000", "--n", "2")
     assert code == 4 and out == ""
+    # resource: asym's layer budget, checked before the first layer
+    code, out, _ = run_cli(capsys, "asym", "--x", "0.5", "--N", "3", "--n", "1000000000000")
+    assert code == 4 and out == ""
     # resource: curlicue's term and point budgets, checked before any term
     for n, stride in (("2000001", "1"), ("200000001", "1000")):
         code, out, _ = run_cli(capsys, "curlicue", "--x", "0.5", "--N", n,

@@ -1,6 +1,8 @@
 """Parameter handling, the direct oracle, splitting, normalization."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 import random
 
@@ -20,7 +22,9 @@ from quadgauss import (
     phase_sum,
     phase_term,
 )
+from quadgauss import core
 from quadgauss.core import DEFAULT_MAX_TERMS, _phase_partial_sums
+from quadgauss.expansion import _renorm_term
 from quadgauss.precision import ensure_finite
 
 from _utils import _expjpi_sums
@@ -140,8 +144,8 @@ def _check_kernel(digits, count, stride, form, extra=0):
     """The kernel's partial sums against the expjpi loop 20 digits higher on
     the same binary inputs, form(mp) -> (x, theta), within the docstring
     bound j 2^(8-B), B = prec + bitlen(count) + 20, plus one rounding,
-    2^-prec |S_j|; extra bits raise both contexts as _renorm_term raises
-    its own."""
+    2^-prec |S_j|; extra bits raise both contexts around forming the
+    inputs, as _renorm_term raises its own, and around the loop too."""
     mp, ref = PrecisionContext(digits).mp, PrecisionContext(digits + 20).mp
     with mp.extraprec(extra), ref.extraprec(extra):
         x, theta = form(mp)
@@ -164,8 +168,18 @@ def _stride(kind, count):
 
 def _full(mp, v):
     """v scaled by 1 - 2^-20/3: a full working-precision mantissa, so the
-    kernel's read of its low bits is tested too."""
+    kernel's read of its low bits is tested too.  A decimal string, which
+    only an @example passes, is read as it is: a short dyadic one puts
+    phases exactly on the kernel's table."""
+    if isinstance(v, str):
+        return mp.mpf(v)
     return mp.mpf(v) * (1 - mp.mpf(2) ** -20 / 3)
+
+
+# x = 2^-12: phase k^2 2^-12 lies on an edge of a table cell (step 2^-11
+# half-turns) at odd k, on a table entry at even k, is 1/4 at k = 32 and a
+# whole half-turn at k = 64
+_EDGE_X = "0.000244140625"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -174,6 +188,9 @@ def _full(mp, v):
        count=st.integers(min_value=0, max_value=300), stride=_STRIDE, digits=_DIGITS)
 @example(x=0.37, theta=0.1, count=0, stride="1", digits=30)
 @example(x=0.37, theta=-0.5, count=1, stride="count", digits=120)
+@example(x=_EDGE_X, theta="0", count=300, stride="1", digits=30)
+@example(x=_EDGE_X, theta="-0.5", count=97, stride="1", digits=15)
+@example(x=0.37, theta=0.1, count=40, stride="7", digits=300)
 def test_phase_kernel_within_bound_on_the_unit_interval(x, theta, count, stride, digits):
     _check_kernel(digits, count, _stride(stride, count),
                   lambda mp: (_full(mp, x), _full(mp, theta)))
@@ -184,9 +201,13 @@ def test_phase_kernel_within_bound_on_the_unit_interval(x, theta, count, stride,
        M=st.integers(min_value=0, max_value=2000), stride=_STRIDE, digits=_DIGITS)
 @example(log_x=-12, theta=0.5, M=2000, stride="7", digits=50)
 @example(log_x=-3, theta=-0.25, M=1, stride="1", digits=15)
+@example(log_x=0.0, theta=-0.5 + 2.0**-13, M=2000, stride="1", digits=30)
+@example(log_x=-3, theta=0.3, M=40, stride="count", digits=300)
 def test_phase_kernel_within_bound_on_renormalized_arguments(log_x, theta, M, stride, digits):
-    # _renorm_term's arguments: (-1/x, theta/x) over M terms, formed and
-    # summed with mag(M^2/x) extra bits
+    # _renorm_term's arguments: (-1/x, theta/x) over M terms, formed (and
+    # here summed) with mag(M^2/x) extra bits.  At x = 1 and theta = -1/2 + 2^-13
+    # phase j is j 2^-12 mod 2: on a table-cell edge at odd j, on an entry
+    # at even j, and 1/4 at j = 1024
     def form(mp):
         x = mp.mpf(10) ** log_x
         return -1 / x, mp.mpf(theta) / x
@@ -200,9 +221,58 @@ def test_phase_kernel_within_bound_on_renormalized_arguments(log_x, theta, M, st
        count=st.integers(min_value=0, max_value=300), stride=_STRIDE, digits=_DIGITS)
 @example(x=-1.625, theta=2.75, count=1, stride="1", digits=15)
 @example(x=1e10 + 0.37, theta=-0.1, count=257, stride="count", digits=30)
+# x = -1 - 2^-12, theta = 5/2: phase k is -k^2 2^-12 mod 2, _EDGE_X's
+# edges and entries below zero
+@example(x="-1.000244140625", theta="2.5", count=300, stride="1", digits=50)
+@example(x=1e10 + 0.37, theta=-0.1, count=30, stride="1", digits=300)
 def test_phase_kernel_within_bound_on_raw_curlicue_reals(x, theta, count, stride, digits):
     _check_kernel(digits, count, _stride(stride, count),
                   lambda mp: (_full(mp, x), _full(mp, theta)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(log2_x=st.floats(min_value=-31, max_value=-1), theta=st.floats(-0.5, 0.5),
+       M=st.integers(min_value=0, max_value=2000))
+@example(log2_x=-31, theta=-0.5, M=2000)
+@example(log2_x=-1, theta=0.5, M=0)
+def test_renorm_term_agrees_with_64_bits_higher(log2_x, theta, M):
+    # asym_sweep's sizes at digits 30, against the same sum formed 64 bits
+    # higher on the same binary x and theta.  The tolerance is fixed: no
+    # N-scaled term, and nothing that follows the guard digits.  -1/x and
+    # theta/x read at the working precision alone would be off by ~1e-23.
+    ctx, ref = PrecisionContext(30), PrecisionContext(30)
+    ref.mp.prec += 64
+    x = ctx.mp.mpf(2) ** log2_x
+    N = max(1, int((M - theta) / x))  # N x + theta just below M
+    got = _renorm_term(GaussParams(x, theta, N, ctx), ctx.mp)
+    want = _renorm_term(GaussParams(x, theta, N, ref), ref.mp)
+    assert abs(ref.mp.mpc(got) - want) <= ref.mp.mpf(10) ** -40 * max(1, abs(want))
+
+
+def test_phase_kernel_table_and_series_within_their_bounds():
+    # the two parts the loop's error derivation bounds, at B = 110 .. 1100
+    # bits: every table entry within 2 units of 2^-B per component, after a
+    # rebuild at 1100 bits and a shift down to 184 too, and the series at
+    # the largest remainder |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2
+    ref = mpmath.MPContext()
+    for B in (110, 184, 253, 1100, 1090, 184):
+        ref.prec = B + 64
+        unit = ref.ldexp(1, -B)
+        T, cos_t, sin_t = core._quarter_turn(B)
+        assert B <= T <= B + 32
+        assert len(cos_t) == len(sin_t) == 2 ** core._TABLE_BITS
+        for i, (c, s) in enumerate(zip(cos_t, sin_t)):
+            a = ref.ldexp(i, -core._TABLE_BITS - 1)
+            assert abs(ref.ldexp(c, -T) - ref.cospi(a)) < 2 * unit, (B, i)
+            assert abs(ref.ldexp(s, -T) - ref.sinpi(a)) < 2 * unit, (B, i)
+        F = B + 30
+        cos_u, sin_u = core._taylor(B, F)
+        top = ref.ldexp(1, -core._TABLE_BITS - 2)
+        for u in (top, -top, top / 3):
+            cu = sum(ref.ldexp(k, -F) * u ** (2 * j) for j, k in enumerate(cos_u[::-1]))
+            su = u * sum(ref.ldexp(k, -F) * u ** (2 * j) for j, k in enumerate(sin_u[::-1]))
+            assert abs(cu - ref.cospi(u)) < (2 ** 6 + 0.5) * unit, (B, u)
+            assert abs(su - ref.sinpi(u)) < (2 ** 6 + 0.5) * unit, (B, u)
 
 
 def test_phase_kernel_rejects_non_finite_arguments():
@@ -373,3 +443,21 @@ def test_public_names_resolve():
         exported = getattr(importlib.import_module(module), "__all__", ())
         assert set(exported) <= names.keys(), module
     assert "quadgauss.special" in modules
+
+
+def test_package_imports_only_exported_mpmath_modules():
+    # pyproject asks only for mpmath>=1.3: its top-level names and libmp
+    import quadgauss
+
+    allowed = {"mpmath", "mpmath.libmp"}
+    for path in pathlib.Path(quadgauss.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "mpmath":
+                    assert name in allowed, (path.name, name)

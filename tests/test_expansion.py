@@ -435,6 +435,20 @@ def test_short_sum_budget_refused_before_any_term(monkeypatch):
         asymptotic_sum(p, 2)
 
 
+def test_layer_budget_refused_before_any_layer(monkeypatch):
+    # an n past expansion._MAX_LAYERS is refused before the short sum and
+    # the first layer of either edge
+    def no_work(*args):
+        raise AssertionError("work ran before the layer budget check")
+
+    monkeypatch.setattr(expansion, "phase_sum", no_work)
+    monkeypatch.setattr(expansion, "edge_layers", no_work)
+    p = GaussParams("0.5", "0.25", 3, CTX40)
+    for n in (expansion._MAX_LAYERS + 1, 10**12):
+        with pytest.raises(ResourceBudgetError):
+            asymptotic_sum(p, n)
+
+
 def test_no_route_reflects_the_kernel(monkeypatch):
     # the reflected unit phases are short-sum terms, so both routes call
     # the kernel at non-negative arguments only
