@@ -19,23 +19,37 @@ certified routes are built on: ``whole``, the nearest integer M to
 N x + theta, and ``frac`` = N x + theta - M, both from the exact sum.
 
 ``phase_term`` forms one phase x t^2 + 2 theta t exactly and hands it
-to mpmath's ``expjpi``.  The phase loop behind the oracle, the
-renormalized short sum and the curlicue (``_phase_partial_sums``) reads
-every bit of x and 2 theta once in fixed point, reduced mod 2, and steps
-every phase by exact integer adds.  Each phase splits exactly at the
-nearest step of one shared table of cos/sin over a quarter turn; short
-Taylor series cover the rest, and one complex product turns them by the
-table entry, all in integers: no phase loses bits to its size, and the
-loop's own error is at most count 2^(8-B) < 2^(-prec-12) before one
-rounding per partial sum, B = prec + bitlen(count) + 20.  So the
-direct sum stays within N * eps of the exact sum on its inputs for
+to mpmath's ``expjpi``.  Every other phase goes through one fixed-point
+kernel (``_exp_quadratic``): its arguments are read once, every bit,
+reduced mod 2, and each phase of a run A k^2 + C k is stepped by exact
+integer adds, split exactly at the nearest step of one shared table of
+cos/sin over a quarter turn, with short Taylor series for the rest and
+one complex product by the table entry, all in integers: no phase loses
+bits to its size.  Two sums run on it:
+
+- the phase loop (``_phase_partial_sums``), one kernel value a term,
+  behind the oracle ``direct_sum``, ``phase_sum``, the curlicue and the
+  routes' short sums below ``expansion``'s switch: within count 2^(8-B)
+  < 2^(-prec-12) before one rounding per partial sum,
+  B = prec + bitlen(count) + 20;
+- the chirp (``_chirp_sum``), behind the routes' short sums from the
+  switch on: Bluestein's identity turns count phases into about
+  4 sqrt(count) kernel values and one exact integer convolution, within
+  count 2^(9-B) < 2^(-prec-11) before its one rounding.
+
+So the direct sum stays within N * eps of the exact sum on its inputs for
 every N the term budget admits, and is the ground truth every other
-evaluation path is tested against.  That budget, ``DEFAULT_MAX_TERMS``,
-is kept by the loop alone: it refuses a longer run before its first
-term, for the oracle, both routes' short sums and the curlicue alike.
+evaluation path is tested against; it stays term by term, so that it
+shares only the kernel with the routes.  That budget,
+``DEFAULT_MAX_TERMS``, is the one term budget of both sums: each refuses
+a longer run before its first phase, for the oracle, both routes' short
+sums and the curlicue alike.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from math import isqrt
 
 from mpmath.libmp import fhalf, from_man_exp, mpf_cos_sin_pi, pi_fixed, round_nearest, to_fixed
 
@@ -188,64 +202,63 @@ def _taylor(B: int, F: int):
     return signed[-2::-2], signed[::-2]
 
 
-def _phase_partial_sums(x, theta, count: int, mp, stride: int):
-    """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
-    S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)).
-
-    The one phase loop, in fixed point.  x and 2 theta are read once, every
-    bit of an mpf argument (any other is converted at the working
-    precision first), with F = B + 2 bitlen(count) + 4 fractional bits and
-    reduced mod 2 by a mask, B = prec + bitlen(count) + 20, prec the
-    context's.  The phase p_k = x k^2 + 2 theta k then advances by two
-    masked integer adds per term, d += 2x and p += d, so every p_k is exact
-    mod 2 for the inputs as read: nothing drifts, and no phase loses bits
-    to its size.  p_k is kept offset by half a table step, so its top
-    _TABLE_BITS + 2 bits are the nearest table step k, a quarter turn q =
-    k >> _TABLE_BITS and an index i into a table of the quarter turn
-    (``_quarter_turn``), and the rest, less the offset, the exact remainder
-    u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.  cos(pi u) and sin(pi u)
-    are short Taylor series at F bits (``_taylor``, in Horner form), turned
-    by the table entry (at T >= B bits) in one complex product at F + T
-    bits, which is summed exactly into one of four integer sums by q.  The
-    quarter turns i^q, signs and a swap, combine those sums once per
-    yielded partial sum before its one rounding.  More than
-    ``DEFAULT_MAX_TERMS`` terms raise ResourceBudgetError before the first.
-
-    Error of each yielded S_j before that rounding, at most
-    j 2^(8-B) < 2^(-prec-12) in modulus; per term, in units of 2^-B:
-    - reading x and 2 theta moves p_k by under (k^2 + k) 2^-F
-      <= 2^(-B-4), so pi p_k by under 2^(-B-2): under 1/4 unit;
-    - u is exact; the coefficients and Horner floors of each series add
-      under 2^5 units of 2^-F, under 2^(B-F+5) <= 1/2 unit, and what it
-      leaves out under 2^6 units;
-    - the table entry is within 2 units per component, and the product
-      and the sums are exact.
-    In all under 1/4 + sqrt(2) (2^6 + 1/2) + 2 sqrt(2) < 2^7 units.  The
-    rounding then adds at most 2^-prec |S_j|.  phase_sum takes the last
-    partial sum, the curlicue export every stride-th one; terms past the
-    last multiple of stride are never yielded.
-    """
+def _check_budget(count: int):
+    """Refuse more than ``DEFAULT_MAX_TERMS`` terms, before any phase is
+    formed: the one term budget, kept by the loop and the chirp alike."""
     if count > DEFAULT_MAX_TERMS:
         raise ResourceBudgetError(
             f"phase loop: {count} terms exceed the budget of {DEFAULT_MAX_TERMS} terms")
-    prec = mp.prec
+
+
+def _bits(count: int, prec: int):
+    """(B, F, mask) of a sum of count phases at the precision prec: the
+    kernel's B = prec + bitlen(count) + 20 bits, F = B + 2 bitlen(count) + 4
+    fractional bits to read the arguments with, and the mask that reduces
+    an F-bit phase mod 2."""
     B = prec + count.bit_length() + 20
     F = B + 2 * count.bit_length() + 4
+    return B, F, (1 << (F + 1)) - 1
+
+
+def _exp_quadratic(runs, B: int, F: int):
+    """(scale, values): for each run (A, C, start, stop) in turn, values
+    yields (q, re, im) for k = start .. stop - 1, with i^q (re + i im)
+    2^-scale within 95 units of 2^-B of exp(i pi p_k), p_k = (A k^2 + C k)
+    2^-F mod 2, for any integers A and C, F >= B + 6.
+
+    The one per-phase kernel, behind the loop and the chirp.  p_k advances
+    by two masked integer adds per term, so every phase is exact mod 2:
+    nothing drifts, and no phase loses bits to its size.  It is kept offset
+    by half a table step, so its top _TABLE_BITS + 2 bits are the nearest
+    table step: a quarter turn q and an index into a table of the quarter
+    turn (``_quarter_turn``, at T >= B bits), and the rest, less the offset,
+    is the exact remainder u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.
+    cos(pi u) and sin(pi u) are short Taylor series at F bits (``_taylor``,
+    in Horner form), turned by the table entry in one complex product at
+    scale = F + T bits.
+
+    Error of each value, in units of 2^-B: u is exact; the coefficients and
+    Horner floors of each series add under 2^5 units of 2^-F, under
+    2^(B-F+5) <= 1/2 unit, and what it leaves out under 2^6 units; the
+    table entry is within 2 units per component, and the product is exact.
+    In all under sqrt(2) (2^6 + 1/2) + 2 sqrt(2) < 95.
+    """
+    T, cos_t, sin_t = _quarter_turn(B)
+    return F + T, _exp_values(runs, F, cos_t, sin_t, _taylor(B, F))
+
+
+def _exp_values(runs, F, cos_t, sin_t, series):
+    """The generator of ``_exp_quadratic``, everything in locals."""
     mask = (1 << (F + 1)) - 1
     G = F - _TABLE_BITS - 1  # the bits below one table step
     low, offset = (1 << G) - 1, 1 << (G - 1)
     top, index = _TABLE_BITS, (1 << _TABLE_BITS) - 1
-    xf = _fixed_mod2(mp.convert(x), F, mask)
-    two_x = (2 * xf) & mask
-    d = (_fixed_mod2(mp.convert(theta), F + 1, mask) - xf) & mask  # p_1 - p_0 - 2x
-    p = offset  # p_0 = 0, offset
-    T, cos_t, sin_t = _quarter_turn(B)
-    (c_top, s_top), *horner = zip(*_taylor(B, F))
-    cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
-    for j in range(stride, count + 1, stride):
-        for _ in range(stride):
-            d = (d + two_x) & mask
-            p = (p + d) & mask
+    (c_top, s_top), *horner = zip(*series)
+    for A, C, start, stop in runs:
+        two_a = (2 * A) & mask
+        p = (A * start * start + C * start + offset) & mask  # p_start, offset
+        d = (A * (2 * start + 1) + C) & mask  # p_(start+1) - p_start
+        for _ in range(start, stop):
             u = (p & low) - offset
             u2 = u * u >> F
             c, s = c_top, s_top
@@ -254,14 +267,171 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
                 s = b + (s * u2 >> F)
             s = s * u >> F
             k = p >> G
-            i, q = k & index, k >> top
-            C, S = cos_t[i], sin_t[i]
-            cs[q] += c * C - s * S
-            ss[q] += s * C + c * S
-        re = cs[0] - ss[1] - cs[2] + ss[3]
-        im = ss[0] + cs[1] - ss[2] - cs[3]
-        yield j, mp.make_mpc((from_man_exp(re, -F - T, prec, round_nearest),
-                              from_man_exp(im, -F - T, prec, round_nearest)))
+            i = k & index
+            cos_i, sin_i = cos_t[i], sin_t[i]
+            yield k >> top, c * cos_i - s * sin_i, s * cos_i + c * sin_i
+            p = (p + d) & mask
+            d = (d + two_a) & mask
+
+
+def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
+    """Yield (j, re, im, scale) for j = stride, 2 stride, ... <= count, with
+    (re + i im) 2^-scale within j 2^(8-B) < 2^(-prec-12) of
+    S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)), B = prec +
+    bitlen(count) + 20: the phase loop before its rounding.
+
+    x and 2 theta, mpf, are read once, every bit, with F = B + 2 bitlen(count)
+    + 4 fractional bits and reduced mod 2 (``_fixed_mod2``).  Each phase
+    then goes through the kernel (``_exp_quadratic``), and its value is
+    summed exactly into one of four integer sums by quarter turn q; the
+    quarter turns i^q, signs and a swap, combine them once per partial sum.
+    More than ``DEFAULT_MAX_TERMS`` terms raise ResourceBudgetError before
+    the first.
+
+    Error per term, in units of 2^-B: reading x and 2 theta moves p_k by
+    under (k^2 + k) 2^-F <= 2^(-B-4), so pi p_k by under 2^(-B-2): under
+    1/4 unit; the kernel adds under 95, the sums are exact.  In all under
+    2^7 units, so j 2^(7-B) over j terms; the bound keeps a factor 2.
+    """
+    _check_budget(count)
+    B, F, mask = _bits(count, prec)
+    run = (_fixed_mod2(x, F, mask), _fixed_mod2(theta, F + 1, mask), 1, count + 1)
+    scale, values = _exp_quadratic([run], B, F)
+    cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
+    for j in range(stride, count + 1, stride):
+        for q, re, im in islice(values, stride):
+            cs[q] += re
+            ss[q] += im
+        yield j, cs[0] - ss[1] - cs[2] + ss[3], ss[0] + cs[1] - ss[2] - cs[3], scale
+
+
+def _phase_partial_sums(x, theta, count: int, mp, stride: int):
+    """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
+    S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)): the one phase loop
+    (``_fixed_partial_sums``), each partial sum rounded once at the
+    context's precision prec.
+
+    An mpf argument is read with every bit, any other is converted at the
+    working precision first.  Each S_j is within j 2^(8-B) < 2^(-prec-12)
+    of the exact sum over the inputs as read before its rounding, which
+    adds at most 2^-prec |S_j|.  phase_sum takes the last partial sum, the
+    curlicue export every stride-th one; terms past the last multiple of
+    stride are never yielded.
+    """
+    prec = mp.prec
+    for j, re, im, scale in _fixed_partial_sums(mp.convert(x), mp.convert(theta),
+                                                count, prec, stride):
+        yield j, mp.make_mpc((from_man_exp(re, -scale, prec, round_nearest),
+                              from_man_exp(im, -scale, prec, round_nearest)))
+
+
+def _units(runs, B: int, F: int):
+    """[(re, im)]: the kernel's values over runs (``_exp_quadratic``), their
+    quarter turns applied, floored to B bits: each within 95 + sqrt(2) < 97
+    units of 2^-B."""
+    scale, values = _exp_quadratic(runs, B, F)
+    shift = scale - B
+    out = []
+    for q, re, im in values:
+        re, im = re >> shift, im >> shift
+        out.append((re, im) if q == 0 else (-im, re) if q == 1 else
+                   (-re, -im) if q == 2 else (im, -re))
+    return out
+
+
+def _slots(count: int, width: int) -> int:
+    """sum_{m<count} 2^(8 width (m + 1) - 1): half of every slot of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values, width: int) -> int:
+    """sum_m values[m] 2^(8 width m), each |values[m]| < 2^(8 width - 1):
+    biased into unsigned slots, joined as bytes, and the bias taken off."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little") - _slots(len(values), width)
+
+
+def _unpack(packed: int, count: int, width: int, lo: int, hi: int):
+    """Slots lo .. hi - 1 of packed = sum_{m<count} r_m 2^(8 width m), each
+    |r_m| < 2^(8 width - 1): a bias of half a slot in every slot leaves no
+    borrow, so one ``to_bytes`` splits it in linear time."""
+    half = 1 << (8 * width - 1)
+    raw = (packed + _slots(count, width)).to_bytes(count * width, "little")
+    return [int.from_bytes(raw[m * width:(m + 1) * width], "little") - half
+            for m in range(lo, hi)]
+
+
+def _chirp_fixed(a, b, count: int, prec: int):
+    """(re, im, scale), (re + i im) 2^-scale within count 2^(9-B) <
+    2^(-prec-11) of S = sum_{j=1}^{count} exp(i pi (a j^2 + 2 b j)) over a
+    and b as read, B = prec + bitlen(count) + 20: the chirp before its
+    rounding.
+
+    Bluestein's identity.  With L = isqrt(count), Q = count // L and
+    j = beta L + k, 0 <= beta < Q, 1 <= k <= L, and
+    2 beta k = beta^2 + k^2 - (beta - k)^2, the first Q L terms are
+
+        sum_beta c_beta sum_k u_k v_(beta-k),
+        c_beta = e(a (L^2 + L) beta^2 + 2 b L beta),
+        u_k = e(a (L + 1) k^2 + 2 b k),   v_d = e(-a L d^2),
+
+    e(p) = exp(i pi p), and the last count - Q L < L terms are summed as
+    they are.  v is even in d and |d| <= L, so about 4 sqrt(count) phases
+    in all.  a and 2 b are read once with F bits (``_fixed_mod2``), as by
+    the loop, and every phase is formed from them by integer products,
+    exact mod 2: the three phases of term j add up to exactly the loop's
+    phase of j.  Each goes through the loop's kernel (``_units``).  The
+    convolution is exact, in integers: each sequence is packed into one
+    int (Kronecker substitution) with slots of 2B + bitlen(L) + 4 bits,
+    rounded up to bytes, and three real products (Gauss's trick) give its
+    real and imaginary parts, unpacked in linear time.  The dot product
+    with c is exact too.  More than ``DEFAULT_MAX_TERMS`` terms raise
+    ResourceBudgetError before any phase.
+
+    Error per term, in units of 2^-B: each of the three unit values is
+    within 97, so their product within (1 + 97 2^-B)^3 - 1 < 292; reading
+    a and 2 b adds under 1/4, as in the loop.  Under 2^9 in all.
+    """
+    _check_budget(count)
+    if count == 0:
+        return 0, 0, 0
+    B, F, mask = _bits(count, prec)
+    af, bf = _fixed_mod2(a, F, mask), _fixed_mod2(b, F + 1, mask)
+    L = isqrt(count)
+    Q = count // L
+    values = iter(_units([(af * (L + 1), bf, 1, L + 1),  # u_k
+                           (-af * L, 0, 0, L + 1),  # v_d = v_-d
+                           (af * (L * L + L), bf * L, 0, Q),  # c_beta
+                           (af, bf, Q * L + 1, count + 1)], B, F))  # the rest
+    u, v, c, rest = (list(islice(values, size)) for size in (L, L + 1, Q, count - Q * L))
+    v = v[L:0:-1] + v[:Q - 1]  # v_d, d = -L .. Q - 2
+    # (u * v)_beta is coefficient beta + L - 1 of the product of
+    # sum u_(i+1) z^i and sum v_(m-L) z^m
+    width = (2 * B + L.bit_length() + 4 + 7) // 8
+    ur, ui = (_pack(part, width) for part in zip(*u))
+    vr, vi = (_pack(part, width) for part in zip(*v))
+    p1, p2, p3 = ur * vr, ui * vi, (ur + ui) * (vr + vi)
+    size = len(u) + len(v) - 1
+    wr = _unpack(p1 - p2, size, width, L - 1, L - 1 + Q)
+    wi = _unpack(p3 - p1 - p2, size, width, L - 1, L - 1 + Q)
+    re = sum(cr * r - ci * i for (cr, ci), r, i in zip(c, wr, wi))
+    im = sum(cr * i + ci * r for (cr, ci), r, i in zip(c, wr, wi))
+    return (re + (sum(r for r, _ in rest) << 2 * B),
+            im + (sum(i for _, i in rest) << 2 * B), 3 * B)
+
+
+def _chirp_sum(a, b, count: int, mp):
+    """sum_{j=1}^{count} exp(i pi (a j^2 + 2 b j)) by the chirp
+    (``_chirp_fixed``): within count 2^(9-B) < 2^(-prec-11) of the exact
+    sum over the inputs as read, plus one rounding at the context
+    precision prec.  The routes' short sum above ``expansion``'s switch;
+    the oracle, ``phase_sum`` and the curlicue stay on the loop.
+    """
+    prec = mp.prec
+    re, im, scale = _chirp_fixed(mp.convert(a), mp.convert(b), count, prec)
+    return mp.make_mpc((from_man_exp(re, -scale, prec, round_nearest),
+                        from_man_exp(im, -scale, prec, round_nearest)))
 
 
 def phase_sum(x, theta, count: int, mp):
@@ -272,8 +442,9 @@ def phase_sum(x, theta, count: int, mp):
     exact sum over the inputs as given, plus one rounding at the context
     precision prec, for any real x and theta, however large, since both
     are reduced mod 2 exactly.  Shared by the validated oracle, the
-    renormalization term (whose first argument -1/x is far outside
-    (0, 1)) and rational-case identity checks.  count = 0 gives 0.
+    renormalization term below its switch to the chirp (whose first
+    argument -1/x is far outside (0, 1)) and rational-case identity
+    checks.  count = 0 gives 0.
     """
     total = mp.mpc(0)
     for _, total in _phase_partial_sums(x, theta, count, mp, max(count, 1)):

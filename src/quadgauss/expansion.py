@@ -58,7 +58,7 @@ from mpmath import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
-from .core import GaussParams, phase_sum, phase_term
+from .core import GaussParams, _chirp_sum, phase_sum, phase_term
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
@@ -159,41 +159,49 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
                             mpf_neg(part) if neg_im else part))
 
 
-def _renorm_term(params: GaussParams, mp):
+# The short sum's switch from the phase loop to the chirp, in terms: the
+# chirp's fixed cost is about 4 sqrt(n) phases, two products of packed
+# ints and one kernel set-up, against one phase a term for the loop
+# (BENCH_24.json: they cross at 32-48 terms at digits 30 and 50)
+_CHIRP_MIN = 48
+
+
+def _renorm_term(x, theta, whole: int, frac, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
     + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
-    else M.
+    else M, M = whole; x and theta mpf of mp's context.
 
     The j = 0 term is exactly 1; an empty range gives 0 exactly.  The
     phases reach M^2/x (~N M at large N) and the rotation theta^2/x.  The
-    phase loop reduces its arguments mod 2 exactly and reads every bit of
+    short sum reduces its arguments mod 2 exactly and reads every bit of
     them, but -1/x and theta/x rounded at the working precision prec would
     move the phases by up to M^2/x units of it, so they are formed with
-    E = mag(M^2/x) extra bits.  The loop itself runs at prec.  The
-    rotation, 1/sqrt(x), the j = 0 term and the product run with the E
-    extra bits and the result is rounded once.  The rotation is two
+    E = mag(M^2/x) extra bits.  The short sum itself runs at prec: the
+    phase loop below ``_CHIRP_MIN`` terms, ``core._chirp_sum`` from there
+    on.  The rotation, 1/sqrt(x), the j = 0 term and the product run with
+    the E extra bits and the result is rounded once.  The rotation is two
     factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
     round digits away.
 
     Error budget of the short sum, relative to the one over the exact
     -1/x and theta/x: the read-in moves phase j by under 2 j^2/x
-    2^-(prec+E) <= 2^(1-prec) half-turns; the loop over j = 1..j1 adds
-    under j1 2^(8-B) < 2^(-prec-12), B = prec + bitlen(j1) + 20, and its
+    2^-(prec+E) <= 2^(1-prec) half-turns; the sum over j = 1..j1 adds
+    under j1 2^(8-B) < 2^(-prec-12) by the loop or j1 2^(9-B) <
+    2^(-prec-11) by the chirp, B = prec + bitlen(j1) + 20, and its
     rounding 2^-prec of the sum.
     """
-    first = 0 if params.theta < 0 else 1
-    last = params.whole - 1 if params.frac < 0 else params.whole
+    first = 0 if theta < 0 else 1
+    last = whole - 1 if frac < 0 else whole
     if last < first:
         return mp.mpc(0)
-    x = params.x
-    extra = max(0, mp.mag(max(1, params.whole) ** 2 / x))
+    extra = max(0, mp.mag(max(1, whole) ** 2 / x))
     with mp.extraprec(extra):
-        a, b = -1 / x, params.theta / x
-    short = phase_sum(a, b, last, mp)
+        a, b = -1 / x, theta / x
+    short = (_chirp_sum if last >= _CHIRP_MIN else phase_sum)(a, b, last, mp)
     with mp.extraprec(extra):
         if first == 0:
             short += 1
-        rot = mp.expjpi(-params.theta * params.theta / x) * mp.expjpi(mp.mpf(1) / 4)
+        rot = mp.expjpi(-theta * theta / x) * mp.expjpi(mp.mpf(1) / 4)
         res = rot / mp.sqrt(x) * short
     return +res
 
@@ -206,16 +214,19 @@ def _evaluate(params: GaussParams, edge, ctx: PrecisionContext):
     (f = 1, a = theta) and returns (terms, cert): the terms sum to f T(a),
     and cert is whatever certifies them, handed back as it came.  The
     edges' terms are paired as e^{i pi/4} (upper - lower).  The short sum
-    comes first, so a run past the phase loop's budget is refused before
-    any kernel is evaluated.
+    comes first, so a run past the term budget is refused before any
+    kernel is evaluated.  x, theta and frac are taken into ctx's own
+    context first, every bit kept, so a ctx other than params.ctx gives
+    -1/x and theta/x its extra bits too.
     """
-    mp, x = ctx.mp, params.x
+    mp = ctx.mp
+    x, theta, frac = (mp.convert(v) for v in (params.x, params.theta, params.frac))
     fN = phase_term(params.N, params, ctx)
-    renorm = _renorm_term(params, mp)
+    renorm = _renorm_term(x, theta, params.whole, frac, mp)
     rot = mp.expjpi(mp.mpf(1) / 4)
     # K(t); the negation is exact, so the exact frac keeps every bit
     k_theta, k_frac = (-erfc_kernel(mp.fneg(t, exact=True), x, ctx) if t < 0
-                       else erfc_kernel(t, x, ctx) for t in (params.theta, params.frac))
+                       else erfc_kernel(t, x, ctx) for t in (theta, frac))
     e_term = rot / (2 * mp.sqrt(x)) * (k_theta - fN * k_frac)
     (upper, cert_N), (lower, cert_0) = edge(params.N, fN), edge(0, 1)
     terms = [rot * (u - l) for u, l in zip(upper, lower)]
@@ -243,8 +254,8 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     own O(N eps) noise; the bound stays true for any valid parameters but
     is only *useful* in the small-x regime it was built for.  Raises
     ResourceBudgetError, before any layer or term, when n exceeds the
-    budget of ``_MAX_LAYERS`` = 1000 layers or the short sum the phase
-    loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
+    budget of ``_MAX_LAYERS`` = 1000 layers or the short sum the term
+    budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
     """
     ctx = ctx or params.ctx
     # the index of the smallest series term, about pi (1 - |a|)^2 / x at the

@@ -23,7 +23,8 @@ from quadgauss import (
     phase_term,
 )
 from quadgauss import core
-from quadgauss.core import DEFAULT_MAX_TERMS, _phase_partial_sums
+from quadgauss.core import (DEFAULT_MAX_TERMS, _chirp_fixed, _chirp_sum, _fixed_partial_sums,
+                            _phase_partial_sums)
 from quadgauss.expansion import _renorm_term
 from quadgauss.precision import ensure_finite
 
@@ -140,22 +141,36 @@ def test_oracle_stability_on_random_sets():
         assert abs(ref.mp.mpc(a) - b) <= 10 * lo.eps
 
 
+def _reference(x, theta, count, digits, stride):
+    """The expjpi loop's partial sums on the same binary x and theta, 20
+    digits above digits, plus the bits its largest phase
+    |x| count^2 + 2 |theta| count takes from each rounding of a phase."""
+    ref = PrecisionContext(digits + 20).mp
+    if count:
+        ref.prec += max(0, mpmath.mag(abs(x) * count**2 + 2 * abs(theta) * count))
+    return ref, list(_expjpi_sums(x, theta, count, ref, stride))
+
+
 def _check_kernel(digits, count, stride, form, extra=0):
-    """The kernel's partial sums against the expjpi loop 20 digits higher on
-    the same binary inputs, form(mp) -> (x, theta), within the docstring
-    bound j 2^(8-B), B = prec + bitlen(count) + 20, plus one rounding,
-    2^-prec |S_j|; extra bits raise both contexts around forming the
-    inputs, as _renorm_term raises its own, and around the loop too."""
-    mp, ref = PrecisionContext(digits).mp, PrecisionContext(digits + 20).mp
-    with mp.extraprec(extra), ref.extraprec(extra):
+    """The loop's partial sums before their rounding within the docstring
+    bound j 2^(8-B), B = prec + bitlen(count) + 20, of the expjpi loop
+    (``_reference``) on the same binary inputs, form(mp) -> (x, theta), and
+    within one rounding more, 2^-prec |S_j|, after it.  extra bits raise
+    the context around forming the inputs, as _renorm_term raises its own;
+    the loop runs at the working precision prec."""
+    mp = PrecisionContext(digits).mp
+    with mp.extraprec(extra):
         x, theta = form(mp)
-        got = list(_phase_partial_sums(x, theta, count, mp, stride))
-        want = list(_expjpi_sums(x, theta, count, ref, stride))
-        B = mp.prec + count.bit_length() + 20
-        assert [j for j, _ in got] == [j for j, _ in want]
-        for (j, a), (_, b) in zip(got, want):
-            bound = ref.ldexp(j, 8 - B) + ref.ldexp(abs(b), -mp.prec)
-            assert abs(ref.mpc(a) - b) <= bound, (j, a, b)
+    prec = mp.prec
+    B = prec + count.bit_length() + 20
+    ref, want = _reference(x, theta, count, digits, stride)
+    got = list(_fixed_partial_sums(x, theta, count, prec, stride))
+    assert [j for j, *_ in got] == [j for j, _ in want]
+    for (j, re, im, scale), (_, b) in zip(got, want):
+        fixed = ref.mpc(ref.ldexp(re, -scale), ref.ldexp(im, -scale))
+        assert abs(fixed - b) <= ref.ldexp(j, 8 - B), (j, fixed, b)
+    for (j, a), (_, b) in zip(_phase_partial_sums(x, theta, count, mp, stride), want):
+        assert abs(ref.mpc(a) - b) <= ref.ldexp(j, 8 - B) + ref.ldexp(abs(b), -prec), (j, a, b)
 
 
 _DIGITS = st.sampled_from([15, 30, 50, 120])
@@ -203,9 +218,10 @@ def test_phase_kernel_within_bound_on_the_unit_interval(x, theta, count, stride,
 @example(log_x=-3, theta=-0.25, M=1, stride="1", digits=15)
 @example(log_x=0.0, theta=-0.5 + 2.0**-13, M=2000, stride="1", digits=30)
 @example(log_x=-3, theta=0.3, M=40, stride="count", digits=300)
+@example(log_x=-2.5, theta=0.3, M=7, stride="1", digits=30)
 def test_phase_kernel_within_bound_on_renormalized_arguments(log_x, theta, M, stride, digits):
-    # _renorm_term's arguments: (-1/x, theta/x) over M terms, formed (and
-    # here summed) with mag(M^2/x) extra bits.  At x = 1 and theta = -1/2 + 2^-13
+    # _renorm_term's arguments: (-1/x, theta/x) over M terms, formed with
+    # mag(M^2/x) extra bits.  At x = 1 and theta = -1/2 + 2^-13
     # phase j is j 2^-12 mod 2: on a table-cell edge at odd j, on an entry
     # at even j, and 1/4 at j = 1024
     def form(mp):
@@ -230,6 +246,59 @@ def test_phase_kernel_within_bound_on_raw_curlicue_reals(x, theta, count, stride
                   lambda mp: (_full(mp, x), _full(mp, theta)))
 
 
+@st.composite
+def _chirp_count(draw):
+    """n in 0 .. 10^4, on both sides of the routes' switch: drawn at
+    random, or next to a square L^2 (L^2 - 1, L^2, L^2 + 1) or a multiple
+    of L = isqrt(n) (L^2 + L, L^2 + 2L)."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 10**4))
+    L = draw(st.integers(1, 99))
+    return L * L + draw(st.sampled_from([-1, 0, 1, L, 2 * L]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(n=_chirp_count(), log2_x=st.floats(-40, 0), theta=st.floats(-0.5, 0.5),
+       raw=st.booleans(), a=st.floats(-1e10, 1e10), b=st.floats(-1e5, 1e5), digits=_DIGITS)
+@example(n=1, log2_x=-3, theta=0.3, raw=False, a=0, b=0, digits=30)
+@example(n=2, log2_x=-40, theta=-0.5, raw=False, a=0, b=0, digits=15)
+@example(n=3, log2_x=0, theta=0, raw=True, a=1e10 + 0.37, b=-1e5, digits=120)
+@example(n=0, log2_x=-1, theta=0.1, raw=True, a=0.5, b=0.25, digits=50)
+@example(n=48, log2_x=-20, theta=0.3, raw=False, a=0, b=0, digits=50)
+@example(n=10**4, log2_x=-40, theta=0.49, raw=False, a=0, b=0, digits=30)
+@example(n=99 * 101, log2_x=0, theta=0, raw=True, a=-3.7e9, b=-77.5, digits=15)
+def test_chirp_within_its_bound(n, log2_x, theta, raw, a, b, digits):
+    # the chirp on renormalized arguments (-1/x, theta/x), formed with
+    # mag(n^2/x) extra bits as _renorm_term forms them, or on raw reals,
+    # against the expjpi loop 20 digits higher on the same binary
+    # arguments: before its rounding within its docstring bound
+    # n 2^(9-B), and after it within eps max(1, |S|), no n-scaled term
+    mp = PrecisionContext(digits).mp
+    if raw:
+        a, b = _full(mp, a), _full(mp, b)
+    else:
+        x = mp.mpf(2) ** log2_x
+        with mp.extraprec(max(0, mp.mag(max(1, n) ** 2 / x))):
+            a, b = -1 / x, _full(mp, theta) / x
+    ref, want = _reference(a, b, n, digits, max(n, 1))
+    S = want[-1][1] if want else ref.mpc(0)
+    B = mp.prec + n.bit_length() + 20
+    re, im, scale = _chirp_fixed(a, b, n, mp.prec)
+    assert abs(ref.mpc(ref.ldexp(re, -scale), ref.ldexp(im, -scale)) - S) <= ref.ldexp(n, 9 - B)
+    assert abs(ref.mpc(_chirp_sum(a, b, n, mp)) - S) <= mp.eps * max(1, abs(S))
+
+
+def test_chirp_refuses_past_the_budget_before_any_phase(monkeypatch):
+    def no_phase(*args):
+        raise AssertionError("a phase was formed before the budget check")
+
+    monkeypatch.setattr(core, "_fixed_mod2", no_phase)
+    monkeypatch.setattr(core, "_exp_quadratic", no_phase)
+    for n in (DEFAULT_MAX_TERMS + 1, 10**400):
+        with pytest.raises(ResourceBudgetError, match=f"{n} terms"):
+            _chirp_sum("0.3", "0.1", n, CTX30.mp)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(log2_x=st.floats(min_value=-31, max_value=-1), theta=st.floats(-0.5, 0.5),
        M=st.integers(min_value=0, max_value=2000))
@@ -244,8 +313,8 @@ def test_renorm_term_agrees_with_64_bits_higher(log2_x, theta, M):
     ref.mp.prec += 64
     x = ctx.mp.mpf(2) ** log2_x
     N = max(1, int((M - theta) / x))  # N x + theta just below M
-    got = _renorm_term(GaussParams(x, theta, N, ctx), ctx.mp)
-    want = _renorm_term(GaussParams(x, theta, N, ref), ref.mp)
+    got, want = (_renorm_term(p.x, p.theta, p.whole, p.frac, c.mp)
+                 for c in (ctx, ref) for p in [GaussParams(x, theta, N, c)])
     assert abs(ref.mp.mpc(got) - want) <= ref.mp.mpf(10) ** -40 * max(1, abs(want))
 
 

@@ -409,6 +409,21 @@ def test_large_N_agrees_with_higher_digits(N, c, theta, full_x):
     assert diff <= allow
 
 
+def test_a_foreign_context_keeps_the_short_sum_digits():
+    # params at digits 30, evaluated in a digits-80 ctx: -1/x and theta/x
+    # must get the ctx's mag(M^2/x) extra bits, not be formed in params'
+    # own context (an error of 1.2e-26 once), so both routes land on the
+    # matched digits-80 evaluation of the same binary x and theta
+    lo, hi = PrecisionContext(30), PrecisionContext(80)
+    x = lo.mp.mpf(1500.7) / 10**12
+    p30 = GaussParams(x, "0.3", 10**12, lo)
+    p80 = GaussParams(hi.mp.mpf(x), hi.mp.mpf(p30.theta), 10**12, hi)
+    pairs = ((asymptotic_sum(p30, 10, hi).value, asymptotic_sum(p80, 10).value),
+             (exact_sum_detail(p30, None, hi)[0], exact_sum_detail(p80)[0]))
+    for got, want in pairs:
+        assert abs(got - want) <= hi.mp.mpf(10) ** -60 * max(1, abs(want))
+
+
 @pytest.mark.parametrize("N", [1, 3])
 @pytest.mark.parametrize("theta", ["-0.25", "-0.5"])
 @pytest.mark.parametrize("xs", ["1e-25", "1e-40", "1e-400"])
@@ -442,6 +457,7 @@ def test_layer_budget_refused_before_any_layer(monkeypatch):
         raise AssertionError("work ran before the layer budget check")
 
     monkeypatch.setattr(expansion, "phase_sum", no_work)
+    monkeypatch.setattr(expansion, "_chirp_sum", no_work)
     monkeypatch.setattr(expansion, "edge_layers", no_work)
     p = GaussParams("0.5", "0.25", 3, CTX40)
     for n in (expansion._MAX_LAYERS + 1, 10**12):

@@ -4,8 +4,9 @@
 2^k terms, sharing only the phase loop with the routes.  It runs 20
 digits above the routes, on their x and theta as rounded, and each route
 must land within its own certificate plus a rounding term stated in
-fixed terms: no N-scaled allowance.  M = N x stays at most 3 10^4 so
-that the short sums stay cheap.  The two routes are also checked against
+fixed terms: no N-scaled allowance.  M = N x stays at most 10^6, which
+the chirp short sum covers in a fraction of a second, and one example
+reaches M = 4.58 10^6 at N = 10^11.  The two routes are also checked against
 each other, within the sum of their certificates, at dyadic x anywhere
 in (0, 1).
 """
@@ -20,7 +21,7 @@ from _utils import periodic_sum
 
 CTX = PrecisionContext(30)
 REF = PrecisionContext(50)
-MAX_M = 3 * 10**4
+MAX_M = 10**6
 
 
 def _rounding(S):
@@ -62,6 +63,8 @@ def _params(p, k, theta, N):
 @example((3, 14, -0.17, 10**7 + 12345))
 @example((5, 15, 0.5, 196608))
 @example((3, 15, 0.3, 327670001))
+# M = 4.58 10^6 and frac = -0.451: the asym bound is attained to three figures
+@example((3, 16, -0.17, 10**11 + 7))
 def test_routes_within_their_certificates_against_the_periodic_oracle(inp):
     p, k, theta, N = inp
     _check_routes(p, k, _params(p, k, theta, N))
