@@ -3,11 +3,11 @@
 Run from the root of a checkout, with the parent commit checked out in
 another directory:
 
-    python3 tools/bench_pairs.py PARENT_DIR OUT.json --seeds 201-210 \
-        --workloads asym_sweep exact_sweep paper_cli --seconds 30
+    python3 tools/bench_pairs.py PARENT_DIR OUT.json --seeds 201-210
 
 Each pair runs ``qgbench/run.py --trace 0`` on the same seed in both
-checkouts, one process at a time, the parent first in even pairs and the
+checkouts, on every workload and for the run length that BENCHMARK.json
+sets, one process at a time, the parent first in even pairs and the
 change first in odd ones.  OUT.json gets every run and, per workload and
 end-to-end metric, the quartiles of each side, the pairs the change
 wins, and the gap of the medians over the parent's interquartile range.
@@ -69,22 +69,20 @@ def main():
     parser.add_argument("parent")
     parser.add_argument("out")
     parser.add_argument("--seeds", default="201-210")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["asym_sweep", "exact_sweep", "paper_cli"])
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args()
     lo, hi = map(int, args.seeds.split("-"))
     with open(os.path.join(HERE, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     result = {}
-    for workload in args.workloads:
+    for workload in [w["name"] for w in bench["workloads"]]:
         runs = []
         for i, seed in enumerate(range(lo, hi + 1)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 root = args.parent if side == "parent" else HERE
-                pair[side] = run(root, workload, seed, args.seconds)
+                pair[side] = run(root, workload, seed, seconds)
             runs.append(pair)
             print(workload, seed, {s: round(pair[s]["eval_p90_ms"], 3) for s in order},
                   flush=True)
