@@ -112,9 +112,9 @@ class GaussParams:
                 f"theta={mp.nstr(self.theta, 12)}, N={self.N})")
 
 
-def phase_term(t, params: GaussParams, ctx: PrecisionContext | None = None):
+def phase_term(t, params: GaussParams):
     """f(t) = exp(i pi (x t^2 + 2 theta t)), phase formed exactly for any t."""
-    mp = (ctx or params.ctx).mp
+    mp = params.ctx.mp
     t = mp.mpf(t)
     p = mp.fadd(mp.fmul(params.x, mp.fmul(t, t, exact=True), exact=True),
                 mp.fmul(2 * params.theta, t, exact=True), exact=True)
@@ -452,7 +452,7 @@ def phase_sum(x, theta, count: int, mp):
     return total
 
 
-def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
+def direct_sum(params: GaussParams):
     """S_N(x, theta) by term-by-term summation.
 
     The ground-truth oracle: the phase loop's error on the stored x and
@@ -461,9 +461,8 @@ def direct_sum(params: GaussParams, ctx: PrecisionContext | None = None):
     precision, so well within N * eps.  The loop raises
     ResourceBudgetError when N exceeds ``DEFAULT_MAX_TERMS``.
     """
-    ctx = ctx or params.ctx
-    value = phase_sum(params.x, params.theta, params.N, ctx.mp)
-    return ensure_finite(ctx.mp, value, "direct_sum")
+    mp = params.ctx.mp
+    return ensure_finite(mp, phase_sum(params.x, params.theta, params.N, mp), "direct_sum")
 
 
 def normalize_params(x_raw, theta_raw, N: int, ctx: PrecisionContext):

@@ -119,8 +119,8 @@ def _window(x, a, tol) -> int:
     return next(k0 for k0 in itertools.count() if _log_layer_ceiling(x, a, k0) < log_tol)
 
 
-def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = None,
-                    ctx: PrecisionContext | None = None) -> BoundarySeries:
+def boundary_series(edge: int, params: GaussParams,
+                    policy: TailPolicy | None = None) -> BoundarySeries:
     """f(j) T(a) for edge j in {0, N}, a = theta at j = 0 and frac at j = N:
     ``edge_layers`` at the window ``_window`` chooses until the leftover
     bound is below the policy tolerance.
@@ -129,7 +129,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
     The walk still raises TruncationError if its bounds stop shrinking
     first, which the proof rules out.
     """
-    ctx = ctx or params.ctx
+    ctx = params.ctx
     policy = policy or TailPolicy()
     mp = ctx.mp
     if edge not in (0, params.N):
@@ -152,7 +152,7 @@ def boundary_series(edge: int, params: GaussParams, policy: TailPolicy | None = 
                 f"boundary_series: the layer bounds stop shrinking at {mp.nstr(last, 6)}, "
                 f"above tol={mp.nstr(tol, 6)}")
         last = bound
-    value = phase_term(edge, params, ctx) * total
+    value = phase_term(edge, params) * total
     return BoundarySeries(value=ensure_finite(mp, value, "boundary_series"),
                           k_stop=k0, orders=orders, tail_bound=bound)
 
@@ -164,14 +164,18 @@ def exact_sum_detail(params: GaussParams, policy: TailPolicy | None = None,
     |value - direct| <= 2 tol + roundoff.
 
     Raises ResourceBudgetError when the short sum would exceed the phase
-    loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
+    loop's budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.  A ctx other
+    than params.ctx evaluates the parameters rebuilt in it: exactly at a
+    finer ctx, with x and theta rounded to a coarser one (no caller in the
+    package passes one).
     """
-    ctx = ctx or params.ctx
+    if ctx is not None and ctx is not params.ctx:
+        params = GaussParams(params.x, params.theta, params.N, ctx)
     policy = policy or TailPolicy()
 
     def walk(j, f):
-        series = boundary_series(j, params, policy, ctx)
+        series = boundary_series(j, params, policy)
         return (series.value,), series
 
-    value, *_, upper, lower = _evaluate(params, walk, ctx)
+    value, *_, upper, lower = _evaluate(params, walk)
     return value, upper, lower

@@ -38,9 +38,9 @@ leftover after n layers bounded by
 k0 sets the cost, not the sum, so the routes differ only in how they
 walk the two edges; ``_evaluate`` forms everything else once for both.
 ``asym`` takes k0 = 0 and n layers of each edge: the paper's series in
-powers of x/pi and its N-independent remainder bound, whose theta half
-drops at theta = 0, where T(theta) vanishes.  ``exact`` takes the least
-proven window k0 and deepens the layers to its tolerance.
+powers of x/pi and its N-independent remainder bound, of which either
+term drops at a zero offset, where its T(a) vanishes.  ``exact`` takes
+the least proven window k0 and deepens the layers to its tolerance.
 
 The series of ``asym`` is divergent; its optimal truncation index is
 about pi (1 - max(|frac|, |theta|))^2 / x, where the layers of the edge
@@ -206,7 +206,7 @@ def _renorm_term(x, theta, whole: int, frac, mp):
     return +res
 
 
-def _evaluate(params: GaussParams, edge, ctx: PrecisionContext):
+def _evaluate(params: GaussParams, edge):
     """(value, terms, renorm, (f(N) - 1)/2, E-term, cert_N, cert_0): S_N by
     the decomposition above, one walk of each edge series left to the route.
 
@@ -215,13 +215,12 @@ def _evaluate(params: GaussParams, edge, ctx: PrecisionContext):
     and cert is whatever certifies them, handed back as it came.  The
     edges' terms are paired as e^{i pi/4} (upper - lower).  The short sum
     comes first, so a run past the term budget is refused before any
-    kernel is evaluated.  x, theta and frac are taken into ctx's own
-    context first, every bit kept, so a ctx other than params.ctx gives
-    -1/x and theta/x its extra bits too.
+    kernel is evaluated.
     """
+    ctx = params.ctx
     mp = ctx.mp
-    x, theta, frac = (mp.convert(v) for v in (params.x, params.theta, params.frac))
-    fN = phase_term(params.N, params, ctx)
+    x, theta, frac = params.x, params.theta, params.frac
+    fN = phase_term(params.N, params)
     renorm = _renorm_term(x, theta, params.whole, frac, mp)
     rot = mp.expjpi(mp.mpf(1) / 4)
     # K(t); the negation is exact, so the exact frac keeps every bit
@@ -255,9 +254,14 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
     is only *useful* in the small-x regime it was built for.  Raises
     ResourceBudgetError, before any layer or term, when n exceeds the
     budget of ``_MAX_LAYERS`` = 1000 layers or the short sum the term
-    budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.
+    budget of ``core.DEFAULT_MAX_TERMS`` = 10^8 terms.  A ctx other than
+    params.ctx evaluates the parameters rebuilt in it: exactly at a finer
+    ctx, with x and theta rounded to a coarser one (no caller in the
+    package passes one).
     """
-    ctx = ctx or params.ctx
+    if ctx is not None and ctx is not params.ctx:
+        params = GaussParams(params.x, params.theta, params.N, ctx)
+    ctx = params.ctx
     # the index of the smallest series term, about pi (1 - |a|)^2 / x at the
     # edge offset a = frac or theta of larger modulus, in double precision
     # whose unbounded exponent range gives every x an index
@@ -272,14 +276,14 @@ def asymptotic_sum(params: GaussParams, n: int | None = None,
             f"asymptotic_sum: n={n} exceeds the budget of {_MAX_LAYERS} layers")
 
     def walk(j, f):
-        # T(theta) vanishes identically at theta = 0: no terms, no bound
-        if j == 0 and params.theta == 0:
-            return (0,) * n, (0,) * n
         a = params.frac if j else params.theta
+        # T(a) vanishes identically at a = 0: no terms, no bound
+        if a == 0:
+            return (0,) * n, (ctx.mp.zero,) * n
         layers = list(itertools.islice(edge_layers(params.x, a, 0, ctx), n))
         return [f * term for term, _ in layers], [bound for _, bound in layers]
 
-    value, terms, renorm, boundary, e_term, b_N, b_0 = _evaluate(params, walk, ctx)
+    value, terms, renorm, boundary, e_term, b_N, b_0 = _evaluate(params, walk)
     return ExpansionReport(value=value, terms=tuple(terms),
                            bounds=tuple(u + l for u, l in zip(b_N, b_0)),
                            renorm_term=renorm, boundary_term=boundary, E_term=e_term,

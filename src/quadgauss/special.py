@@ -42,7 +42,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_p
                           mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
                           to_fixed, to_float)
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .precision import PrecisionContext, ensure_finite
 
 __all__ = [
@@ -200,9 +200,6 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
 # Hurwitz zeta at odd integer arguments, regularized cotangent
 # ---------------------------------------------------------------------------
 
-# The head starts with one term per _HEAD_BITS bits of working precision.
-_HEAD_BITS = 6
-
 # (bits, R): R[m-2] = floor(2^(bits + 6) c_m/c_{m-1}), m = 2, 3, ..., for
 # the Euler--Maclaurin coefficients c_m = B_2m/(2m)!.  A floor shifted
 # right is the floor at fewer bits, so every caller reads the same integers
@@ -239,25 +236,36 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     """Yield zeta(3, a), zeta(5, a), ... for finite a > 0, each rounded once
     to the working precision, from one fixed-point Euler--Maclaurin pass.
 
-    With u_k = a/(k + a) <= 1 and w = K + a,
+    With u_k = a/(k + a) <= 1, w = K + a and c_m = B_2m/(2m)!,
 
         a^s zeta(s, a) = sum_{k<K} u_k^s
-                         + u_K^s [w/(s-1) + 1/2 + sum_m c_m (s)_{2m-1} w^(1-2m)],
+                         + u_K^s [w/(s-1) + 1/2 + sum_m c_m (s)_{2m-1} w^(1-2m)].
 
-    c_m = B_2m/(2m)!.  Every quantity is an integer in units of 2^-P,
-    P = prec + _GUARD; the scaled sum is at least u_0^s = 1, so the fixed
-    point keeps full relative accuracy at every a and order.  Each order
-    multiplies the running powers u_k^s by u_k^2; the corrections run by
-    the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2 until they drop below
-    2^(-prec-16), which bounds the Euler--Maclaurin remainder since every
-    derivative of (t + a)^-s is monotone.  The factor a^-s steps by a^-2
-    at P bits, so order r carries about r roundings of 2^-P, far below the
-    working precision.  The head starts at prec/6 terms,
-    which makes 2 pi w, the depth the corrections can reach, exceed P ln 2;
-    it doubles, as the old per-call pass did, if they grow first.  Once
-    u_K^s underflows the tail is gone for good and the head sheds its zero
-    powers.  The walk depends on (a, prec) alone, so order r has the same
-    bits however it is reached.
+    Every quantity is an integer in units of 2^-P, P = prec + _GUARD; the
+    scaled sum is at least u_0^s = 1, so the fixed point keeps full
+    relative accuracy at every a and order.  Each order multiplies the
+    running powers u_k^s by u_k^2 and steps a^-s by a^-2 at P bits, so
+    order r carries about r roundings of 2^-P.  The corrections t_m run by
+    the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2 until |t_m| <= tiny =
+    2^(_GUARD/2) units, which bounds the remainder since every derivative
+    of (t + a)^-s is monotone.  Once u_K^s underflows the tail is gone for
+    good and the head sheds its zero powers.  The walk depends on (a, prec)
+    alone, so order r has the same bits however it is reached.
+
+    The head K = max(10, prec // 6) serves every order.  With V = u_K^s 2^P
+    = (a/w)^s 2^P and |c_m| = 2 zeta(2m)/(2 pi)^(2m) (DLMF 25.6.2),
+    t_m = V c_m (s)_{2m-1} w^(1-2m) and |t_(m+1)/t_m| < (s + 2m)^2/(2 pi w)^2
+    < 1 while s + 2m < 2 pi w.  At the first m where that fails: for m = 1,
+    t_1 = V s/(12 w) with s >= 2 pi w - 2, where s ln(1 + K/a) - ln s grows
+    with s, so it is at least 2 pi K - 2 - ln(2 pi w); for m >= 2,
+    n = s + 2m - 1 is within 1 of 2 pi w, and Stirling's bounds on
+    (s)_{2m-1} = Gamma(n)/Gamma(s) give ln|t_m| <= P ln 2 - n + 1
+    + ln(zeta(4)/pi) + s (1 + ln(2 pi a/s)) + 1/(2 pi w) + 1/(12 n), where
+    s (1 + ln(2 pi a/s)) <= 2 pi a.  Either way ln|t_m| <= P ln 2 - 2 pi K + 1.35,
+    at most ln tiny since 2 pi K >= (P - 16) ln 2 + 1.35 at every prec (by
+    23 nats at digits 15, prec 103, K = 17).  So the corrections fall below
+    tiny before they stop shrinking; the shrink check stays as a guard and
+    raises PrecisionError on any input this does not cover.
     """
     mp = ctx.mp
     prec = mp.prec
@@ -265,53 +273,37 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     tiny = 1 << (_GUARD // 2)
     a = mp.mpf(a)._mpf_
     A = to_fixed(a, P)
-    powers, squares = [], []  # u_k^s and u_k^2, k = 0..K; u_K^s scales the tail
-
-    def extend_head(K, s):
-        for k in range(len(powers), K + 1):
-            u = (A << P) // ((k << P) + A) if k else 1 << P
-            squares.append(u * u >> P)
-            powers.append(pow(u, s) >> (P * (s - 1)))
-
-    def em_tail(K, W, s, kappa):
-        """u_K^s [w/(s-1) + 1/2 + corrections], or None if they grow first."""
-        V = powers[K]
-        Q = P + 2 * (W >> P).bit_length() + 8
-        total = (V * W >> P) // (s - 1) + (V >> 1)
-        t = (V * s << P) // (12 * W)  # c_1 = 1/12
-        m = 1
-        while abs(t) > tiny:
-            total += t
-            m += 1
-            if m - 2 == len(kappa):  # c_m/(c_{m-1} w^2) in units of 2^-Q
-                winv2 = (1 << (Q + 2 * P)) // (W * W)
-                kappa[:] = [c * winv2 >> (P + 6) for c in _em_ratios(2 * m, P)]
-            nxt = t * ((s + 2 * m - 3) * (s + 2 * m - 2)) * kappa[m - 2] >> Q
-            if abs(nxt) >= abs(t):
-                return None
-            t = nxt
-        return total
-
-    K = max(10, prec // _HEAD_BITS)
-    extend_head(K, 1)
+    K = max(10, prec // 6)
+    # u_k^s and u_k^2, k = 0..K, from s = 1; u_K^s scales the tail
+    powers = [(A << P) // ((k << P) + A) if k else 1 << P for k in range(K + 1)]
+    squares = [u * u >> P for u in powers]
+    W = (K << P) + A  # w = K + a
+    Q = P + 2 * (W >> P).bit_length() + 8
+    winv2, kappa = (1 << (Q + 2 * P)) // (W * W), []  # c_m/(c_{m-1} w^2), units 2^-Q
     a_pow = mpf_div(fone, a, P, round_nearest)
     a_inv2 = mpf_mul(a_pow, a_pow, P, round_nearest)
-    W, kappa = (K << P) + A, []  # w = K + a
-    tail_live = True
     for s in itertools.count(3, 2):
         powers[:] = [p * q >> P for p, q in zip(powers, squares)]
-        tail = 0
-        if tail_live and powers[K] == 0:  # u_K^s underflowed: no tail from here on
-            tail_live = False
+        if len(powers) > K and powers[K] == 0:  # u_K^s underflowed: no tail from here on
             while powers[-1] == 0:
                 powers.pop()
-        while tail_live and (tail := em_tail(K, W, s, kappa)) is None:
-            K *= 2
-            extend_head(K, s)
-            W, kappa = (K << P) + A, []
-        head = sum(powers[:K]) if tail_live else sum(powers)
+        total = sum(powers[:K])
+        if len(powers) > K:  # u_K^s [w/(s-1) + 1/2 + corrections]
+            V = powers[K]
+            total += (V * W >> P) // (s - 1) + (V >> 1)
+            t, m = (V * s << P) // (12 * W), 1  # c_1 = 1/12
+            while abs(t) > tiny:
+                total += t
+                m += 1
+                if m - 2 == len(kappa):
+                    kappa = [c * winv2 >> (P + 6) for c in _em_ratios(2 * m, P)]
+                nxt = t * ((s + 2 * m - 3) * (s + 2 * m - 2)) * kappa[m - 2] >> Q
+                if abs(nxt) >= abs(t):
+                    raise PrecisionError(f"zeta_odd_orders: the corrections at order {s} "
+                                         f"stop shrinking above 2^-{P - _GUARD // 2}")
+                t = nxt
         a_pow = mpf_mul(a_pow, a_inv2, P, round_nearest)  # a^-s
-        yield mp.make_mpf(mpf_mul(from_man_exp(head + tail, -P), a_pow, prec, round_nearest))
+        yield mp.make_mpf(mpf_mul(from_man_exp(total, -P), a_pow, prec, round_nearest))
 
 
 def cot_pi_reg(lam, ctx: PrecisionContext):

@@ -61,7 +61,7 @@ def _column_data(which, digits):
     ctx = PrecisionContext(digits)
     params = _col_params(ctx, which)
     report = asymptotic_sum(params, 10, ctx)
-    reference = (direct_sum(params, ctx) - report.renorm_term - report.boundary_term
+    reference = (direct_sum(params) - report.renorm_term - report.boundary_term
                  - report.E_term)
     errors, bounds = {}, {}
     series = ctx.mp.mpc(0)

@@ -28,14 +28,14 @@ CTX30 = PrecisionContext(30)
 def test_boundary_series_vanishes_at_theta_zero():
     ctx = CTX30
     p = GaussParams("0.01", 0, 40, ctx)
-    res = boundary_series(0, p, TailPolicy("1e-25"), ctx)
+    res = boundary_series(0, p, TailPolicy("1e-25"))
     assert res.value == 0 and res.k_stop == 0 and res.tail_bound == 0
 
 
 def test_boundary_series_edge_validation():
     p = GaussParams("0.01", "0.25", 40, CTX30)
     with pytest.raises(DomainError):
-        boundary_series(7, p, TailPolicy("1e-20"), CTX30)
+        boundary_series(7, p, TailPolicy("1e-20"))
 
 
 def test_boundary_series_tail_honesty():
@@ -45,8 +45,8 @@ def test_boundary_series_tail_honesty():
                         (120, "0.35", "-0.41")]:
         p = GaussParams(xs, ts, n, ctx)
         for edge in (0, n):
-            coarse = boundary_series(edge, p, TailPolicy("1e-12"), ctx)
-            fine = boundary_series(edge, p, TailPolicy("1e-24"), ctx)
+            coarse = boundary_series(edge, p, TailPolicy("1e-12"))
+            fine = boundary_series(edge, p, TailPolicy("1e-24"))
             change = abs(coarse.value - fine.value)
             assert change <= coarse.tail_bound + fine.tail_bound
             assert coarse.tail_bound < ctx.mp.mpf("1e-12")
@@ -57,8 +57,8 @@ def test_boundary_series_refinement_below_tol():
     ctx = CTX30
     p = GaussParams("0.01", "0.25", 1, ctx)
     tol = ctx.mp.mpf("1e-15")
-    base = boundary_series(0, p, TailPolicy(tol), ctx)
-    refined = boundary_series(0, p, TailPolicy(tol * ctx.mp.mpf("1e-8")), ctx)
+    base = boundary_series(0, p, TailPolicy(tol))
+    refined = boundary_series(0, p, TailPolicy(tol * ctx.mp.mpf("1e-8")))
     assert refined.orders > base.orders
     assert abs(base.value - refined.value) < tol
 
@@ -67,11 +67,11 @@ def test_tail_policy_validation():
     ctx = CTX30
     p = GaussParams("0.01", "0.25", 40, ctx)
     with pytest.raises(DomainError):
-        boundary_series(0, p, TailPolicy(ctx.eps / 10), ctx)
+        boundary_series(0, p, TailPolicy(ctx.eps / 10))
     with pytest.raises(DomainError):
-        boundary_series(0, p, TailPolicy(0), ctx)
+        boundary_series(0, p, TailPolicy(0))
     with pytest.raises(DomainError):
-        boundary_series(0, p, TailPolicy("abc"), ctx)
+        boundary_series(0, p, TailPolicy("abc"))
 
 
 def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
@@ -83,7 +83,7 @@ def test_truncation_error_when_layer_bounds_stop_shrinking(monkeypatch):
     monkeypatch.setattr(quadgauss.exact, "edge_layers", stalled_layers)
     p = GaussParams("0.01", "0.3", 100, CTX30)
     with pytest.raises(TruncationError):
-        boundary_series(0, p, TailPolicy("1e-20"), CTX30)
+        boundary_series(0, p, TailPolicy("1e-20"))
 
 
 def _least_window(x, a, tol, mp):
@@ -193,7 +193,7 @@ def test_exact_at_high_digits():
         ctx = PrecisionContext(digits)
         p = GaussParams("0.01", "0.3", 100, ctx)
         got, _, _ = exact_sum_detail(p, TailPolicy(tol), ctx)
-        assert abs(got - direct_sum(p, ctx)) <= ctx.mp.mpf(budget), digits
+        assert abs(got - direct_sum(p)) <= ctx.mp.mpf(budget), digits
 
 
 def test_representation_identity_randomized():
@@ -303,7 +303,7 @@ def test_window_is_the_least_that_provably_meets_tol(x, a, digits):
     # tol, and the walk there reaches tol without TruncationError
     ctx = CTX30
     tol = ctx.mp.mpf(10) ** -digits
-    series = boundary_series(0, GaussParams(x, a, 1, ctx), TailPolicy(tol), ctx)
+    series = boundary_series(0, GaussParams(x, a, 1, ctx), TailPolicy(tol))
     assert series.k_stop == _least_window(x, a, tol, ctx.mp)
     assert 0 < series.tail_bound < tol and series.orders >= 1
 

@@ -151,18 +151,23 @@ def test_remainder_bound_reference_values():
 
 
 def test_remainder_bound_symbolic_specialization():
-    # frac = theta = 0, n = 1, where the theta half drops:
-    # (1/(4 pi)) (x/pi) 2 zeta(3) = x zeta(3)/(2 pi^2); N x = 1 exactly
+    # frac = 1/2, theta = 0, n = 1, where the theta half drops:
+    # (1/(4 pi)) (x/pi) [zeta(3, 1/2) + zeta(3, 3/2)] = x (14 zeta(3) - 8)/(4 pi^2)
     ctx = CTX40
     mp = ctx.mp
     x = mp.mpf(1) / 256
-    p = GaussParams(x, 0, 256, ctx)
-    assert p.frac == 0 and p.theta == 0
+    p = GaussParams(x, 0, 128, ctx)
+    assert p.frac == 0.5 and p.theta == 0
     got = asymptotic_sum(p, 1).bounds[0]
     with mpmath.workdps(3 * ctx.digits + 30):
         zeta3 = mp.mpf(mpmath.zeta(3))
-    want = x * zeta3 / (2 * mp.pi ** 2)
+    want = x * (14 * zeta3 - 8) / (4 * mp.pi ** 2)
     assert abs(got - want) <= 10 * ctx.eps * want
+    # frac = theta = 0 (N x = 1 exactly): both edge series vanish, and so
+    # does every bound
+    p = GaussParams(x, 0, 256, ctx)
+    assert p.frac == 0 and p.theta == 0
+    assert asymptotic_sum(p, 5).bounds == (0,) * 5
 
 
 def test_remainder_bound_positive_and_validated():
@@ -422,6 +427,15 @@ def test_a_foreign_context_keeps_the_short_sum_digits():
              (exact_sum_detail(p30, None, hi)[0], exact_sum_detail(p80)[0]))
     for got, want in pairs:
         assert abs(got - want) <= hi.mp.mpf(10) ** -60 * max(1, abs(want))
+    # params at digits 80, evaluated in a digits-30 ctx: both routes evaluate
+    # the parameters rebuilt in it, x and theta rounded to it, bit for bit
+    q80 = GaussParams(hi.mp.mpf("1500.7") / 10**12, hi.mp.mpf(1) / 3, 10**12, hi)
+    q30 = GaussParams(q80.x, q80.theta, q80.N, lo)
+    got, want = asymptotic_sum(q80, 10, lo), asymptotic_sum(q30, 10)
+    assert (got.value, got.bounds) == (want.value, want.bounds)
+    got, want = exact_sum_detail(q80, None, lo), exact_sum_detail(q30)
+    assert [got[0], got[1].tail_bound, got[2].tail_bound] == \
+        [want[0], want[1].tail_bound, want[2].tail_bound]
 
 
 @pytest.mark.parametrize("N", [1, 3])

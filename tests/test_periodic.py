@@ -29,11 +29,13 @@ def _rounding(S):
 
 
 def _check_routes(p, k, params):
+    """Check both routes against the oracle; return their two bounds."""
     S = periodic_sum(p, k, params.theta, params.N, REF)
     rep = asymptotic_sum(params)
     assert abs(S - rep.value) <= rep.remainder_bound + _rounding(S)
     value, upper, lower = exact_sum_detail(params)
     assert abs(S - value) <= upper.tail_bound + lower.tail_bound + _rounding(S)
+    return rep.remainder_bound, upper.tail_bound + lower.tail_bound
 
 
 @st.composite
@@ -74,13 +76,19 @@ def test_routes_within_their_certificates_against_the_periodic_oracle(inp):
 def test_frac_at_and_near_an_integer(frac):
     # N x + theta exactly at, or 2^-30 from, an integer, and at a quarter
     # and a half: x = 3/4096 puts N x 911/4096 above the integer 7324,
-    # and a dyadic theta moves frac exactly where it is asked to be
-    p, k, N = 3, 12, 10**7 + 5
+    # and a dyadic theta moves frac exactly where it is asked to be.  At
+    # frac = 0, N = 4096 2441 makes N x an integer, so theta = 0 as well:
+    # both edge series vanish, both bounds are 0 and each route lands
+    # within rounding of the oracle
+    p, k = 3, 12
     mp = CTX.mp
-    theta = mp.mpf(frac) - mp.mpf(p * N % 2**k) / 2**k
-    params = _params(p, k, theta, N)
-    assert params.frac == frac
-    _check_routes(p, k, params)
+    for N in (10**7 + 5, 4096 * 2441) if frac == 0 else (10**7 + 5,):
+        theta = mp.mpf(frac) - mp.mpf(p * N % 2**k) / 2**k
+        params = _params(p, k, theta, N)
+        assert params.frac == frac
+        bounds = _check_routes(p, k, params)
+        if params.theta == 0:
+            assert bounds == (0, 0)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 the odd-order Hurwitz-zeta walk, the regularized cotangent) and the
 reflection pairs the edge layers build from them."""
 
+import functools
 import itertools
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgauss import DomainError, PrecisionContext, cot_pi_reg, erfc_kernel
+from quadgauss import DomainError, PrecisionContext, PrecisionError, cot_pi_reg, erfc_kernel
 
 from quadgauss import special
 from quadgauss.expansion import edge_layers
@@ -260,21 +261,48 @@ def test_zeta_deep_orders_against_reference_pass():
             assert abs(walk[r - 1] - ref) <= 8 * mp.eps * ref, (a, r)
 
 
-def test_zeta_head_doubles_when_corrections_diverge(monkeypatch):
-    # a 10-term head is too short for a = 0.5 at 30 digits: the corrections
-    # turn before they reach the target, and without doubling the head the
-    # order-10 value would be off by about 1e8 eps
-    ctx = CTX30
-    mp = ctx.mp
-    a = mp.mpf("0.5")
-    full = list(itertools.islice(zeta_odd_orders(a, ctx), 10))
-    monkeypatch.setattr(special, "_HEAD_BITS", 10**6)  # head = max(10, prec // _HEAD_BITS)
-    short = list(itertools.islice(zeta_odd_orders(a, ctx), 10))
-    with mpmath.workdps(3 * ctx.digits + 30):
-        for r, (got, want) in enumerate(zip(short, full), 1):
-            ref = mpmath.zeta(2 * r + 1, mpmath.mpf(a))
-            assert _rel_err(got, ref) <= 8 * mp.eps
-            assert _rel_err(want, ref) <= 8 * mp.eps
+@functools.cache
+def _em_coefficients(count):
+    """|B_2m|/(2m)!, m = 1..count, from mpmath at 20 digits."""
+    with mpmath.workdps(20):
+        return [abs(mpmath.bernoulli(2 * m)) / mpmath.factorial(2 * m)
+                for m in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100, 200, 450])
+def test_zeta_head_corrections_reach_the_target_before_they_turn(digits):
+    # the walk's head K = max(10, prec // 6), checked in mpmath apart from
+    # the walk: at every order s whose tail factor (a/w)^s, w = K + a, is
+    # still at least 2^-P, the Euler-Maclaurin corrections
+    # t_m = (a/w)^s |B_2m|/(2m)! (s)_{2m-1} w^(1-2m) fall to 2^(16-P) while
+    # each is still smaller than the one before
+    prec = PrecisionContext(digits).mp.prec
+    P, K = prec + 32, max(10, prec // 6)
+    coef = _em_coefficients(300)  # the cases below reach m = 248 at most
+    with mpmath.workdps(20):
+        target = mpmath.mpf(2) ** (16 - P)
+        for a in (2.0**-10, 0.25, 0.5, 1, 1.3495, 5.5, 17.5, 40, 509.81184, 1e5):
+            a = mpmath.mpf(a)
+            w = K + a
+            for s in range(3, 2 * (400 if digits >= 200 else 120) + 2, 2):
+                scale = (a / w) ** s
+                if scale < mpmath.mpf(2) ** -P:  # the walk's tail has underflowed
+                    break
+                m, t = 1, scale * coef[0] * s / w
+                while t > target:
+                    nxt = t * coef[m] / coef[m - 1] * (s + 2 * m - 1) * (s + 2 * m) / w ** 2
+                    assert nxt < t, (a, s, m)
+                    m, t = m + 1, nxt
+
+
+def test_zeta_guard_raises_when_the_corrections_stop_shrinking(monkeypatch):
+    # ratios inflated 2^20 times make the corrections grow before they reach
+    # their target: the walk refuses rather than return a wrong order
+    ratios = special._em_ratios
+    monkeypatch.setattr(special, "_em_ratios",
+                        lambda count, bits: [c << 20 for c in ratios(count, bits)])
+    with pytest.raises(PrecisionError):
+        next(zeta_odd_orders("0.5", CTX30))
 
 
 # ---------------------------------------------------------------------------
