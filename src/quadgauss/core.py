@@ -28,14 +28,16 @@ one complex product by the table entry, all in integers: no phase loses
 bits to its size.  Two sums run on it:
 
 - the phase loop (``_phase_partial_sums``), one kernel value a term,
-  behind the oracle ``direct_sum``, ``phase_sum``, the curlicue and the
-  routes' short sums below ``expansion``'s switch: within count 2^(8-B)
-  < 2^(-prec-12) before one rounding per partial sum,
-  B = prec + bitlen(count) + 20;
-- the chirp (``_chirp_sum``), behind the routes' short sums from the
-  switch on: Bluestein's identity turns count phases into about
+  behind the oracle ``direct_sum``, ``phase_sum`` and the curlicue:
+  within count 2^(8-B) < 2^(-prec-12) before one rounding per partial
+  sum, B = prec + bitlen(count) + 20;
+- the chirp (``_chirp_sum``), behind the routes' short sums at every
+  length: Bluestein's identity turns count phases into about
   4 sqrt(count) kernel values and one exact integer convolution, within
   count 2^(9-B) < 2^(-prec-11) before its one rounding.
+
+Both read their arguments in one way (``_read_in``) and round in one way
+(``_rounded``).
 
 So the direct sum stays within N * eps of the exact sum on its inputs for
 every N the term budget admits, and is the ground truth every other
@@ -202,22 +204,31 @@ def _taylor(B: int, F: int):
     return signed[-2::-2], signed[::-2]
 
 
-def _check_budget(count: int):
-    """Refuse more than ``DEFAULT_MAX_TERMS`` terms, before any phase is
-    formed: the one term budget, kept by the loop and the chirp alike."""
+def _read_in(a, b, count: int, prec: int):
+    """(B, F, A, C) of a sum of count phases exp(i pi (a k^2 + 2 b k)) at
+    the precision prec, for the loop and the chirp alike.
+
+    More than ``DEFAULT_MAX_TERMS`` terms are refused first, before any
+    phase is formed: the one term budget.  Then the kernel's B = prec +
+    bitlen(count) + 20 bits, F = B + 2 bitlen(count) + 4 fractional bits,
+    and a and 2 b, mpf, read once with F bits, every bit, and reduced
+    mod 2 (``_fixed_mod2``): A = a 2^F and C = 2 b 2^F, mod 2^(F+1).
+    """
     if count > DEFAULT_MAX_TERMS:
         raise ResourceBudgetError(
             f"phase loop: {count} terms exceed the budget of {DEFAULT_MAX_TERMS} terms")
-
-
-def _bits(count: int, prec: int):
-    """(B, F, mask) of a sum of count phases at the precision prec: the
-    kernel's B = prec + bitlen(count) + 20 bits, F = B + 2 bitlen(count) + 4
-    fractional bits to read the arguments with, and the mask that reduces
-    an F-bit phase mod 2."""
     B = prec + count.bit_length() + 20
     F = B + 2 * count.bit_length() + 4
-    return B, F, (1 << (F + 1)) - 1
+    mask = (1 << (F + 1)) - 1
+    return B, F, _fixed_mod2(a, F, mask), _fixed_mod2(b, F + 1, mask)
+
+
+def _rounded(re: int, im: int, scale: int, mp):
+    """(re + i im) 2^-scale as an mpc of mp, each part rounded once to
+    nearest at mp's precision: the one rounding of the loop and the chirp."""
+    prec = mp.prec
+    return mp.make_mpc((from_man_exp(re, -scale, prec, round_nearest),
+                        from_man_exp(im, -scale, prec, round_nearest)))
 
 
 def _exp_quadratic(runs, B: int, F: int):
@@ -281,7 +292,7 @@ def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
     bitlen(count) + 20: the phase loop before its rounding.
 
     x and 2 theta, mpf, are read once, every bit, with F = B + 2 bitlen(count)
-    + 4 fractional bits and reduced mod 2 (``_fixed_mod2``).  Each phase
+    + 4 fractional bits and reduced mod 2 (``_read_in``).  Each phase
     then goes through the kernel (``_exp_quadratic``), and its value is
     summed exactly into one of four integer sums by quarter turn q; the
     quarter turns i^q, signs and a swap, combine them once per partial sum.
@@ -293,10 +304,8 @@ def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
     1/4 unit; the kernel adds under 95, the sums are exact.  In all under
     2^7 units, so j 2^(7-B) over j terms; the bound keeps a factor 2.
     """
-    _check_budget(count)
-    B, F, mask = _bits(count, prec)
-    run = (_fixed_mod2(x, F, mask), _fixed_mod2(theta, F + 1, mask), 1, count + 1)
-    scale, values = _exp_quadratic([run], B, F)
+    B, F, A, C = _read_in(x, theta, count, prec)
+    scale, values = _exp_quadratic([(A, C, 1, count + 1)], B, F)
     cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
     for j in range(stride, count + 1, stride):
         for q, re, im in islice(values, stride):
@@ -308,8 +317,9 @@ def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
 def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     """Yield (j, S_j) for j = stride, 2 stride, ... <= count, where
     S_j = sum_{k=1}^{j} exp(i pi (x k^2 + 2 theta k)): the one phase loop
-    (``_fixed_partial_sums``), each partial sum rounded once at the
-    context's precision prec.
+    (``_fixed_partial_sums``), behind the oracle, ``phase_sum`` and the
+    curlicue, each partial sum rounded once at the context's precision
+    prec (``_rounded``).
 
     An mpf argument is read with every bit, any other is converted at the
     working precision first.  Each S_j is within j 2^(8-B) < 2^(-prec-12)
@@ -318,11 +328,9 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     curlicue export every stride-th one; terms past the last multiple of
     stride are never yielded.
     """
-    prec = mp.prec
     for j, re, im, scale in _fixed_partial_sums(mp.convert(x), mp.convert(theta),
-                                                count, prec, stride):
-        yield j, mp.make_mpc((from_man_exp(re, -scale, prec, round_nearest),
-                              from_man_exp(im, -scale, prec, round_nearest)))
+                                                count, mp.prec, stride):
+        yield j, _rounded(re, im, scale, mp)
 
 
 def _units(runs, B: int, F: int):
@@ -378,7 +386,7 @@ def _chirp_fixed(a, b, count: int, prec: int):
 
     e(p) = exp(i pi p), and the last count - Q L < L terms are summed as
     they are.  v is even in d and |d| <= L, so about 4 sqrt(count) phases
-    in all.  a and 2 b are read once with F bits (``_fixed_mod2``), as by
+    in all.  a and 2 b are read once with F bits (``_read_in``), as by
     the loop, and every phase is formed from them by integer products,
     exact mod 2: the three phases of term j add up to exactly the loop's
     phase of j.  Each goes through the loop's kernel (``_units``).  The
@@ -393,11 +401,9 @@ def _chirp_fixed(a, b, count: int, prec: int):
     within 97, so their product within (1 + 97 2^-B)^3 - 1 < 292; reading
     a and 2 b adds under 1/4, as in the loop.  Under 2^9 in all.
     """
-    _check_budget(count)
+    B, F, af, bf = _read_in(a, b, count, prec)
     if count == 0:
         return 0, 0, 0
-    B, F, mask = _bits(count, prec)
-    af, bf = _fixed_mod2(a, F, mask), _fixed_mod2(b, F + 1, mask)
     L = isqrt(count)
     Q = count // L
     values = iter(_units([(af * (L + 1), bf, 1, L + 1),  # u_k
@@ -425,13 +431,10 @@ def _chirp_sum(a, b, count: int, mp):
     """sum_{j=1}^{count} exp(i pi (a j^2 + 2 b j)) by the chirp
     (``_chirp_fixed``): within count 2^(9-B) < 2^(-prec-11) of the exact
     sum over the inputs as read, plus one rounding at the context
-    precision prec.  The routes' short sum above ``expansion``'s switch;
+    precision prec (``_rounded``).  The routes' short sum at every length;
     the oracle, ``phase_sum`` and the curlicue stay on the loop.
     """
-    prec = mp.prec
-    re, im, scale = _chirp_fixed(mp.convert(a), mp.convert(b), count, prec)
-    return mp.make_mpc((from_man_exp(re, -scale, prec, round_nearest),
-                        from_man_exp(im, -scale, prec, round_nearest)))
+    return _rounded(*_chirp_fixed(mp.convert(a), mp.convert(b), count, mp.prec), mp)
 
 
 def phase_sum(x, theta, count: int, mp):
@@ -441,10 +444,10 @@ def phase_sum(x, theta, count: int, mp):
     (``_phase_partial_sums``): within count 2^(8-B) < 2^(-prec-12) of the
     exact sum over the inputs as given, plus one rounding at the context
     precision prec, for any real x and theta, however large, since both
-    are reduced mod 2 exactly.  Shared by the validated oracle, the
-    renormalization term below its switch to the chirp (whose first
-    argument -1/x is far outside (0, 1)) and rational-case identity
-    checks.  count = 0 gives 0.
+    are reduced mod 2 exactly, so its first argument may be -1/x, far
+    outside (0, 1).  Shared by the validated oracle and rational-case
+    identity checks; the routes' short sum is the chirp
+    (``_chirp_sum``).  count = 0 gives 0.
     """
     total = mp.mpc(0)
     for _, total in _phase_partial_sums(x, theta, count, mp, max(count, 1)):

@@ -58,7 +58,7 @@ from mpmath import MPContext
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest,
                           to_fixed)
 
-from .core import GaussParams, _chirp_sum, phase_sum, phase_term
+from .core import GaussParams, _chirp_sum, phase_term
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
 from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
@@ -131,10 +131,21 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
     rounded as mpmath's own arithmetic would round them: e^{i pi/4} (-i)^r
     is (+-1 +- i)/sqrt(2), a 4-cycle of exact quarter turns, so both parts
     of a layer are one real product up to sign.
+
+    Raises DomainError when called, before any layer, unless k0 is a
+    non-negative int and |a| <= 1/2: outside them the window and the zeta
+    pair no longer describe the same T(a).
     """
+    a = ctx.mp.convert(a)  # an mpf offset keeps every bit
+    if not (isinstance(k0, int) and k0 >= 0 and abs(a) <= 0.5):
+        raise DomainError(f"edge_layers: needs an int k0 >= 0 and |a| <= 1/2, got k0={k0!r}, a={a}")
+    return _layers(x, a, k0, ctx)
+
+
+def _layers(x, a, k0: int, ctx: PrecisionContext):
+    """The generator of ``edge_layers``, on its checked arguments."""
     mp = ctx.mp
     prec, rnd = mp.prec, round_nearest
-    a = mp.convert(a)  # an mpf offset keeps every bit
     xq = mp.mpf(x) / mp.pi
     coef = 1 / (2 * mp.pi)  # (1/2)_r (x/pi)^r / (2 pi)
     term = mp.expjpi(mp.mpf(1) / 4) * coef * _digamma_gap(a, k0, ctx)
@@ -159,13 +170,6 @@ def edge_layers(x, a, k0: int, ctx: PrecisionContext):
                             mpf_neg(part) if neg_im else part))
 
 
-# The short sum's switch from the phase loop to the chirp, in terms: the
-# chirp's fixed cost is about 4 sqrt(n) phases, two products of packed
-# ints and one kernel set-up, against one phase a term for the loop
-# (BENCH_24.json: they cross at 32-48 terms at digits 30 and 50)
-_CHIRP_MIN = 48
-
-
 def _renorm_term(x, theta, whole: int, frac, mp):
     """e^{-pi i theta^2/x + i pi/4} / sqrt(x) * sum_{j=j0}^{j1} exp(-pi i j^2/x
     + 2 pi i j theta/x), j0 = 0 if theta < 0 else 1, j1 = M - 1 if frac < 0
@@ -176,18 +180,16 @@ def _renorm_term(x, theta, whole: int, frac, mp):
     short sum reduces its arguments mod 2 exactly and reads every bit of
     them, but -1/x and theta/x rounded at the working precision prec would
     move the phases by up to M^2/x units of it, so they are formed with
-    E = mag(M^2/x) extra bits.  The short sum itself runs at prec: the
-    phase loop below ``_CHIRP_MIN`` terms, ``core._chirp_sum`` from there
-    on.  The rotation, 1/sqrt(x), the j = 0 term and the product run with
-    the E extra bits and the result is rounded once.  The rotation is two
-    factors: adding 1/4 to theta^2/x before ``expjpi`` reduces it would
-    round digits away.
+    E = mag(M^2/x) extra bits.  The short sum itself runs at prec, by the
+    chirp (``core._chirp_sum``) at every length.  The rotation, 1/sqrt(x),
+    the j = 0 term and the product run with the E extra bits and the
+    result is rounded once.  The rotation is two factors: adding 1/4 to
+    theta^2/x before ``expjpi`` reduces it would round digits away.
 
     Error budget of the short sum, relative to the one over the exact
     -1/x and theta/x: the read-in moves phase j by under 2 j^2/x
     2^-(prec+E) <= 2^(1-prec) half-turns; the sum over j = 1..j1 adds
-    under j1 2^(8-B) < 2^(-prec-12) by the loop or j1 2^(9-B) <
-    2^(-prec-11) by the chirp, B = prec + bitlen(j1) + 20, and its
+    under j1 2^(9-B) < 2^(-prec-11), B = prec + bitlen(j1) + 20, and its
     rounding 2^-prec of the sum.
     """
     first = 0 if theta < 0 else 1
@@ -197,7 +199,7 @@ def _renorm_term(x, theta, whole: int, frac, mp):
     extra = max(0, mp.mag(max(1, whole) ** 2 / x))
     with mp.extraprec(extra):
         a, b = -1 / x, theta / x
-    short = (_chirp_sum if last >= _CHIRP_MIN else phase_sum)(a, b, last, mp)
+    short = _chirp_sum(a, b, last, mp)
     with mp.extraprec(extra):
         if first == 0:
             short += 1

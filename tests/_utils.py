@@ -183,8 +183,9 @@ def periodic_sum(p, k, theta, N, ctx):
         S_N = S_L G(Q) + e^{2 pi i u Q} S_R,
         G(c) = sum_{m<c} e^{2 pi i u m} = e^{i pi u (c-1)} sin(pi u c) / sin(pi u),
 
-    with G(c) = c when sin(pi u) = 0.  It shares only the phase loop with
-    the routes: no skeleton, kernel or zeta walk.  u Q is formed exactly,
+    with G(c) = c when sin(pi u) = 0.  It shares only the phase kernel with
+    the routes, whose short sum is the chirp: no skeleton, erfc kernel or
+    zeta walk.  u Q is formed exactly,
     so the rounding is that of the two phase sums and a few products.
     """
     mp = ctx.mp

@@ -308,9 +308,9 @@ def test_bench_refuses_a_value_outside_its_certificate(monkeypatch, capsys):
 
 
 def test_one_term_budget_for_every_phase_loop(monkeypatch, capsys):
-    # the phase loop keeps the only term budget: lowered to 50, the oracle,
-    # both routes' short sums (M = N/2) and the curlicue run 40 terms and
-    # refuse 60
+    # core keeps the only term budget, for the loop and the chirp: lowered
+    # to 50, the oracle, both routes' short sums (M = N/2) and the curlicue
+    # run 40 terms and refuse 60
     monkeypatch.setattr(core, "DEFAULT_MAX_TERMS", 50)
     entries = (lambda m: direct_sum(GaussParams("0.5", "0.1", m, CTX)),
                lambda m: asymptotic_sum(GaussParams("0.5", "0.1", 2 * m, CTX), 2),

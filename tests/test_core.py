@@ -248,9 +248,8 @@ def test_phase_kernel_within_bound_on_raw_curlicue_reals(x, theta, count, stride
 
 @st.composite
 def _chirp_count(draw):
-    """n in 0 .. 10^4, on both sides of the routes' switch: drawn at
-    random, or next to a square L^2 (L^2 - 1, L^2, L^2 + 1) or a multiple
-    of L = isqrt(n) (L^2 + L, L^2 + 2L)."""
+    """n in 0 .. 10^4: drawn at random, or next to a square L^2 (L^2 - 1,
+    L^2, L^2 + 1) or a multiple of L = isqrt(n) (L^2 + L, L^2 + 2L)."""
     if draw(st.booleans()):
         return draw(st.integers(0, 10**4))
     L = draw(st.integers(1, 99))

@@ -19,7 +19,7 @@ from quadgauss import (
     exact_sum_detail,
     phase_term,
 )
-from quadgauss import expansion
+from quadgauss import core, expansion
 from quadgauss.expansion import edge_layers
 
 from _utils import sig3
@@ -126,6 +126,20 @@ def test_edge_layers_sum_does_not_depend_on_the_window():
         (t_0, b_0), (t_16, b_16) = sums
         assert b_0 + b_16 < ctx.mp.mpf("1e-25") and abs(t_0) > ctx.mp.mpf("1e-14"), a
         assert abs(t_0 - t_16) <= b_0 + b_16 + 10 * ctx.eps * abs(t_0), a
+
+
+def test_edge_layers_refuses_outside_its_domain():
+    # a negative window or an offset past 1/2 pairs zeta arguments that no
+    # longer describe T(a): k0 = -1 at a = 0.3, x = 0.05 once summed to
+    # 0.10564 + 0.18098i against T(a) = 0.12047 + 0.11580i.  Refused at the
+    # call, before any layer; |a| = 1/2 is inside
+    ctx = CTX40
+    for a, k0 in ((0.3, -1), (0.3, 1.0), (0.3, "1"), (0.5 + 2.0**-40, 0), (-0.75, 2),
+                  (mpmath.nan, 0)):
+        with pytest.raises(DomainError):
+            edge_layers(0.05, a, k0, ctx)
+    for a in (0.5, -0.5):
+        next(edge_layers(0.05, a, 0, ctx))
 
 
 @pytest.mark.parametrize("k0", [0, 16])
@@ -470,7 +484,6 @@ def test_layer_budget_refused_before_any_layer(monkeypatch):
     def no_work(*args):
         raise AssertionError("work ran before the layer budget check")
 
-    monkeypatch.setattr(expansion, "phase_sum", no_work)
     monkeypatch.setattr(expansion, "_chirp_sum", no_work)
     monkeypatch.setattr(expansion, "edge_layers", no_work)
     p = GaussParams("0.5", "0.25", 3, CTX40)
@@ -497,6 +510,30 @@ def test_no_route_reflects_the_kernel(monkeypatch):
         asymptotic_sum(p, 4)
         exact_sum_detail(p)
     assert args and min(args) >= 0
+
+
+@pytest.mark.parametrize("theta", ["-0.3", "0.3"])
+def test_no_route_runs_the_phase_loop(monkeypatch, theta):
+    # the routes' short sum is the chirp at every length: 0, 1, 2, 47, 48
+    # and 49 terms, frac of either sign, with (theta < 0) and without the
+    # j = 0 term; theta = -0.3 with N x = 0.05 gives whole = 0, frac < 0,
+    # the empty range
+    def no_loop(*args):
+        raise AssertionError("a route ran the phase loop")
+
+    monkeypatch.setattr(core, "_fixed_partial_sums", no_loop)
+    mp = CTX40.mp
+    x = mp.mpf("0.01")
+    for count in (0, 1, 2, 47, 48, 49):
+        for frac in (-0.25, 0.25):
+            whole = count + (frac < 0)
+            N = int(mp.nint((whole + frac - mp.mpf(theta)) / x))
+            if N < 1:
+                continue
+            p = GaussParams(x, theta, N, CTX40)
+            assert (p.whole, p.frac < 0) == (whole, frac < 0)
+            asymptotic_sum(p, 4)
+            exact_sum_detail(p)
 
 
 def test_no_route_calls_mpmath_erfc_or_hyperu(monkeypatch):

@@ -1,21 +1,25 @@
 """Both certified routes against the periodicity oracle at dyadic x = p/2^k.
 
 ``_utils.periodic_sum`` gives S_N at any N from two phase sums of at most
-2^k terms, sharing only the phase loop with the routes.  It runs 20
+2^k terms, sharing only the phase kernel with the routes.  It runs 20
 digits above the routes, on their x and theta as rounded, and each route
 must land within its own certificate plus a rounding term stated in
 fixed terms: no N-scaled allowance.  M = N x stays at most 10^6, which
 the chirp short sum covers in a fraction of a second, and one example
 reaches M = 4.58 10^6 at N = 10^11.  The two routes are also checked against
 each other, within the sum of their certificates, at dyadic x anywhere
-in (0, 1).
+in (0, 1).  At non-dyadic x, where there is no period, each route is
+checked against itself by the splitting identity
+
+    S_N(x, theta) = S_N1(x, theta) + f(N1) S_(N-N1)(x, theta + N1 x).
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadgauss import GaussParams, PrecisionContext, asymptotic_sum, direct_sum, exact_sum_detail
+from quadgauss import (GaussParams, PrecisionContext, asymptotic_sum, direct_sum, exact_sum_detail,
+                       normalize_params, phase_term)
 
 from _utils import periodic_sum
 
@@ -124,3 +128,55 @@ def test_periodic_oracle_matches_direct_sum(inp):
     params = _params(p, k, theta, N)
     S = periodic_sum(p, k, params.theta, N, CTX)
     assert abs(S - direct_sum(params)) <= N * CTX.eps
+
+
+# col1's x and (sqrt(2) - 1)/1000, as rounded at the routes' precision
+SPLIT_X = (1 / (250 * CTX.mp.sqrt(CTX.mp.pi)), (CTX.mp.sqrt(2) - 1) / 1000)
+SPLIT_MAX_M = 10**5
+
+
+@st.composite
+def _split(draw):
+    """(x, theta, N, N1): x from SPLIT_X, theta a multiple of 2^-30, N
+    log-uniform from 10^6, past the direct oracle's reach, to N x <=
+    SPLIT_MAX_M (about 4.4 10^7 and 2.4 10^8), and 0 < N1 < N."""
+    x = draw(st.sampled_from(SPLIT_X))
+    theta = draw(st.integers(-2**29, 2**29)) / 2**30
+    top = int(SPLIT_MAX_M / x)
+    N = min(top, int(10 ** draw(st.floats(6, float(CTX.mp.log10(top))))))
+    return x, theta, N, draw(st.integers(1, N - 1))
+
+
+def _asym(params):
+    rep = asymptotic_sum(params)
+    return rep.value, rep.remainder_bound
+
+
+def _exact(params):
+    value, upper, lower = exact_sum_detail(params)
+    return value, upper.tail_bound + lower.tail_bound
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(_split())
+@example((SPLIT_X[0], -0.125, 44 * 10**6 + 7, 7300))
+@example((SPLIT_X[1], 0.25, 2 * 10**8 + 3, 10**8 - 1))
+def test_routes_keep_the_splitting_identity_at_non_dyadic_x(inp):
+    # each route against itself: the halves run 20 + log10 N digits finer on
+    # the stored x and theta, with theta + N1 x formed exactly and folded by
+    # normalize_params, which is exact; rounding theta again would move S by
+    # about N |delta theta| |S|.  Allowed: the three certificates and a
+    # rounding term in fixed terms, no N-scaled one
+    x, theta, N, N1 = inp
+    params = GaussParams(x, theta, N, CTX)
+    fine = PrecisionContext(CTX.digits + 20 + len(str(N)))
+    mp = fine.mp
+    first = GaussParams(params.x, params.theta, N1, fine)
+    shifted = mp.fadd(params.theta, mp.fmul(params.x, N1, exact=True), exact=True)
+    second, conjugated = normalize_params(params.x, shifted, N - N1, fine)
+    assert not conjugated and mp.fadd(second.theta, mp.nint(shifted), exact=True) == shifted
+    f_N1 = phase_term(N1, first)
+    for route in (_asym, _exact):
+        (S, bound), (S1, bound1), (S2, bound2) = (route(p) for p in (params, first, second))
+        allow = bound + bound1 + bound2 + _rounding(S)
+        assert abs(mp.mpc(S) - (S1 + f_N1 * S2)) <= allow, route.__name__

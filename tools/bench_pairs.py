@@ -11,11 +11,21 @@ sets, one process at a time, the parent first in even pairs and the
 change first in odd ones.  OUT.json gets every run and, per workload and
 end-to-end metric, the quartiles of each side, the pairs the change
 wins, and the gap of the medians over the parent's interquartile range.
+
+Each run also records its child process's CPU seconds (``cpu_s``) and
+``evals_per_cpu_s`` = attempted / cpu_s, summarized by the quartiles of
+each side.  A run that gets less of a shared machine makes fewer
+evaluations in its fixed wall-clock length, and spends fewer CPU seconds
+with them, so this figure follows the code more than the machine's load.
+It includes the run's set-up probes and its checks, not only the timed
+evaluations, so it is only for comparing the two sides of a pair, never
+a throughput.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -24,13 +34,17 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(root, workload, seed, seconds):
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run(
         [sys.executable, "qgbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True).stdout
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     doc = json.loads(out.strip().splitlines()[-1])
     row = {k: v["value"] for k, v in doc["metrics"].items()}
-    row.update(attempted=doc["attempted"], failed=doc["failed"], correct=doc["correct"])
+    row.update(attempted=doc["attempted"], failed=doc["failed"], correct=doc["correct"],
+               cpu_s=round(cpu_s, 3), evals_per_cpu_s=round(doc["attempted"] / cpu_s, 3))
     return row
 
 
@@ -61,6 +75,9 @@ def summarize(runs, spec):
                 round(-sign * (cq[1] - pq[1]) / pq[1], 4) if pq[1] else 0.0,
             "bound": bound,
         }
+    summary["evals_per_cpu_s"] = {
+        side + "_q1_median_q3": quartiles([r[side]["evals_per_cpu_s"] for r in runs])
+        for side in ("parent", "change")}
     return summary
 
 
