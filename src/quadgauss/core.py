@@ -22,8 +22,8 @@ N x + theta, and ``frac`` = N x + theta - M, both from the exact sum.
 to mpmath's ``expjpi``.  Every other phase goes through one fixed-point
 kernel (``_exp_quadratic``): its arguments are read once, every bit,
 reduced mod 2, and each phase of a run A k^2 + C k is stepped by exact
-integer adds, split exactly at the nearest step of one shared table of
-cos/sin over a quarter turn, with short Taylor series for the rest and
+integer adds, split exactly at the nearest step of a table of cos/sin
+over a quarter turn, with short Taylor series for the rest and
 one complex product by the table entry, all in integers: no phase loses
 bits to its size.  Two sums run on it:
 
@@ -50,6 +50,7 @@ sums and the curlicue alike.
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
 from itertools import islice
 from math import isqrt
 
@@ -140,50 +141,39 @@ def _fixed_mod2(v, F: int, mask: int) -> int:
 # 2^_TABLE_BITS entries cover a quarter turn.
 _TABLE_BITS = 10
 
-# (W, cos, sin): the table of ``_quarter_turn`` at W bits, W the highest B
-# asked for so far; about 70 KB at W = 184.  Replaced whole, never changed
-# in place, so it is safe to share.
-_TABLE = (0, (), ())
+# One table is about 120 KB at T = 192 and 370 KB at T = 1120.  T = 192
+# serves every B of the sweeps and of the CLI's sum and curlicue at digits
+# 30, T = 256 the tables at digits 50 and the oracle at digits 45, and 224
+# or 288 the sweeps' other reference runs: four tables keep them all, where
+# an unbounded memo would keep one for every precision a process visits.
+@lru_cache(maxsize=4)
+def _quarter_turn(T: int):
+    """(cos, sin): cos and sin of pi i 2^-(_TABLE_BITS + 1) for
+    i = 0 .. 2^_TABLE_BITS - 1 in fixed point at T bits, each within 2
+    units of 2^-T.
 
-
-def _quarter_turn(B: int):
-    """(T, cos, sin): cos and sin of pi i 2^-(_TABLE_BITS + 1) for
-    i = 0 .. 2^_TABLE_BITS - 1 in fixed point at T bits, B <= T <= B + 32,
-    each within 2 units of 2^-T.
-
-    The first eighth turn is built once, at the highest B asked for so
-    far, as successive powers of one root of unity w at 16 guard bits.  w
-    is within 2 units of 2^-(B+16) per component (libmp's ``mpf_cos_sin_pi``
-    and a floor), and each power's floors add under sqrt(2) in modulus, so
-    the i-th power is within 5 i of them: the 512th within 2^12, under
-    1/16 unit of 2^-B.  The floor to B bits adds under one unit.  The
-    second eighth is the first one reflected, cos(pi/2 - a) = sin a,
-    sharing its integers.  A table up to 32 bits finer than B is used as
-    it is, which makes the loop's products at most one 30-bit digit longer
-    and costs less than shifting it; a finer one is shifted down to B,
-    under one more unit.
+    The first eighth turn is built as successive powers of one root of
+    unity w at 16 guard bits.  w is within 2 units of 2^-(T+16) per
+    component (libmp's ``mpf_cos_sin_pi`` and a floor), and each power's
+    floors add under sqrt(2) in modulus, so the i-th power is within 5 i
+    of them: the 512th within 2^12, under 1/16 unit of 2^-T.  The floor to
+    T bits adds under one unit.  The second eighth is the first one
+    reflected, cos(pi/2 - a) = sin a, sharing its integers.
     """
-    global _TABLE
-    have, cos_t, sin_t = _TABLE
-    if have < B:
-        guard = 16
-        W = B + guard
-        wc, ws = (to_fixed(v, W) for v in mpf_cos_sin_pi(from_man_exp(1, -_TABLE_BITS - 1), W))
-        c, s = 1 << W, 0
-        cos_t, sin_t = [c], [s]
-        for _ in range(1 << (_TABLE_BITS - 1)):
-            c, s = (c * wc - s * ws) >> W, (c * ws + s * wc) >> W
-            cos_t.append(c)
-            sin_t.append(s)
-        have = B
-        cos_t, sin_t = [v >> guard for v in cos_t], [v >> guard for v in sin_t]
-        cos_t, sin_t = tuple(cos_t + sin_t[-2:0:-1]), tuple(sin_t + cos_t[-2:0:-1])
-        _TABLE = (have, cos_t, sin_t)
-    if have - B <= 32:
-        return have, cos_t, sin_t
-    return B, [v >> have - B for v in cos_t], [v >> have - B for v in sin_t]
+    guard = 16
+    W = T + guard
+    wc, ws = (to_fixed(v, W) for v in mpf_cos_sin_pi(from_man_exp(1, -_TABLE_BITS - 1), W))
+    c, s = 1 << W, 0
+    cos_t, sin_t = [c], [s]
+    for _ in range(1 << (_TABLE_BITS - 1)):
+        c, s = (c * wc - s * ws) >> W, (c * ws + s * wc) >> W
+        cos_t.append(c)
+        sin_t.append(s)
+    cos_t, sin_t = [v >> guard for v in cos_t], [v >> guard for v in sin_t]
+    return tuple(cos_t + sin_t[-2:0:-1]), tuple(sin_t + cos_t[-2:0:-1])
 
 
+@cache
 def _taylor(B: int, F: int):
     """Coefficients of cos(pi u) and of sin(pi u)/u as polynomials in u^2,
     highest degree first, in fixed point at F bits, each within 2 units:
@@ -192,7 +182,7 @@ def _taylor(B: int, F: int):
     m is the least for which the first omitted term, pi^(2m) |u|^(2m)/(2m)!
     at |u| <= 2^-(_TABLE_BITS + 2), is under 2^(6-B); the one after it,
     of sin, is smaller still.  At _TABLE_BITS = 10 that is m = 7 for
-    B <= 187.
+    B <= 187.  Tuples, since every call at (B, F) shares them.
     """
     P, step = F + 8, _TABLE_BITS + 2
     pi = pi_fixed(P)
@@ -201,19 +191,22 @@ def _taylor(B: int, F: int):
     while len(terms) % 2 == 0 or terms[-1] >> (len(terms) - 1) * step + P + 6 - B:
         terms.append(terms[-1] * pi // (len(terms) << P))
     signed = [(-v if k & 2 else v) >> 8 for k, v in enumerate(terms[:-1])]
-    return signed[-2::-2], signed[::-2]
+    return tuple(signed[-2::-2]), tuple(signed[::-2])
 
 
 def _read_in(a, b, count: int, prec: int):
     """(B, F, A, C) of a sum of count phases exp(i pi (a k^2 + 2 b k)) at
     the precision prec, for the loop and the chirp alike.
 
-    More than ``DEFAULT_MAX_TERMS`` terms are refused first, before any
-    phase is formed: the one term budget.  Then the kernel's B = prec +
+    A count that is not a non-negative int raises DomainError, and more
+    than ``DEFAULT_MAX_TERMS`` terms are refused next, before any phase is
+    formed: the one term budget.  Then the kernel's B = prec +
     bitlen(count) + 20 bits, F = B + 2 bitlen(count) + 4 fractional bits,
     and a and 2 b, mpf, read once with F bits, every bit, and reduced
     mod 2 (``_fixed_mod2``): A = a 2^F and C = 2 b 2^F, mod 2^(F+1).
     """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise DomainError(f"phase loop: count must be a non-negative integer, got {count!r}")
     if count > DEFAULT_MAX_TERMS:
         raise ResourceBudgetError(
             f"phase loop: {count} terms exceed the budget of {DEFAULT_MAX_TERMS} terms")
@@ -242,11 +235,14 @@ def _exp_quadratic(runs, B: int, F: int):
     nothing drifts, and no phase loses bits to its size.  It is kept offset
     by half a table step, so its top _TABLE_BITS + 2 bits are the nearest
     table step: a quarter turn q and an index into a table of the quarter
-    turn (``_quarter_turn``, at T >= B bits), and the rest, less the offset,
-    is the exact remainder u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.
-    cos(pi u) and sin(pi u) are short Taylor series at F bits (``_taylor``,
-    in Horner form), turned by the table entry in one complex product at
-    scale = F + T bits.
+    turn (``_quarter_turn``), and the rest, less the offset, is the exact
+    remainder u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.  The table is at
+    T bits, B rounded up to a multiple of 32: up to 31 bits finer than B,
+    which makes the products at most one 30-bit digit longer, so one table
+    serves 32 values of B.  cos(pi u) and sin(pi u) are short Taylor series
+    at F bits (``_taylor``, in Horner form), turned by the table entry in
+    one complex product at scale = F + T bits.  Table and series are memos
+    of their precision, so the values depend on the arguments alone.
 
     Error of each value, in units of 2^-B: u is exact; the coefficients and
     Horner floors of each series add under 2^5 units of 2^-F, under
@@ -254,7 +250,8 @@ def _exp_quadratic(runs, B: int, F: int):
     table entry is within 2 units per component, and the product is exact.
     In all under sqrt(2) (2^6 + 1/2) + 2 sqrt(2) < 95.
     """
-    T, cos_t, sin_t = _quarter_turn(B)
+    T = -(-B // 32) * 32
+    cos_t, sin_t = _quarter_turn(T)
     return F + T, _exp_values(runs, F, cos_t, sin_t, _taylor(B, F))
 
 
@@ -447,7 +444,8 @@ def phase_sum(x, theta, count: int, mp):
     are reduced mod 2 exactly, so its first argument may be -1/x, far
     outside (0, 1).  Shared by the validated oracle and rational-case
     identity checks; the routes' short sum is the chirp
-    (``_chirp_sum``).  count = 0 gives 0.
+    (``_chirp_sum``).  count = 0 gives 0; a count that is not a
+    non-negative int raises DomainError.
     """
     total = mp.mpc(0)
     for _, total in _phase_partial_sums(x, theta, count, mp, max(count, 1)):

@@ -8,13 +8,10 @@ leave headroom for internal rounding.  Each instance owns its own
 so routines stay pure and two threads using *different* contexts never
 race.  (A single context should not be shared between threads while a
 call is in flight -- construction costs well under a millisecond, so give
-each thread its own.)  The two process-wide states are ``special``'s
-cache of the Euler--Maclaurin ratios of B_2m/(2m)!, which grows only as
-deep as the deepest Hurwitz-zeta order used needs and holds exact floors
-that read the same at every precision, and ``core``'s cos/sin table of
-the phase loop, which is only ever refined, to the highest precision
-asked for.  Each is replaced whole, never changed in place, so both are
-safe to share.
+each thread its own.)  No module holds mutable state: ``core``'s cos/sin
+table and Taylor coefficients of the phase kernel and ``special``'s
+Euler--Maclaurin ratios of B_2m/(2m)! are memos (``functools``) of their
+precision, tuples of integers that every caller and thread reads alike.
 """
 
 from __future__ import annotations

@@ -20,23 +20,24 @@ in speed and accuracy; everything else is mpmath's own:
   integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
   a^s (so the sum is >= 1 and keeps full relative accuracy at the edge
   layers' arguments k0 + 1 -+ a), one more order per multiplication of the
-  running powers, and Bernoulli corrections from a process-wide cache of
-  B_2m/(2m)! ratios.  The edge layers and the remainder certificate read
-  every order they need from one walk per argument.
+  running powers, and Bernoulli corrections from exact floors of the
+  ratios of B_2m/(2m)!, a memo of their precision.  The edge layers and
+  the remainder certificate read every order they need from one walk per
+  argument.
 
 * ``cot_pi_reg`` -- the regularized cotangent pi cot(pi lam) - 1/lam, the
   order-0 layer's closed form, with guard bits near its removable
   singularity.
 
 All routines are pure functions of (arguments, context) and return values
-rounded to the context's working precision; the Bernoulli cache holds
-exact floors that every caller reads alike.
+rounded to the context's working precision.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_pi, mpf_div,
                           mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
@@ -200,36 +201,25 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
 # Hurwitz zeta at odd integer arguments, regularized cotangent
 # ---------------------------------------------------------------------------
 
-# (bits, R): R[m-2] = floor(2^(bits + 6) c_m/c_{m-1}), m = 2, 3, ..., for
-# the Euler--Maclaurin coefficients c_m = B_2m/(2m)!.  A floor shifted
-# right is the floor at fewer bits, so every caller reads the same integers
-# whatever precision the cache was built at.  The tuple is replaced whole,
-# never changed in place, so threads may share it.
-_EM_RATIOS = (0, ())
-
-
-def _em_ratios(count: int, bits: int) -> list:
-    """floor(2^(bits + 6) c_m/c_{m-1}) for m = 2 .. count + 1.
+@cache
+def _em_ratios(count: int, bits: int) -> tuple:
+    """floor(2^(bits + 6) c_m/c_{m-1}) for m = 2 .. count + 1, for the
+    Euler--Maclaurin coefficients c_m = B_2m/(2m)!.
 
     c_m = (-1)^(m-1) T_m / (4^m (4^m - 1) (2m-1)!) from the tangent numbers
     T_m, which Brent and Harvey's in-place recurrence gives exactly in
-    integers.
+    integers.  Exact floors, shared by every walk at these bits.
     """
-    global _EM_RATIOS
-    have, ratios = _EM_RATIOS
-    if have < bits or len(ratios) < count:
-        have, n = max(have, bits), max(count, len(ratios)) + 1
-        T = [0, 1]
-        for k in range(2, n + 1):
-            T.append((k - 1) * T[k - 1])
-        for k in range(2, n + 1):
-            for j in range(k, n + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        ratios = tuple((-T[m] * (4 ** (m - 1) - 1) << (have + 6))
-                       // (4 * T[m - 1] * (4 ** m - 1) * (2 * m - 1) * (2 * m - 2))
-                       for m in range(2, n + 1))
-        _EM_RATIOS = (have, ratios)
-    return [c >> (have - bits) for c in ratios[:count]]
+    n = count + 1
+    T = [0, 1]
+    for k in range(2, n + 1):
+        T.append((k - 1) * T[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple((-T[m] * (4 ** (m - 1) - 1) << (bits + 6))
+                 // (4 * T[m - 1] * (4 ** m - 1) * (2 * m - 1) * (2 * m - 2))
+                 for m in range(2, n + 1))
 
 
 def zeta_odd_orders(a, ctx: PrecisionContext):

@@ -319,21 +319,23 @@ def test_renorm_term_agrees_with_64_bits_higher(log2_x, theta, M):
 
 def test_phase_kernel_table_and_series_within_their_bounds():
     # the two parts the loop's error derivation bounds, at B = 110 .. 1100
-    # bits: every table entry within 2 units of 2^-B per component, after a
-    # rebuild at 1100 bits and a shift down to 184 too, and the series at
-    # the largest remainder |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2
+    # bits: every entry of the table the kernel takes at B within 2 units
+    # of 2^-B per component, on both sides of a step of its precision
+    # (191, 192, 193), and the series at the largest remainder
+    # |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2
     ref = mpmath.MPContext()
-    for B in (110, 184, 253, 1100, 1090, 184):
+    for B in (110, 184, 191, 192, 193, 253, 1100, 1090, 184):
         ref.prec = B + 64
         unit = ref.ldexp(1, -B)
-        T, cos_t, sin_t = core._quarter_turn(B)
+        F = B + 30
+        T = core._exp_quadratic([], B, F)[0] - F
         assert B <= T <= B + 32
+        cos_t, sin_t = core._quarter_turn(T)
         assert len(cos_t) == len(sin_t) == 2 ** core._TABLE_BITS
         for i, (c, s) in enumerate(zip(cos_t, sin_t)):
             a = ref.ldexp(i, -core._TABLE_BITS - 1)
             assert abs(ref.ldexp(c, -T) - ref.cospi(a)) < 2 * unit, (B, i)
             assert abs(ref.ldexp(s, -T) - ref.sinpi(a)) < 2 * unit, (B, i)
-        F = B + 30
         cos_u, sin_u = core._taylor(B, F)
         top = ref.ldexp(1, -core._TABLE_BITS - 2)
         for u in (top, -top, top / 3):
@@ -349,6 +351,38 @@ def test_phase_kernel_rejects_non_finite_arguments():
         phase_sum(mp.inf, 0, 3, mp)
     with pytest.raises(DomainError):
         phase_sum("0.3", mp.nan, 3, mp)
+
+
+def test_phase_kernel_rejects_a_count_that_is_not_a_non_negative_int(monkeypatch):
+    # refused by both sums before the term budget and before any phase
+    def no_phase(*args):
+        raise AssertionError("a phase was formed before the count check")
+
+    monkeypatch.setattr(core, "_fixed_mod2", no_phase)
+    monkeypatch.setattr(core, "_exp_quadratic", no_phase)
+    mp = CTX30.mp
+    for count in (-5, -(10**400), 2.5, 3.0, True, DEFAULT_MAX_TERMS + 0.5):
+        with pytest.raises(DomainError, match="count"):
+            phase_sum("0.3", "0.1", count, mp)
+        with pytest.raises(DomainError, match="count"):
+            _chirp_sum("0.3", "0.1", count, mp)
+
+
+def test_phase_kernel_is_a_function_of_its_arguments():
+    # a sum 2^5 times longer asks the kernel for 5 more bits; the integers
+    # of the short sum must not follow it.  Digits 600 lie above every
+    # precision the rest of the suite asks for, so no earlier test has
+    # asked for more.
+    mp = PrecisionContext(600).mp
+    x = mp.mpf("1.73e-5")
+    a, b = -1 / x, mp.mpf("-0.17") / x
+
+    def short():
+        return _chirp_fixed(a, b, 16, mp.prec), list(_fixed_partial_sums(a, b, 16, mp.prec, 4))
+
+    before = short()
+    _chirp_fixed(a, b, 16 << 5, mp.prec)
+    assert short() == before
 
 
 @pytest.mark.parametrize("xs,ts,n", [("1/(250*sqrt(pi))", "-0.125", 7300),

@@ -6,11 +6,14 @@ Run from the root of a checkout:
 
 It loads that checkout's ``qgbench/workloads.py`` (imported only, never
 written) and, through it, the checkout's ``src/quadgauss``.  It evaluates
-the 64 inputs of seeds 1-3 of ``asym_sweep`` and ``exact_sweep`` and runs
+the 64 inputs of seeds 1-3 of ``asym_sweep`` and ``exact_sweep``, runs
 ``table1``/``table2`` on col1, col2 and col3a at digits 50 through the
-CLI, as ``paper_cli`` does.  OUT.json gets each value's and bound's libmp
-tuple and each table's text, with sorted keys, so the files of two
-checkouts whose outputs agree bit for bit compare equal with ``cmp``.
+CLI, and then, in the same process as ``paper_cli`` runs them, the seeded
+``sum`` and ``curlicue`` commands of its seeds 1-3 at digits 30.  OUT.json
+gets each value's and bound's libmp tuple, each table's text and each
+command's output without its ``elapsed_ns``, with sorted keys, so the
+files of two checkouts whose outputs agree bit for bit compare equal with
+``cmp``.
 """
 
 import importlib.util
@@ -56,6 +59,15 @@ def main():
             for preset in ("col1", "col2", "col3a"):
                 rc, text = cli.evaluate((table, preset))
                 doc[f"{cli.name}:{table}:{preset}"] = {"rc": rc, "text": text}
+        for seed in SEEDS:
+            for i, inp in enumerate(cli.inputs(seed)):
+                if inp[0] in ("sum", "curlicue"):
+                    rc, text = cli.evaluate(inp)
+                    out = json.loads(text) if rc == 0 else None
+                    if isinstance(out, dict):
+                        del out["elapsed_ns"]
+                    doc[f"{cli.name}:{seed}:{i:02d}"] = {
+                        "input": repr(inp), "rc": rc, "output": out}
     with open(sys.argv[1], "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
