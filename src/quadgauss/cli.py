@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_n=False):
         p.add_argument("--x", help="x as an exact expression, e.g. '1/(250*sqrt(pi))'")
-        p.add_argument("--theta", default="0", help="theta as an exact expression")
+        p.add_argument("--theta", help="theta as an exact expression (default 0)")
         p.add_argument("--N", type=int, help="number of terms (positive integer)")
         if with_n:
             p.add_argument("--n", type=int, default=None, help="truncation index")
@@ -182,10 +182,12 @@ def _context(args):
     """Apply a table preset and check for --x and --N, then build the one
     working-precision context; usage errors win over a bad --digits."""
     if getattr(args, "preset", None) is not None:
-        preset = PRESETS[args.preset]
-        args.x, args.theta, args.N = preset["x"], preset["theta"], preset["N"]
+        if (args.x, args.theta, args.N) != (None, None, None):
+            raise UsageError("--preset sets x, theta and N: give no --x, --theta or --N with it")
+        args.x, args.theta, args.N = (PRESETS[args.preset][k] for k in ("x", "theta", "N"))
     elif args.command in ("table1", "table2") and (args.x is None or args.N is None):
         raise UsageError("table commands need --preset or explicit --x/--theta/--N")
+    args.theta = "0" if args.theta is None else args.theta
     for name in ("x", "N"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for this command")

@@ -190,7 +190,7 @@ def _taylor(B: int, F: int):
     # until a term of even degree k is under 2^(6-B) at |u| = 2^-step
     while len(terms) % 2 == 0 or terms[-1] >> (len(terms) - 1) * step + P + 6 - B:
         terms.append(terms[-1] * pi // (len(terms) << P))
-    signed = [(-v if k & 2 else v) >> 8 for k, v in enumerate(terms[:-1])]
+    signed = [(-v if k & 2 else v) >> P - F for k, v in enumerate(terms[:-1])]
     return tuple(signed[-2::-2]), tuple(signed[::-2])
 
 

@@ -61,7 +61,7 @@ from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sqrt, mpf
 from .core import GaussParams, _chirp_sum, phase_term
 from .errors import DomainError, ResourceBudgetError
 from .precision import PrecisionContext, ensure_finite
-from .special import _GUARD, cot_pi_reg, erfc_kernel, zeta_odd_orders
+from .special import cot_pi_reg, erfc_kernel, zeta_odd_orders
 
 __all__ = [
     "ExpansionReport",
@@ -105,12 +105,15 @@ def _digamma_gap(a, k0: int, ctx: PrecisionContext):
 
     Both parts are odd in a and carry it as a factor, so a tiny a keeps its
     relative accuracy.  They are each about 1.6 (k0 + 1) times the result,
-    so the sum (in fixed point) and the cotangent run with ``_GUARD`` = 32
-    guard bits, which cover that cancellation far past any window
-    ``exact`` reaches.
+    and the sum's k0 floors, k0 2^-P of a sum near pi^2/3, cost about
+    0.5 k0 (k0 + 1) 2^-P of the result; with the roundings of the
+    cotangent and the product, all under 2 (k0 + 1)^2 2^-P of it.  So both
+    run with 2 bitlen(k0 + 1) + 14 extra bits: 2 bitlen(k0 + 1) + 6 leave
+    them within 2^-(prec + 5) of the result before its rounding, and 8 more
+    keep every value the routes return as it was with 32 guard bits.
     """
     mp = ctx.mp
-    with mp.extraprec(_GUARD):
+    with mp.extraprec(2 * (k0 + 1).bit_length() + 14):
         P = mp.prec
         a2 = to_fixed((a * a)._mpf_, P)
         total = sum((2 << 2 * P) // ((j * j << P) - a2) for j in range(1, k0 + 1))

@@ -9,12 +9,14 @@ in speed and accuracy; everything else is mpmath's own:
   to the quadratic exponential sum.  E(0) = 1 and
   E(-t) = 2 exp(-pi i t^2/x) - E(t) follow from the erfc reflection.  For
   t > 0, z^2 = -i r2 exactly, r2 = pi t^2/x, so E(t) = e^{z^2} erfc(z) is
-  a function of r2 alone, summed in fixed-point integers: Kummer's series
-  up to r2 = prec ln 2 or so, at as many extra bits as its terms cancel,
-  and the large-t series (``_large_t``) beyond, which never forms the
-  oscillatory factor, so no phase round-off enters however large t^2/x
-  grows.  That series stops at the first-omitted-term bound for erfc on
-  |arg z| <= pi/4 (DLMF 7.12(i)).
+  a function of r2 alone, summed in fixed-point integers and rounded
+  once: Kummer's series up to r2 = prec ln 2 or so, at as many extra bits
+  as its terms cancel, and the large-t series (``_large_t``) beyond,
+  which never forms the oscillatory factor, so no phase round-off enters
+  however large t^2/x grows.  That series stops at the first-omitted-term
+  bound for erfc on |arg z| <= pi/4 (DLMF 7.12(i)).  Before the rounding
+  both are within 2^(bitlen(prec) + 2 - _GUARD) ulp of |E|
+  (``_kernel_fixed``).
 
 * ``zeta_odd_orders`` -- zeta(3, a), zeta(5, a), ... from one fixed-point
   integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
@@ -43,6 +45,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, mpf_cmp, mpf_cos_sin_p
                           mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest,
                           to_fixed, to_float)
 
+from .core import _rounded
 from .errors import DomainError, PrecisionError
 from .precision import PrecisionContext, ensure_finite
 
@@ -53,9 +56,13 @@ __all__ = [
 
 
 # Bits the fixed-point loops (the kernel's two series, the Hurwitz-zeta
-# walk) carry beyond the working precision prec; the walk and the large-t
-# series drop terms below 2^-(prec + _GUARD/2).
-_GUARD = 32
+# walk) carry beyond the working precision prec, on top of what each one
+# derives for its own term count and cancellation; the walk and the
+# large-t series drop terms below 2^-(prec + _GUARD/2).  16 keeps the
+# kernel within 2^-5 ulp of |E| before its rounding at prec < 2^9
+# (test_kernel_before_its_rounding); 8 does not, and 32 returned the same
+# values as 16 on every input of tools/sweep_values.py.
+_GUARD = 16
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +88,25 @@ def _switch(prec: int) -> float:
 
 
 def _large_t(q, prec: int):
-    """(re, im) of pi^(-1/2) sum_r (-1)^r (1/2)_r (i/r2)^(r+1/2),
-    r2 = pi q > 0, q an mpf tuple, rounded to prec bits.
+    """(re, im, scale): pi^(-1/2) sum_r (-1)^r (1/2)_r (i/r2)^(r+1/2),
+    r2 = pi q > 0, q an mpf tuple, is (re + i im) 2^-scale within 2^-(prec + 6)
+    of its modulus, before any rounding, at every prec.
 
     The sum is e^{i pi/4} (pi r2)^(-1/2) sum_r c_r (-i)^r with c_0 = 1 and
     c_r = c_(r-1) (2r - 1)/(2 r2), summed in integers in units of 2^-Q,
-    Q = prec + 2 _GUARD, one running sum per power of -i.  It stops
-    before the first c_r below 2^-(prec + _GUARD/2), the
-    first-omitted-term bound relative to the leading term (DLMF 7.12(i));
-    ``_switch`` makes sure that happens.  Over T terms the floors, and
-    that of 1/(2 r2), cost at most T^3 units, below that bound for
-    T < 2^16.  The precision depends on prec alone, however large r2 is.
+    one running sum per power of -i.  It stops before the first c_r below
+    2^-(prec + _GUARD/2), the first-omitted-term bound relative to the
+    leading term (DLMF 7.12(i)); ``_switch`` makes sure that happens, so
+    the ratios stay below 1 and the T terms number under
+    _switch(prec) + 1 < prec.  The floor of w = 1/(2 r2) costs c_r under
+    2r r2 2^-Q relative, and c_r 2 r2 <= 2r (r/r2)^(r-1) <= 2r, so with
+    the floors of the c_r themselves the sums are within T^3 units:
+    Q = prec + _GUARD + 3 bitlen(prec) puts that below 2^-(prec + _GUARD),
+    at every precision.  The lead (1 + i)/(pi sqrt(2 q)) at
+    F = prec + _GUARD bits multiplies the sums exactly.
     """
-    Q = prec + 2 * _GUARD
     F = prec + _GUARD
+    Q = F + 3 * prec.bit_length()
     pi = mpf_pi(F)
     w = to_fixed(mpf_div(fone, mpf_shift(mpf_mul(q, pi, F), 1), Q), Q)  # 1/(2 r2)
     stop = 1 << (Q - prec - _GUARD // 2)
@@ -105,14 +117,14 @@ def _large_t(q, prec: int):
         c = (c * w >> Q) * (2 * r - 1)
     re, im = sums[0] - sums[2], sums[3] - sums[1]
     # e^{i pi/4} (pi r2)^(-1/2) = (1 + i) lead, lead = 1/(pi sqrt(2 q))
-    lead = mpf_div(fone, mpf_mul(pi, mpf_sqrt(mpf_shift(q, 1), F), F), F)
-    return (mpf_mul(lead, from_man_exp(re - im, -Q), prec, round_nearest),
-            mpf_mul(lead, from_man_exp(re + im, -Q), prec, round_nearest))
+    _, man, exp, _ = mpf_div(fone, mpf_mul(pi, mpf_sqrt(mpf_shift(q, 1), F), F), F)
+    return man * (re - im), man * (re + im), Q - exp
 
 
 def _kummer(q, tt, x, prec: int):
-    """(re, im) of E(t) for t > 0 with t^2 = tt, from Kummer's series, rounded
-    to prec bits, q = t^2/x to prec + _GUARD bits: with r2 = pi t^2/x,
+    """(re, im, F): E(t) for t > 0 with t^2 = tt is (re + i im) 2^-F, from
+    Kummer's series before any rounding, q = t^2/x to prec + _GUARD bits:
+    with r2 = pi t^2/x,
 
         E = e^{-i pi t^2/x} - 2 e^{-i pi/4} (t/sqrt(x)) sum_n (-2i r2)^n/(2n+1)!!.
 
@@ -124,7 +136,13 @@ def _kummer(q, tt, x, prec: int):
     smooth O(1) function of r2, so r2 needs only an absolute
     2^-(prec + _GUARD): it carries prec + _GUARD + mag(r2) bits and
     multiplies the terms at that many, and the unit phase is expjpi of
-    t^2/x to the same absolute accuracy.
+    t^2/x to the same absolute accuracy.  The floors of v and of the sums
+    and the unit phase add a few units of 2^-F, times v < sqrt(prec/2),
+    so the result is within 2 prec 2^-F |E|, as |E| >= 1/(2 sqrt(prec))
+    below the switch.  The
+    term count's and the cancellation's bits of Q are the worst case of a
+    floor; measured, the floors cost no more without them
+    (``tools/mutants.py`` lists them as proof margins).
     """
     F = prec + _GUARD
     extra = max(0, q[2] + q[3])  # mag(t^2/x)
@@ -150,7 +168,7 @@ def _kummer(q, tt, x, prec: int):
     cos, sin = mpf_cos_sin_pi(q, F, round_nearest)
     re = to_fixed(cos, F) - (v * (s_re + s_im) >> F)
     im = -to_fixed(sin, F) - (v * (s_im - s_re) >> F)
-    return from_man_exp(re, -F, prec, round_nearest), from_man_exp(im, -F, prec, round_nearest)
+    return re, im, F
 
 
 def erfc_kernel(t, x, ctx: PrecisionContext):
@@ -165,9 +183,8 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
     through the reflection E(-t) = 2 exp(-pi i t^2/x) - E(t), whose leading
     term carries the (genuine) oscillation.  Its phase t^2/x is formed
     from the unrounded t with as many extra bits as it has integer bits;
-    for t > 0 the series read t to prec + 2 _GUARD bits, so an mpf t
-    carrying more than the working precision (an exact fractional part of
-    N x + theta) keeps more than they need.
+    for t > 0 the series read t with every bit they need
+    (``_kernel_fixed``).
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -182,19 +199,31 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
         tt = mp.fmul(t, t, exact=True)
         with mp.extraprec(max(0, mp.mag(tt / x))):
             phase = mp.expjpi(-(tt / x))
-        value = 2 * phase - erfc_kernel(-t, x, ctx)
-        return ensure_finite(mp, value, "erfc_kernel")
-    prec = mp.prec
-    # t^2/x to prec + 2 _GUARD - 2 bits: the absolute 2^-(prec + _GUARD)
-    # Kummer's branch needs while t^2/x < 2^30, true below the switch
-    t = mpf_pos(t._mpf_, prec + 2 * _GUARD, round_nearest)
+        return ensure_finite(mp, 2 * phase - erfc_kernel(-t, x, ctx), "erfc_kernel")
+    return ensure_finite(mp, _rounded(*_kernel_fixed(t._mpf_, x._mpf_, mp.prec), mp),
+                         "erfc_kernel")
+
+
+def _kernel_fixed(t, x, prec: int):
+    """(re, im, scale): E(t) for t > 0, t and x mpf tuples, at working
+    precision prec, before its one rounding: ``_kummer`` below r2 =
+    ``_switch(prec)``, ``_large_t`` from there.
+
+    Within 2^(bitlen(prec) + 2 - _GUARD) 2^-prec |E| (``_kummer`` and
+    ``_large_t`` derive their parts), so the one rounding that follows
+    stays under 3/4 of a unit in the last place of |E| at prec < 2^13.
+    t is read to R = prec + _GUARD + bitlen(prec) bits, so an mpf t carrying
+    more than the working precision (an exact fractional part of
+    N x + theta) keeps what the series need: below the switch t^2/x <
+    prec/4 < 2^(bitlen(prec) - 1), so t^2 to R - 1 bits gives t^2/x the
+    absolute 2^-(prec + _GUARD) Kummer's series needs, and above it the
+    relative 2^-(prec + _GUARD) the large-t series needs.
+    """
+    t = mpf_pos(t, prec + _GUARD + prec.bit_length(), round_nearest)
     tt = mpf_mul(t, t)
-    q = mpf_div(tt, x._mpf_, prec + _GUARD, round_nearest)
-    if mpf_cmp(mpf_mul(q, mpf_pi(prec), prec), from_float(_switch(prec))) < 0:
-        value = _kummer(q, tt, x._mpf_, prec)
-    else:
-        value = _large_t(q, prec)
-    return ensure_finite(mp, mp.make_mpc(value), "erfc_kernel")
+    q = mpf_div(tt, x, prec + _GUARD, round_nearest)
+    below = mpf_cmp(mpf_mul(q, mpf_pi(prec), prec), from_float(_switch(prec))) < 0
+    return _kummer(q, tt, x, prec) if below else _large_t(q, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ def test_table_requires_preset_or_params(capsys):
     assert code == 2 and out == "" and "preset" in err
 
 
+def test_preset_with_explicit_parameters_is_a_usage_error(capsys):
+    # the preset would silently replace them
+    for extra in (("--x", "0.3"), ("--theta", "0"), ("--N", "50")):
+        code, out, err = run_cli(capsys, "table1", "--preset", "col1", *extra)
+        assert code == 2 and out == "" and "--preset" in err, extra
+
+
 def test_csv_is_rfc4180_and_scientific(capsys):
     code, out, err = run_cli(capsys, "sum", "--x", "0.5", "--theta", "0",
                              "--N", "4", "--format", "csv")

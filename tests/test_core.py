@@ -322,9 +322,10 @@ def test_phase_kernel_table_and_series_within_their_bounds():
     # bits: every entry of the table the kernel takes at B within 2 units
     # of 2^-B per component, on both sides of a step of its precision
     # (191, 192, 193), and the series at the largest remainder
-    # |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2
+    # |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2, also at B = 161 and 189,
+    # where the series takes one term more than a stop at 2^(9-B) would
     ref = mpmath.MPContext()
-    for B in (110, 184, 191, 192, 193, 253, 1100, 1090, 184):
+    for B in (110, 161, 184, 189, 191, 192, 193, 253, 1100, 1090, 184):
         ref.prec = B + 64
         unit = ref.ldexp(1, -B)
         F = B + 30

@@ -7,7 +7,7 @@ import itertools
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadgauss import DomainError, PrecisionContext, PrecisionError, cot_pi_reg, erfc_kernel
@@ -346,6 +346,23 @@ def test_cot_reg_cubic_remainder_near_zero():
         assert abs(cot_pi_reg(lam, ctx) + 2 * z2 * lam) <= C * lam ** 3
 
 
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_cot_reg_within_three_quarter_ulp_near_the_singularity(digits):
+    # the closed form cancels 2 log2(1/|lam|) bits near 0, and four roundings
+    # of pi cot(pi lam) and 1/lam, each about 1/lam, come to about 2.4 ulp of
+    # the result without the extra bits above those; with them, one rounding
+    # and a little: against mpmath 20 digits higher, in units of 2^-prec at
+    # the magnitude of the result
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    rmp = PrecisionContext(digits + 20).mp
+    for lam in (2.0**-20, -3e-7, 1e-3 / 3, 0.07, 0.4999):
+        lam = mp.mpf(lam) * (1 - mp.mpf(2) ** -30 / 3)
+        ref = rmp.pi * rmp.cospi(rmp.mpf(lam)) / rmp.sinpi(rmp.mpf(lam)) - 1 / rmp.mpf(lam)
+        err = abs(rmp.mpf(cot_pi_reg(lam, ctx)) - ref)
+        assert err <= 0.75 * rmp.ldexp(1, rmp.mag(ref) - mp.prec), lam
+
+
 def test_cot_reg_domain():
     with pytest.raises(DomainError):
         cot_pi_reg(1, CTX30)
@@ -392,3 +409,28 @@ def test_machin_pi_cross_check():
     # independent high-precision pi confirms the constant used everywhere
     ctx = CTX50
     assert abs(machin_pi(ctx) - ctx.mp.pi) <= 10 * ctx.eps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(log_r2=st.floats(-2, 2.6), log_x=st.floats(-3, -0.005),
+       digits=st.sampled_from([15, 30, 50, 100]), long=st.booleans())
+@example(log_r2=2.04, log_x=-0.43, digits=30, long=True)  # r2 = 110, past the switch
+@example(log_r2=2.03, log_x=-2.0, digits=30, long=True)  # r2 = 107, below it
+@example(log_r2=2.42, log_x=-1.0, digits=100, long=False)  # r2 = 263, below it
+def test_kernel_before_its_rounding(log_r2, log_x, digits, long):
+    # _kernel_fixed, before the one rounding, against the mpmath reference 20
+    # digits higher, within its docstring bound 2^(bitlen(prec) + 2 - _GUARD)
+    # of |E| in units of 2^-prec at _GUARD = 16: at most 2^-5 ulp here, where
+    # the rounding adds 1/sqrt(2).  A long t carries 3 prec bits, as an exact
+    # fractional part of N x + theta does
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    prec = mp.prec
+    x = mp.mpf(10) ** log_x
+    with mp.extraprec(2 * prec if long else 0):
+        t = mp.sqrt(mp.mpf(10) ** log_r2 * x / mp.pi)
+    re, im, scale = special._kernel_fixed(t._mpf_, x._mpf_, prec)
+    rmp = PrecisionContext(digits + 20).mp
+    ref = _kernel(rmp, t, x)
+    err = abs(rmp.mpc(rmp.ldexp(re, -scale), rmp.ldexp(im, -scale)) - ref)
+    assert err <= rmp.ldexp(abs(ref), prec.bit_length() - 14 - prec), (t, x)
