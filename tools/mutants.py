@@ -142,10 +142,10 @@ def _path(entry):
     return os.path.join("src", "quadgauss", entry.file)
 
 
-def check(root=HERE):
+def check():
     """Raise ValueError unless every entry's ``old`` occurs exactly once."""
     for entry in MUTANTS + MARGINS:
-        with open(os.path.join(root, _path(entry)), encoding="utf-8") as fh:
+        with open(os.path.join(HERE, _path(entry)), encoding="utf-8") as fh:
             count = fh.read().count(entry.old)
         if count != 1:
             raise ValueError(f"{entry.file}: {entry.old!r} occurs {count} times")
