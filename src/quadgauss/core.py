@@ -176,21 +176,26 @@ def _quarter_turn(T: int):
 @cache
 def _taylor(B: int, F: int):
     """Coefficients of cos(pi u) and of sin(pi u)/u as polynomials in u^2,
-    highest degree first, in fixed point at F bits, each within 2 units:
+    highest degree first, in fixed point at F bits, each within 8 units:
     (-1)^j pi^(2j)/(2j)! and (-1)^j pi^(2j+1)/(2j+1)!, j < m.
 
     m is the least for which the first omitted term, pi^(2m) |u|^(2m)/(2m)!
     at |u| <= 2^-(_TABLE_BITS + 2), is under 2^(6-B); the one after it,
     of sin, is smaller still.  At _TABLE_BITS = 10 that is m = 7 for
     B <= 187.  Tuples, since every call at (B, F) shares them.
+
+    No guard bits: pi^k/k! is the floor of pi^(k-1)/(k-1)! times pi (to 1
+    unit) over k, so its error e_k <= e_(k-1) pi/k + pi^(k-1)/(k-1)!/k + 1,
+    e_1 <= 1, peaks under 8 units at k = 4; and the series weigh every
+    coefficient but the exact 1 by |u| <= 2^-12 or less.
     """
-    P, step = F + 8, _TABLE_BITS + 2
-    pi = pi_fixed(P)
-    terms = [1 << P]  # pi^k/k! at P bits
+    step = _TABLE_BITS + 2
+    pi = pi_fixed(F)
+    terms = [1 << F]  # pi^k/k! at F bits
     # until a term of even degree k is under 2^(6-B) at |u| = 2^-step
-    while len(terms) % 2 == 0 or terms[-1] >> (len(terms) - 1) * step + P + 6 - B:
-        terms.append(terms[-1] * pi // (len(terms) << P))
-    signed = [(-v if k & 2 else v) >> P - F for k, v in enumerate(terms[:-1])]
+    while len(terms) % 2 == 0 or terms[-1] >> (len(terms) - 1) * step + F + 6 - B:
+        terms.append(terms[-1] * pi // (len(terms) << F))
+    signed = [-v if k & 2 else v for k, v in enumerate(terms[:-1])]
     return tuple(signed[-2::-2]), tuple(signed[::-2])
 
 
@@ -203,7 +208,13 @@ def _read_in(a, b, count: int, prec: int):
     formed: the one term budget.  Then the kernel's B = prec +
     bitlen(count) + 20 bits, F = B + 2 bitlen(count) + 4 fractional bits,
     and a and 2 b, mpf, read once with F bits, every bit, and reduced
-    mod 2 (``_fixed_mod2``): A = a 2^F and C = 2 b 2^F, mod 2^(F+1).
+    mod 2 (``_fixed_mod2``): A = a 2^F and C = 2 b 2^F, mod 2^(F+1).  The
+    read drops under 2^-F of each, so phase k moves by under (k^2 + k) 2^-F
+    < 2^(2 bitlen(count) - F) half-turns, pi times that in its term: under
+    1/4 unit of 2^-B per term, within the loop's j 2^(8-B).  Where the
+    phases barely turn, these errors add up instead of cancelling, and
+    B + 6 fractional bits break that bound
+    (``test_phase_kernel_reads_every_bit_of_a_long_argument``).
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"phase loop: count must be a non-negative integer, got {count!r}")

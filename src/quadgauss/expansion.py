@@ -108,12 +108,11 @@ def _digamma_gap(a, k0: int, ctx: PrecisionContext):
     and the sum's k0 floors, k0 2^-P of a sum near pi^2/3, cost about
     0.5 k0 (k0 + 1) 2^-P of the result; with the roundings of the
     cotangent and the product, all under 2 (k0 + 1)^2 2^-P of it.  So both
-    run with 2 bitlen(k0 + 1) + 14 extra bits: 2 bitlen(k0 + 1) + 6 leave
-    them within 2^-(prec + 5) of the result before its rounding, and 8 more
-    keep every value the routes return as it was with 32 guard bits.
+    run with 2 bitlen(k0 + 1) + 6 extra bits, which leave them within
+    2^-(prec + 5) of the result before its rounding.
     """
     mp = ctx.mp
-    with mp.extraprec(2 * (k0 + 1).bit_length() + 14):
+    with mp.extraprec(2 * (k0 + 1).bit_length() + 6):
         P = mp.prec
         a2 = to_fixed((a * a)._mpf_, P)
         total = sum((2 << 2 * P) // ((j * j << P) - a2) for j in range(1, k0 + 1))

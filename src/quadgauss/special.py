@@ -15,8 +15,8 @@ in speed and accuracy; everything else is mpmath's own:
   which never forms the oscillatory factor, so no phase round-off enters
   however large t^2/x grows.  That series stops at the first-omitted-term
   bound for erfc on |arg z| <= pi/4 (DLMF 7.12(i)).  Before the rounding
-  both are within 2^(bitlen(prec) + 2 - _GUARD) ulp of |E|
-  (``_kernel_fixed``).
+  they are within 2^(3 - _GUARD) and 2^(1 - _GUARD/2) of an ulp of |E|,
+  at every precision (``_kernel_fixed``).
 
 * ``zeta_odd_orders`` -- zeta(3, a), zeta(5, a), ... from one fixed-point
   integer Euler--Maclaurin pass: a head of prec/6 terms scaled by
@@ -58,10 +58,12 @@ __all__ = [
 # Bits the fixed-point loops (the kernel's two series, the Hurwitz-zeta
 # walk) carry beyond the working precision prec, on top of what each one
 # derives for its own term count and cancellation; the walk and the
-# large-t series drop terms below 2^-(prec + _GUARD/2).  16 keeps the
-# kernel within 2^-5 ulp of |E| before its rounding at prec < 2^9
-# (test_kernel_before_its_rounding); 8 does not, and 32 returned the same
-# values as 16 on every input of tools/sweep_values.py.
+# large-t series drop terms below 2^-(prec + _GUARD/2).  With 16 the
+# kernel is within 2^-7 ulp of |E| before its rounding at every precision
+# (test_kernel_before_its_rounding) and the walk within 1/8 ulp of zeta
+# before its own (test_zeta_orders_within_a_rounding_of_the_reference); 8
+# breaks both, and 32 returned the same values as 16 on every input of
+# tools/sweep_values.py.
 _GUARD = 16
 
 
@@ -89,8 +91,9 @@ def _switch(prec: int) -> float:
 
 def _large_t(q, prec: int):
     """(re, im, scale): pi^(-1/2) sum_r (-1)^r (1/2)_r (i/r2)^(r+1/2),
-    r2 = pi q > 0, q an mpf tuple, is (re + i im) 2^-scale within 2^-(prec + 6)
-    of its modulus, before any rounding, at every prec.
+    r2 = pi q > 0, q an mpf tuple to prec + _GUARD bits, is (re + i im)
+    2^-scale within 2^(1 - _GUARD/2 - prec) of its modulus, before any
+    rounding, at every prec.
 
     The sum is e^{i pi/4} (pi r2)^(-1/2) sum_r c_r (-i)^r with c_0 = 1 and
     c_r = c_(r-1) (2r - 1)/(2 r2), summed in integers in units of 2^-Q,
@@ -103,7 +106,10 @@ def _large_t(q, prec: int):
     the floors of the c_r themselves the sums are within T^3 units:
     Q = prec + _GUARD + 3 bitlen(prec) puts that below 2^-(prec + _GUARD),
     at every precision.  The lead (1 + i)/(pi sqrt(2 q)) at
-    F = prec + _GUARD bits multiplies the sums exactly.
+    F = prec + _GUARD bits multiplies the sums exactly.  The omitted terms,
+    under 2^-(prec + _GUARD/2) of a sum whose modulus is over
+    1 - 1/(2 r2) > 0.99, and these few roundings of 2^-F come to under
+    2^(1 - _GUARD/2 - prec).
     """
     F = prec + _GUARD
     Q = F + 3 * prec.bit_length()
@@ -122,36 +128,35 @@ def _large_t(q, prec: int):
 
 
 def _kummer(q, tt, x, prec: int):
-    """(re, im, F): E(t) for t > 0 with t^2 = tt is (re + i im) 2^-F, from
-    Kummer's series before any rounding, q = t^2/x to prec + _GUARD bits:
-    with r2 = pi t^2/x,
+    """(re, im, F): E(t) for t > 0 with t^2 = tt is (re + i im) 2^-F,
+    F = prec + _GUARD + bitlen(prec), from Kummer's series before any
+    rounding, q = t^2/x to prec + _GUARD bits: with r2 = pi t^2/x,
 
         E = e^{-i pi t^2/x} - 2 e^{-i pi/4} (t/sqrt(x)) sum_n (-2i r2)^n/(2n+1)!!.
 
-    The terms reach about e^r2 and cancel to O(1), so they are summed in
-    integers in units of 2^-Q, Q = prec + _GUARD + ceil(r2 log2 e) + bits
-    of a term count: each floor costs at most e^r2 units, and the terms
-    fall below one unit within max(2 e r2, Q) of them; the sum stops at
-    one below 2^-(prec + _GUARD) once the ratios are below 1/2.  It is a
-    smooth O(1) function of r2, so r2 needs only an absolute
-    2^-(prec + _GUARD): it carries prec + _GUARD + mag(r2) bits and
-    multiplies the terms at that many, and the unit phase is expjpi of
-    t^2/x to the same absolute accuracy.  The floors of v and of the sums
-    and the unit phase add a few units of 2^-F, times v < sqrt(prec/2),
-    so the result is within 2 prec 2^-F |E|, as |E| >= 1/(2 sqrt(prec))
-    below the switch.  The
-    term count's and the cancellation's bits of Q are the worst case of a
-    floor; measured, the floors cost no more without them
-    (``tools/mutants.py`` lists them as proof margins).
+    The terms are summed in integers in units of 2^-Q, the first 2^Q.  They
+    reach about e^r2 and cancel to under 8 times the first, yet each floor
+    costs only a few units: each term is -i times the last times a positive
+    ratio, so the real and imaginary parts of the partial sums are
+    alternating sums of terms that first grow and then shrink, and any
+    tail of the sum is within 9.5 times its first term.  A floor at term n
+    (under 4/3 unit) scales every later term alike, so it moves the sum by
+    under 13 units.  The terms fall below 2^-F within max(2 e r2, F) of
+    them, so Q = F + bitlen(6 r2 + F) + 4 keeps all the floors under one
+    unit of 2^-F; the sum stops at a term below 2^-F once the ratios are
+    below 1/2.  E is a smooth O(1) function of r2, so r2 needs only an
+    absolute 2^-F: q is formed again from tt at F + mag(t^2/x) bits and r2
+    at two more, and the unit phase is expjpi of q to that accuracy.  The
+    floors of v and of the sums and the unit phase add a few units of
+    2^-F, times v < sqrt(prec/2), so the result is within 6 prec 2^-F |E|,
+    as |E| >= 1/(2 sqrt(prec)) below the switch.
     """
-    F = prec + _GUARD
+    F = prec + _GUARD + prec.bit_length()
     extra = max(0, q[2] + q[3])  # mag(t^2/x)
-    if extra:
-        q = mpf_div(tt, x, F + extra, round_nearest)
+    q = mpf_div(tt, x, F + extra, round_nearest)
     r2 = mpf_mul(q, mpf_pi(F + extra + 2), F + extra + 2)
     size = to_float(r2)
-    Q = F + int(size / _LN2) + 1
-    Q += (6 * int(size) + Q).bit_length()
+    Q = F + (6 * int(size) + F).bit_length() + 4
     R = to_fixed(mpf_shift(r2, 1), F)  # 2 r2
     stop = 1 << (Q - F)
     a, sums, n = 1 << Q, [0, 0, 0, 0], 0
@@ -183,8 +188,7 @@ def erfc_kernel(t, x, ctx: PrecisionContext):
     through the reflection E(-t) = 2 exp(-pi i t^2/x) - E(t), whose leading
     term carries the (genuine) oscillation.  Its phase t^2/x is formed
     from the unrounded t with as many extra bits as it has integer bits;
-    for t > 0 the series read t with every bit they need
-    (``_kernel_fixed``).
+    for t > 0 the series read t to prec + _GUARD bits (``_kernel_fixed``).
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -209,17 +213,17 @@ def _kernel_fixed(t, x, prec: int):
     precision prec, before its one rounding: ``_kummer`` below r2 =
     ``_switch(prec)``, ``_large_t`` from there.
 
-    Within 2^(bitlen(prec) + 2 - _GUARD) 2^-prec |E| (``_kummer`` and
-    ``_large_t`` derive their parts), so the one rounding that follows
-    stays under 3/4 of a unit in the last place of |E| at prec < 2^13.
-    t is read to R = prec + _GUARD + bitlen(prec) bits, so an mpf t carrying
-    more than the working precision (an exact fractional part of
-    N x + theta) keeps what the series need: below the switch t^2/x <
-    prec/4 < 2^(bitlen(prec) - 1), so t^2 to R - 1 bits gives t^2/x the
-    absolute 2^-(prec + _GUARD) Kummer's series needs, and above it the
-    relative 2^-(prec + _GUARD) the large-t series needs.
+    t, an mpf that may carry more than the working precision (an exact
+    fractional part of N x + theta), is rounded once to prec + _GUARD
+    bits, and t^2/x is formed from it: |d ln E/d ln r2| < 1/2 at every
+    r2 > 0, so that moves E by under 2^-(prec + _GUARD) relative.  With
+    what ``_kummer`` and ``_large_t`` derive, the result is within
+    8 prec 2^-(prec + _GUARD + bitlen(prec)) < 2^(3 - _GUARD - prec) of |E|
+    below the switch and within 2^(1 - _GUARD/2 - prec) of it from there,
+    at every prec: with 16 guard bits under 2^-7 ulp, before the one rounding
+    adds its half unit per part.
     """
-    t = mpf_pos(t, prec + _GUARD + prec.bit_length(), round_nearest)
+    t = mpf_pos(t, prec + _GUARD, round_nearest)
     tt = mpf_mul(t, t)
     q = mpf_div(tt, x, prec + _GUARD, round_nearest)
     below = mpf_cmp(mpf_mul(q, mpf_pi(prec), prec), from_float(_switch(prec))) < 0
@@ -265,11 +269,15 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     relative accuracy at every a and order.  Each order multiplies the
     running powers u_k^s by u_k^2 and steps a^-s by a^-2 at P bits, so
     order r carries about r roundings of 2^-P.  The corrections t_m run by
-    the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2 until |t_m| <= tiny =
-    2^(_GUARD/2) units, which bounds the remainder since every derivative
-    of (t + a)^-s is monotone.  Once u_K^s underflows the tail is gone for
-    good and the head sheds its zero powers.  The walk depends on (a, prec)
-    alone, so order r has the same bits however it is reached.
+    the recurrence c_m/c_{m-1} (s+2m-3)(s+2m-2)/w^2, the ratio of the
+    coefficients a floor at P + 6 bits (so within 2^-P relative, as
+    |c_m/c_{m-1}| >= 1/60) and w^2 >= 100 one at P bits, the division
+    exact to its floor: each step adds one relative 2^-P and one unit, as
+    everywhere else in the walk.  They run until |t_m| <= tiny = 2^(_GUARD/2) units, which
+    bounds the remainder since every derivative of (t + a)^-s is monotone.
+    Once u_K^s underflows the tail is gone for good and the head sheds its
+    zero powers.  The walk depends on (a, prec) alone, so order r has the
+    same bits however it is reached.
 
     The head K = max(10, prec // 6) serves every order.  With V = u_K^s 2^P
     = (a/w)^s 2^P and |c_m| = 2 zeta(2m)/(2 pi)^(2m) (DLMF 25.6.2),
@@ -281,10 +289,11 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     (s)_{2m-1} = Gamma(n)/Gamma(s) give ln|t_m| <= P ln 2 - n + 1
     + ln(zeta(4)/pi) + s (1 + ln(2 pi a/s)) + 1/(2 pi w) + 1/(12 n), where
     s (1 + ln(2 pi a/s)) <= 2 pi a.  Either way ln|t_m| <= P ln 2 - 2 pi K + 1.35,
-    at most ln tiny since 2 pi K >= (P - 16) ln 2 + 1.35 at every prec (by
-    23 nats at digits 15, prec 103, K = 17).  So the corrections fall below
-    tiny before they stop shrinking; the shrink check stays as a guard and
-    raises PrecisionError on any input this does not cover.
+    at most ln tiny since 2 pi K >= (P - _GUARD/2) ln 2 + 1.35 at every prec
+    (by 28 nats at digits 15, prec 103, K = 17).  So the corrections fall
+    below tiny before they stop shrinking; the shrink check stays as a
+    guard and raises PrecisionError on any input this does not cover, as
+    it does at digits 15 with a head of prec // 8 = 12.
     """
     mp = ctx.mp
     prec = mp.prec
@@ -297,8 +306,7 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
     powers = [(A << P) // ((k << P) + A) if k else 1 << P for k in range(K + 1)]
     squares = [u * u >> P for u in powers]
     W = (K << P) + A  # w = K + a
-    Q = P + 2 * (W >> P).bit_length() + 8
-    winv2, kappa = (1 << (Q + 2 * P)) // (W * W), []  # c_m/(c_{m-1} w^2), units 2^-Q
+    W2, ratios = W * W >> P, ()  # w^2
     a_pow = mpf_div(fone, a, P, round_nearest)
     a_inv2 = mpf_mul(a_pow, a_pow, P, round_nearest)
     for s in itertools.count(3, 2):
@@ -314,9 +322,9 @@ def zeta_odd_orders(a, ctx: PrecisionContext):
             while abs(t) > tiny:
                 total += t
                 m += 1
-                if m - 2 == len(kappa):
-                    kappa = [c * winv2 >> (P + 6) for c in _em_ratios(2 * m, P)]
-                nxt = t * ((s + 2 * m - 3) * (s + 2 * m - 2)) * kappa[m - 2] >> Q
+                if m - 2 == len(ratios):
+                    ratios = _em_ratios(2 * m, P)
+                nxt = (t * ((s + 2 * m - 3) * (s + 2 * m - 2)) * ratios[m - 2] >> 6) // W2
                 if abs(nxt) >= abs(t):
                     raise PrecisionError(f"zeta_odd_orders: the corrections at order {s} "
                                          f"stop shrinking above 2^-{P - _GUARD // 2}")

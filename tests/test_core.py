@@ -246,6 +246,19 @@ def test_phase_kernel_within_bound_on_raw_curlicue_reals(x, theta, count, stride
                   lambda mp: (_full(mp, x), _full(mp, theta)))
 
 
+@pytest.mark.parametrize("digits, log2_x", [(30, -20), (30, -40), (120, -20)])
+def test_phase_kernel_reads_every_bit_of_a_long_argument(digits, log2_x):
+    # x = 2^log2_x (1 - 2^-20/3) formed 100 bits finer than the working
+    # precision, as _renorm_term forms its arguments, and theta = 0: the
+    # 300 phases k^2 x barely turn, so the read-in's error of up to
+    # k^2 2^-F half-turns per term adds up over the terms instead of
+    # cancelling, and only F = B + 2 bitlen(count) + 4 keeps the sum within
+    # its bound (B + 6 exceeds it at every j near 300)
+    _check_kernel(digits, 300, 1,
+                  lambda mp: (mp.ldexp(1, log2_x) * (1 - mp.ldexp(1, -20) / 3), mp.mpf(0)),
+                  extra=100)
+
+
 @st.composite
 def _chirp_count(draw):
     """n in 0 .. 10^4: drawn at random, or next to a square L^2 (L^2 - 1,

@@ -275,7 +275,10 @@ def test_zeta_head_corrections_reach_the_target_before_they_turn(digits):
     # the walk: at every order s whose tail factor (a/w)^s, w = K + a, is
     # still at least 2^-P, the Euler-Maclaurin corrections
     # t_m = (a/w)^s |B_2m|/(2m)! (s)_{2m-1} w^(1-2m) fall to 2^(16-P) while
-    # each is still smaller than the one before
+    # each is still smaller than the one before.  P = prec + 32 and that
+    # target are stricter than the walk's own, P = prec + _GUARD and
+    # tiny = 2^(_GUARD/2 - P) at _GUARD = 16, so this checks the head with
+    # room to spare
     prec = PrecisionContext(digits).mp.prec
     P, K = prec + 32, max(10, prec // 6)
     coef = _em_coefficients(300)  # the cases below reach m = 248 at most
@@ -293,6 +296,26 @@ def test_zeta_head_corrections_reach_the_target_before_they_turn(digits):
                     nxt = t * coef[m] / coef[m - 1] * (s + 2 * m - 1) * (s + 2 * m) / w ** 2
                     assert nxt < t, (a, s, m)
                     m, t = m + 1, nxt
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_zeta_orders_within_a_rounding_of_the_reference(digits):
+    # orders 1..60 of the walk at the edge layers' and the remainder's
+    # arguments, against the Euler-Maclaurin reference 20 digits higher:
+    # each within its one rounding, half a unit in the last place of the
+    # value, and 1/8 of a unit more for the walk before it (its remainder,
+    # under tiny = 2^(_GUARD/2) units of 2^-P at _GUARD = 16, is 2^-8 of
+    # a unit; the rest is floors of 2^-P that add at random).  The head's
+    # derivation is tight at digits 15, where a = 17.5 reaches order 53
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    rmp = PrecisionContext(digits + 20).mp
+    for a in (2.0**-10, 0.25, 0.6505, 1.3495, 5.5, 16.5, 17.5, 40, 509.81184, 1e5):
+        walk = itertools.islice(zeta_odd_orders(a, ctx), 60)
+        for r, got in enumerate(walk, 1):
+            ref = _hzeta(rmp, 2 * r + 1, rmp.mpf(a), 30)
+            unit = rmp.ldexp(1, mp.mag(got) - mp.prec)
+            assert abs(rmp.mpf(got) - ref) <= (0.5 + 0.125) * unit, (a, r)
 
 
 def test_zeta_guard_raises_when_the_corrections_stop_shrinking(monkeypatch):
@@ -417,12 +440,16 @@ def test_machin_pi_cross_check():
 @example(log_r2=2.04, log_x=-0.43, digits=30, long=True)  # r2 = 110, past the switch
 @example(log_r2=2.03, log_x=-2.0, digits=30, long=True)  # r2 = 107, below it
 @example(log_r2=2.42, log_x=-1.0, digits=100, long=False)  # r2 = 263, below it
+@example(log_r2=3.03, log_x=-0.43, digits=450, long=True)  # r2 = 1072, below it
+@example(log_r2=3.0335, log_x=-4.0, digits=450, long=True)  # r2 = 1080, past it
 def test_kernel_before_its_rounding(log_r2, log_x, digits, long):
     # _kernel_fixed, before the one rounding, against the mpmath reference 20
-    # digits higher, within its docstring bound 2^(bitlen(prec) + 2 - _GUARD)
-    # of |E| in units of 2^-prec at _GUARD = 16: at most 2^-5 ulp here, where
-    # the rounding adds 1/sqrt(2).  A long t carries 3 prec bits, as an exact
-    # fractional part of N x + theta does
+    # digits higher, within its docstring bounds on |E| in units of 2^-prec
+    # at _GUARD = 16: 8 prec 2^-(16 + bitlen(prec)), about 2^-13, below the
+    # switch and 2^-7 from it, at every precision.  Both series' term-count
+    # bits show only where the count is large: at 450 digits next to the
+    # switch.  A long t carries 3 prec bits, as an exact fractional part of
+    # N x + theta does
     ctx = PrecisionContext(digits)
     mp = ctx.mp
     prec = mp.prec
@@ -433,4 +460,6 @@ def test_kernel_before_its_rounding(log_r2, log_x, digits, long):
     rmp = PrecisionContext(digits + 20).mp
     ref = _kernel(rmp, t, x)
     err = abs(rmp.mpc(rmp.ldexp(re, -scale), rmp.ldexp(im, -scale)) - ref)
-    assert err <= rmp.ldexp(abs(ref), prec.bit_length() - 14 - prec), (t, x)
+    below = 10 ** log_r2 < special._switch(prec)
+    ulps = 8 * prec * 2.0 ** -(16 + prec.bit_length()) if below else 2.0 ** -7
+    assert err <= ulps * rmp.ldexp(abs(ref), -prec), (t, x, below)
