@@ -22,10 +22,10 @@ N x + theta, and ``frac`` = N x + theta - M, both from the exact sum.
 to mpmath's ``expjpi``.  Every other phase goes through one fixed-point
 kernel (``_exp_quadratic``): its arguments are read once, every bit,
 reduced mod 2, and each phase of a run A k^2 + C k is stepped by exact
-integer adds, split exactly at the nearest step of a table of cos/sin
-over a quarter turn, with short Taylor series for the rest and
-one complex product by the table entry, all in integers: no phase loses
-bits to its size.  Two sums run on it:
+integer adds, split exactly at the nearest step of one table of cosines
+over the whole turn, with short Taylor series for the rest and
+one complex product by the table's cosine and sine, all in integers: no
+phase loses bits to its size.  Two sums run on it:
 
 - the phase loop (``_phase_partial_sums``), one kernel value a term,
   behind the oracle ``direct_sum``, ``phase_sum`` and the curlicue:
@@ -137,20 +137,22 @@ def _fixed_mod2(v, F: int, mask: int) -> int:
     return (-n if sign else n) & mask
 
 
-# The phase loop's table steps by 2^-(_TABLE_BITS + 1) half-turns, so its
-# 2^_TABLE_BITS entries cover a quarter turn.
+# The phase loop's table steps by 2^-(_TABLE_BITS + 1) half-turns, so
+# 2^_TABLE_BITS of its entries cover a quarter turn.
 _TABLE_BITS = 10
 
-# One table is about 120 KB at T = 192 and 370 KB at T = 1120.  T = 192
+# One table is 188 KiB at T = 192 and 560 KiB at T = 1120
+# (``sys.getsizeof`` of the tuple plus its distinct ints).  T = 192
 # serves every B of the sweeps and of the CLI's sum and curlicue at digits
 # 30, T = 256 the tables at digits 50 and the oracle at digits 45, and 224
 # or 288 the sweeps' other reference runs: four tables keep them all, where
 # an unbounded memo would keep one for every precision a process visits.
 @lru_cache(maxsize=4)
-def _quarter_turn(T: int):
-    """(cos, sin): cos and sin of pi i 2^-(_TABLE_BITS + 1) for
-    i = 0 .. 2^_TABLE_BITS - 1 in fixed point at T bits, each within 2
-    units of 2^-T.
+def _cos_table(T: int):
+    """cos of pi k 2^-(_TABLE_BITS + 1) for k = 0 .. 2^(_TABLE_BITS + 2) - 1,
+    the whole turn, in fixed point at T bits, each within 2 units of 2^-T.
+    The sine of entry k is entry k - 2^_TABLE_BITS, sin a = cos(a - pi/2):
+    a negative index wraps it round the turn.
 
     The first eighth turn is built as successive powers of one root of
     unity w at 16 guard bits.  w is within 2 units of 2^-(T+16) per
@@ -158,7 +160,9 @@ def _quarter_turn(T: int):
     floors add under sqrt(2) in modulus, so the i-th power is within 5 i
     of them: the 512th within 2^12, under 1/16 unit of 2^-T.  The floor to
     T bits adds under one unit.  The second eighth is the first one
-    reflected, cos(pi/2 - a) = sin a, sharing its integers.
+    reflected, cos(pi/2 - a) = sin a, and the other three quarters are the
+    first one's -sin, -cos and sin, all exact copies or negations of its
+    integers.
     """
     guard = 16
     W = T + guard
@@ -170,7 +174,8 @@ def _quarter_turn(T: int):
         cos_t.append(c)
         sin_t.append(s)
     cos_t, sin_t = [v >> guard for v in cos_t], [v >> guard for v in sin_t]
-    return tuple(cos_t + sin_t[-2:0:-1]), tuple(sin_t + cos_t[-2:0:-1])
+    cos_q, sin_q = cos_t + sin_t[-2:0:-1], sin_t + cos_t[-2:0:-1]
+    return tuple(cos_q + [-v for v in sin_q] + [-v for v in cos_q] + sin_q)
 
 
 @cache
@@ -237,23 +242,24 @@ def _rounded(re: int, im: int, scale: int, mp):
 
 def _exp_quadratic(runs, B: int, F: int):
     """(scale, values): for each run (A, C, start, stop) in turn, values
-    yields (q, re, im) for k = start .. stop - 1, with i^q (re + i im)
-    2^-scale within 95 units of 2^-B of exp(i pi p_k), p_k = (A k^2 + C k)
-    2^-F mod 2, for any integers A and C, F >= B + 6.
+    yields (re, im) for k = start .. stop - 1, with (re + i im) 2^-scale
+    within 95 units of 2^-B of exp(i pi p_k), p_k = (A k^2 + C k) 2^-F
+    mod 2, for any integers A and C, F >= B + 6.
 
     The one per-phase kernel, behind the loop and the chirp.  p_k advances
     by two masked integer adds per term, so every phase is exact mod 2:
     nothing drifts, and no phase loses bits to its size.  It is kept offset
     by half a table step, so its top _TABLE_BITS + 2 bits are the nearest
-    table step: a quarter turn q and an index into a table of the quarter
-    turn (``_quarter_turn``), and the rest, less the offset, is the exact
+    table step, an index into a table of cosines over the whole turn
+    (``_cos_table``), and the rest, less the offset, is the exact
     remainder u, |u| <= 2^-(_TABLE_BITS + 2) half-turns.  The table is at
     T bits, B rounded up to a multiple of 32: up to 31 bits finer than B,
     which makes the products at most one 30-bit digit longer, so one table
     serves 32 values of B.  cos(pi u) and sin(pi u) are short Taylor series
-    at F bits (``_taylor``, in Horner form), turned by the table entry in
-    one complex product at scale = F + T bits.  Table and series are memos
-    of their precision, so the values depend on the arguments alone.
+    at F bits (``_taylor``, in Horner form), turned by the table's cosine
+    and sine of the step in one complex product at scale = F + T bits.
+    Table and series are memos of their precision, so the values depend on
+    the arguments alone.
 
     Error of each value, in units of 2^-B: u is exact; the coefficients and
     Horner floors of each series add under 2^5 units of 2^-F, under
@@ -262,16 +268,15 @@ def _exp_quadratic(runs, B: int, F: int):
     In all under sqrt(2) (2^6 + 1/2) + 2 sqrt(2) < 95.
     """
     T = -(-B // 32) * 32
-    cos_t, sin_t = _quarter_turn(T)
-    return F + T, _exp_values(runs, F, cos_t, sin_t, _taylor(B, F))
+    return F + T, _exp_values(runs, F, _cos_table(T), _taylor(B, F))
 
 
-def _exp_values(runs, F, cos_t, sin_t, series):
+def _exp_values(runs, F, table, series):
     """The generator of ``_exp_quadratic``, everything in locals."""
     mask = (1 << (F + 1)) - 1
     G = F - _TABLE_BITS - 1  # the bits below one table step
     low, offset = (1 << G) - 1, 1 << (G - 1)
-    top, index = _TABLE_BITS, (1 << _TABLE_BITS) - 1
+    quarter = 1 << _TABLE_BITS  # sin a = cos(a - pi/2)
     (c_top, s_top), *horner = zip(*series)
     for A, C, start, stop in runs:
         two_a = (2 * A) & mask
@@ -286,9 +291,8 @@ def _exp_values(runs, F, cos_t, sin_t, series):
                 s = b + (s * u2 >> F)
             s = s * u >> F
             k = p >> G
-            i = k & index
-            cos_i, sin_i = cos_t[i], sin_t[i]
-            yield k >> top, c * cos_i - s * sin_i, s * cos_i + c * sin_i
+            cos_k, sin_k = table[k], table[k - quarter]
+            yield c * cos_k - s * sin_k, s * cos_k + c * sin_k
             p = (p + d) & mask
             d = (d + two_a) & mask
 
@@ -302,10 +306,8 @@ def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
     x and 2 theta, mpf, are read once, every bit, with F = B + 2 bitlen(count)
     + 4 fractional bits and reduced mod 2 (``_read_in``).  Each phase
     then goes through the kernel (``_exp_quadratic``), and its value is
-    summed exactly into one of four integer sums by quarter turn q; the
-    quarter turns i^q, signs and a swap, combine them once per partial sum.
-    More than ``DEFAULT_MAX_TERMS`` terms raise ResourceBudgetError before
-    the first.
+    summed exactly into one integer sum per part.  More than
+    ``DEFAULT_MAX_TERMS`` terms raise ResourceBudgetError before the first.
 
     Error per term, in units of 2^-B: reading x and 2 theta moves p_k by
     under (k^2 + k) 2^-F <= 2^(-B-4), so pi p_k by under 2^(-B-2): under
@@ -314,12 +316,12 @@ def _fixed_partial_sums(x, theta, count: int, prec: int, stride: int):
     """
     B, F, A, C = _read_in(x, theta, count, prec)
     scale, values = _exp_quadratic([(A, C, 1, count + 1)], B, F)
-    cs, ss = [0, 0, 0, 0], [0, 0, 0, 0]
+    re = im = 0
     for j in range(stride, count + 1, stride):
-        for q, re, im in islice(values, stride):
-            cs[q] += re
-            ss[q] += im
-        yield j, cs[0] - ss[1] - cs[2] + ss[3], ss[0] + cs[1] - ss[2] - cs[3], scale
+        for r, i in islice(values, stride):
+            re += r
+            im += i
+        yield j, re, im, scale
 
 
 def _phase_partial_sums(x, theta, count: int, mp, stride: int):
@@ -339,20 +341,6 @@ def _phase_partial_sums(x, theta, count: int, mp, stride: int):
     for j, re, im, scale in _fixed_partial_sums(mp.convert(x), mp.convert(theta),
                                                 count, mp.prec, stride):
         yield j, _rounded(re, im, scale, mp)
-
-
-def _units(runs, B: int, F: int):
-    """[(re, im)]: the kernel's values over runs (``_exp_quadratic``), their
-    quarter turns applied, floored to B bits: each within 95 + sqrt(2) < 97
-    units of 2^-B."""
-    scale, values = _exp_quadratic(runs, B, F)
-    shift = scale - B
-    out = []
-    for q, re, im in values:
-        re, im = re >> shift, im >> shift
-        out.append((re, im) if q == 0 else (-im, re) if q == 1 else
-                   (-re, -im) if q == 2 else (im, -re))
-    return out
 
 
 def _slots(count: int, width: int) -> int:
@@ -397,13 +385,14 @@ def _chirp_fixed(a, b, count: int, prec: int):
     in all.  a and 2 b are read once with F bits (``_read_in``), as by
     the loop, and every phase is formed from them by integer products,
     exact mod 2: the three phases of term j add up to exactly the loop's
-    phase of j.  Each goes through the loop's kernel (``_units``).  The
-    convolution is exact, in integers: each sequence is packed into one
-    int (Kronecker substitution) with slots of 2B + bitlen(L) + 4 bits,
-    rounded up to bytes, and three real products (Gauss's trick) give its
-    real and imaginary parts, unpacked in linear time.  The dot product
-    with c is exact too.  More than ``DEFAULT_MAX_TERMS`` terms raise
-    ResourceBudgetError before any phase.
+    phase of j.  Each goes through the loop's kernel (``_exp_quadratic``),
+    and its value is floored to B bits: within 95 + sqrt(2) < 97 units of
+    2^-B.  The convolution is exact, in integers: each sequence is packed
+    into one int (Kronecker substitution) with slots of 2B + bitlen(L) + 4
+    bits, rounded up to bytes, and three real products (Gauss's trick)
+    give its real and imaginary parts, unpacked in linear time.  The dot
+    product with c is exact too.  More than ``DEFAULT_MAX_TERMS`` terms
+    raise ResourceBudgetError before any phase.
 
     Error per term, in units of 2^-B: each of the three unit values is
     within 97, so their product within (1 + 97 2^-B)^3 - 1 < 292; reading
@@ -414,10 +403,12 @@ def _chirp_fixed(a, b, count: int, prec: int):
         return 0, 0, 0
     L = isqrt(count)
     Q = count // L
-    values = iter(_units([(af * (L + 1), bf, 1, L + 1),  # u_k
-                           (-af * L, 0, 0, L + 1),  # v_d = v_-d
-                           (af * (L * L + L), bf * L, 0, Q),  # c_beta
-                           (af, bf, Q * L + 1, count + 1)], B, F))  # the rest
+    scale, values = _exp_quadratic([(af * (L + 1), bf, 1, L + 1),  # u_k
+                                    (-af * L, 0, 0, L + 1),  # v_d = v_-d
+                                    (af * (L * L + L), bf * L, 0, Q),  # c_beta
+                                    (af, bf, Q * L + 1, count + 1)], B, F)  # the rest
+    shift = scale - B
+    values = ((re >> shift, im >> shift) for re, im in values)
     u, v, c, rest = (list(islice(values, size)) for size in (L, L + 1, Q, count - Q * L))
     v = v[L:0:-1] + v[:Q - 1]  # v_d, d = -L .. Q - 2
     # (u * v)_beta is coefficient beta + L - 1 of the product of

@@ -8,7 +8,7 @@ leave headroom for internal rounding.  Each instance owns its own
 so routines stay pure and two threads using *different* contexts never
 race.  (A single context should not be shared between threads while a
 call is in flight -- construction costs well under a millisecond, so give
-each thread its own.)  No module holds mutable state: ``core``'s cos/sin
+each thread its own.)  No module holds mutable state: ``core``'s cosine
 table and Taylor coefficients of the phase kernel and ``special``'s
 Euler--Maclaurin ratios of B_2m/(2m)! are memos (``functools``) of their
 precision, tuples of integers that every caller and thread reads alike.

@@ -332,11 +332,13 @@ def test_renorm_term_agrees_with_64_bits_higher(log2_x, theta, M):
 
 def test_phase_kernel_table_and_series_within_their_bounds():
     # the two parts the loop's error derivation bounds, at B = 110 .. 1100
-    # bits: every entry of the table the kernel takes at B within 2 units
-    # of 2^-B per component, on both sides of a step of its precision
+    # bits: every entry of the whole turn's table the kernel takes at B
+    # within 2 units of 2^-B, on both sides of a step of its precision
     # (191, 192, 193), and the series at the largest remainder
     # |u| = 2^-(_TABLE_BITS + 2) within 2^6 + 1/2, also at B = 161 and 189,
-    # where the series takes one term more than a stop at 2^(9-B) would
+    # where the series takes one term more than a stop at 2^(9-B) would.
+    # The kernel's sines are the table's own entries, so checking each
+    # entry once as a cosine covers them.
     ref = mpmath.MPContext()
     for B in (110, 161, 184, 189, 191, 192, 193, 253, 1100, 1090, 184):
         ref.prec = B + 64
@@ -344,12 +346,11 @@ def test_phase_kernel_table_and_series_within_their_bounds():
         F = B + 30
         T = core._exp_quadratic([], B, F)[0] - F
         assert B <= T <= B + 32
-        cos_t, sin_t = core._quarter_turn(T)
-        assert len(cos_t) == len(sin_t) == 2 ** core._TABLE_BITS
-        for i, (c, s) in enumerate(zip(cos_t, sin_t)):
-            a = ref.ldexp(i, -core._TABLE_BITS - 1)
-            assert abs(ref.ldexp(c, -T) - ref.cospi(a)) < 2 * unit, (B, i)
-            assert abs(ref.ldexp(s, -T) - ref.sinpi(a)) < 2 * unit, (B, i)
+        table = core._cos_table(T)
+        assert len(table) == 2 ** (core._TABLE_BITS + 2)
+        for k, c in enumerate(table):
+            a = ref.ldexp(k, -core._TABLE_BITS - 1)
+            assert abs(ref.ldexp(c, -T) - ref.cospi(a)) < 2 * unit, (B, k)
         cos_u, sin_u = core._taylor(B, F)
         top = ref.ldexp(1, -core._TABLE_BITS - 2)
         for u in (top, -top, top / 3):

@@ -7,10 +7,13 @@ Run from the root of a checkout:
 
 ``switch``: CPU time of ``core._chirp_sum`` and ``core.phase_sum`` on the
 renormalized arguments (-1/x, theta/x) of x = 3 2^-16 (its mantissa
-filled), theta = -0.17, at digits 30 and 50, the median of repeats.  It
-records why the routes have no switch between the two: the loop is
-faster only below about 48 terms, by tens of microseconds a call, so the
-routes' short sum is the chirp at every length.
+filled), theta = -0.17, at digits 30 and 50, the median of repeats, the
+two calls of a repeat one right after the other.  It records why the
+routes have no switch between the two: the loop is faster only below
+about 47 terms at digits 30 and 30-40 at digits 50, by tens of
+microseconds a call (at digits 30, two runs on a 2-core machine: 45-80
+at 1-10 terms, 15-30 at 30 terms, even at 47), so the routes' short sum
+is the chirp at every length.
 ``large``: CPU time and value of ``asym`` (n = 10) and ``exact`` at
 x = 3 2^-16, theta = -0.17 and M = N x of 10^4 .. 4.58 10^6, each side in
 its own process, the parent first, with the error of each against the
@@ -25,7 +28,8 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-NS = (16, 24, 32, 40, 48, 56, 64, 96, 128, 256, 10**3, 10**4, 10**5, 10**6)
+NS = (1, 2, 4, 10, 16, 24, 30, 32, 40, 47, 48, 56, 64, 96, 128, 256, 10**3, 10**4, 10**5,
+      10**6)
 # N with M = N x about 10^4, 10^5, 10^6 and 4.58 10^6 at x = 3 2^-16
 LARGE = (218453333, 2184533333, 21845333333, 10**11 + 7)
 
@@ -48,9 +52,13 @@ def switch():
             a, b = -1 / x, mp.mpf(-0.17) / x
         for n in NS:
             reps = max(1, min(101, 20000 // n))
-            chirp = statistics.median(cpu(lambda: _chirp_sum(a, b, n, mp)) for _ in range(reps))
-            loop = statistics.median(cpu(lambda: phase_sum(a, b, n, mp))
-                                     for _ in range(max(1, reps // 10 if n > 10**4 else reps)))
+            loop_reps = max(1, reps // 10 if n > 10**4 else reps)
+            chirps, loops = [], []
+            for r in range(reps):  # interleaved, so the machine's drift reaches both
+                chirps.append(cpu(lambda: _chirp_sum(a, b, n, mp)))
+                if r < loop_reps:
+                    loops.append(cpu(lambda: phase_sum(a, b, n, mp)))
+            chirp, loop = statistics.median(chirps), statistics.median(loops)
             rows.append({"digits": digits, "n": n, "chirp_ms": round(chirp * 1e3, 4),
                          "loop_ms": round(loop * 1e3, 4), "loop_over_chirp": round(loop / chirp, 2)})
             print(rows[-1], flush=True)

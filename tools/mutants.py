@@ -101,7 +101,7 @@ MUTANTS = [
     Mutant("core.py", "F = B + 2 * count.bit_length() + 4", "F = B + 6",
            "the phase read-in without the bits of count^2", _LOOP),
     Mutant("core.py", "    guard = 16\n", "    guard = 4\n",
-           "the cos/sin table's powers at 4 guard bits", _LOOP),
+           "the cosine table's powers at 4 guard bits", _LOOP),
     Mutant("core.py", "F + 6 - B:", "F + 9 - B:",
            "the Taylor series stops at 2^(9-B)", _LOOP),
     Mutant("core.py", "width = (2 * B + L.bit_length() + 4 + 7) // 8",
